@@ -202,12 +202,44 @@ struct PrepareState<V> {
     sent_value: Option<V>,
 }
 
-/// Per-instance state.
+/// `Accepted` announcements counted per ballot: bit `i` of a ballot's mask
+/// is the vote of `members[i]`. Flat, because an instance sees one ballot
+/// unless a coordinator was suspected.
+type Votes = Vec<(Ballot, u64)>;
+
+/// The mask of `ballot` in `votes`, created (empty) on first use. Grows by
+/// exactly one entry: these lists outlive their instance (see [`Decided`]),
+/// one per instance ever decided.
+fn tally(votes: &mut Votes, ballot: Ballot) -> &mut u64 {
+    let i = match votes.iter().position(|(b, _)| *b == ballot) {
+        Some(i) => i,
+        None => {
+            votes.reserve_exact(1);
+            votes.push((ballot, 0));
+            votes.len() - 1
+        }
+    };
+    &mut votes[i].1
+}
+
+/// All that is kept of a decided instance: every handler is guarded by the
+/// decisions table once a decision exists, so candidates, forwarded
+/// batches, prepare state and the accepted value can never be read again.
+/// The vote tallies must survive, because the decided-instance branch of
+/// `Accepted` tells a duplicate announcement (a retransmitting peer that
+/// missed the decision, owed a `Decide` reply) from a routine first-time
+/// late arrival by the votes recorded so far.
+#[derive(Clone, Debug)]
+struct Decided<V> {
+    value: V,
+    votes: Votes,
+}
+
+/// Per-instance state of an undecided instance.
 #[derive(Clone, Debug)]
 struct Instance<V> {
     promised: Ballot,
     accepted: Option<(Ballot, V)>,
-    decided: bool,
     /// This member's own proposal (kept for forward/recovery).
     my_value: Option<V>,
     /// Values forwarded to us while we are (or become) coordinator. With a
@@ -220,9 +252,7 @@ struct Instance<V> {
     /// retransmission — the same ballot must re-ship the same value).
     sent_accept0_value: Option<V>,
     prepare: Option<PrepareState<V>>,
-    /// Flat per-ballot vote lists (see `PrepareState::promises` on why
-    /// flat beats trees at group scale).
-    accepted_votes: Vec<(Ballot, Vec<ProcessId>)>,
+    accepted_votes: Votes,
 }
 
 impl<V> Instance<V> {
@@ -230,23 +260,12 @@ impl<V> Instance<V> {
         Instance {
             promised: Ballot::zero(b0_owner),
             accepted: None,
-            decided: false,
             my_value: None,
             forwarded: Vec::new(),
             sent_accept0: false,
             sent_accept0_value: None,
             prepare: None,
             accepted_votes: Vec::new(),
-        }
-    }
-
-    /// The vote list of `ballot`, created on first use.
-    fn votes_mut(&mut self, ballot: Ballot) -> &mut Vec<ProcessId> {
-        if let Some(i) = self.accepted_votes.iter().position(|(b, _)| *b == ballot) {
-            &mut self.accepted_votes[i].1
-        } else {
-            self.accepted_votes.push((ballot, Vec::new()));
-            &mut self.accepted_votes.last_mut().expect("just pushed").1
         }
     }
 
@@ -314,8 +333,9 @@ pub struct GroupConsensus<V> {
     /// [`tick`](Self::tick) on every retransmission interval — costs
     /// O(in-flight), not O(every instance ever decided).
     active: BTreeSet<u64>,
-    /// Point-query only (see `instances`).
-    decisions: FxHashMap<u64, V>,
+    /// Point-query only (see `instances`). An instance moves here from
+    /// `instances` when it decides and stays forever.
+    decisions: FxHashMap<u64, Decided<V>>,
     undrained: Vec<(u64, V)>,
     /// Batch combiner for forwarded proposals; see [`MergeFn`].
     merge: Option<MergeFn<V>>,
@@ -327,11 +347,13 @@ impl<V: Value> GroupConsensus<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `me` is not a member or the member list is empty.
+    /// Panics if `me` is not a member, the member list is empty, or it has
+    /// more than 64 members (votes are tallied in a `u64` mask).
     pub fn new(me: ProcessId, mut members: Vec<ProcessId>) -> Self {
         members.sort_unstable();
         members.dedup();
         assert!(!members.is_empty(), "group must be non-empty");
+        assert!(members.len() <= 64, "at most 64 members per group");
         assert!(members.contains(&me), "engine owner must be a group member");
         let majority = members.len() / 2 + 1;
         GroupConsensus {
@@ -408,7 +430,7 @@ impl<V: Value> GroupConsensus<V> {
 
     /// The decided value of `instance`, if known locally.
     pub fn decision(&self, instance: u64) -> Option<&V> {
-        self.decisions.get(&instance)
+        self.decisions.get(&instance).map(|d| &d.value)
     }
 
     /// Drains decisions reached since the previous call, in instance order.
@@ -463,7 +485,6 @@ impl<V: Value> GroupConsensus<V> {
         let mut pending: Vec<u64> = self
             .instances
             .iter()
-            .filter(|(k, i)| !i.decided && !self.decisions.contains_key(k))
             .filter(|(_, i)| i.has_candidate() || i.accepted.is_some())
             .map(|(&k, _)| k)
             .collect();
@@ -488,8 +509,8 @@ impl<V: Value> GroupConsensus<V> {
     pub fn on_message(&mut self, from: ProcessId, msg: ConsensusMsg<V>, sink: &mut MsgSink<V>) {
         match msg {
             ConsensusMsg::Forward { instance, value } => {
-                if let Some(v) = self.decisions.get(&instance) {
-                    let v = v.clone();
+                if let Some(d) = self.decisions.get(&instance) {
+                    let v = d.value.clone();
                     sink.push(from, ConsensusMsg::Decide { instance, value: v });
                     return;
                 }
@@ -528,8 +549,8 @@ impl<V: Value> GroupConsensus<V> {
                 }
             }
             ConsensusMsg::Prepare { instance, ballot } => {
-                if let Some(v) = self.decisions.get(&instance) {
-                    let v = v.clone();
+                if let Some(d) = self.decisions.get(&instance) {
+                    let v = d.value.clone();
                     sink.push(from, ConsensusMsg::Decide { instance, value: v });
                     return;
                 }
@@ -609,8 +630,8 @@ impl<V: Value> GroupConsensus<V> {
                 ballot,
                 value,
             } => {
-                if let Some(v) = self.decisions.get(&instance) {
-                    let v = v.clone();
+                if let Some(d) = self.decisions.get(&instance) {
+                    let v = d.value.clone();
                     sink.push(from, ConsensusMsg::Decide { instance, value: v });
                     return;
                 }
@@ -634,28 +655,32 @@ impl<V: Value> GroupConsensus<V> {
                 ballot,
                 value,
             } => {
-                if let Some(v) = self.decisions.get(&instance) {
+                // Consensus traffic is intra-group; a vote from outside
+                // the group counts for nothing.
+                let Some(i) = self.members.iter().position(|&m| m == from) else {
+                    return;
+                };
+                let bit = 1u64 << i;
+                if let Some(d) = self.decisions.get_mut(&instance) {
                     // Keep counting votes after deciding; a *duplicate*
                     // announcement can only come from a retransmitting peer
                     // that missed the decision (lossy links), so catch it up
                     // directly. First-time late arrivals — routine in clean
                     // runs — stay silent, keeping clean-run message counts
                     // exactly the paper's.
-                    let v = v.clone();
-                    let votes = self.instance_mut(instance).votes_mut(ballot);
-                    if votes.contains(&from) {
+                    let mask = tally(&mut d.votes, ballot);
+                    if *mask & bit != 0 {
+                        let v = d.value.clone();
                         sink.push(from, ConsensusMsg::Decide { instance, value: v });
                     } else {
-                        votes.push(from);
+                        *mask |= bit;
                     }
                     return;
                 }
                 let majority = self.majority;
-                let votes = self.instance_mut(instance).votes_mut(ballot);
-                if !votes.contains(&from) {
-                    votes.push(from);
-                }
-                if votes.len() >= majority {
+                let mask = tally(&mut self.instance_mut(instance).accepted_votes, ballot);
+                *mask |= bit;
+                if mask.count_ones() as usize >= majority {
                     self.learn(instance, value);
                 }
             }
@@ -751,7 +776,6 @@ impl<V: Value> GroupConsensus<V> {
         let mut out: Vec<(u64, String)> = self
             .instances
             .iter()
-            .filter(|(k, _)| !self.decisions.contains_key(k))
             .map(|(&k, i)| {
                 let desc = format!(
                     "cand={} fwd={} acc={:?} prep={:?} promised={:?} sent0={}",
@@ -862,24 +886,19 @@ impl<V: Value> GroupConsensus<V> {
         if self.decisions.contains_key(&instance) {
             return;
         }
-        if let Some(inst) = self.instances.get_mut(&instance) {
-            inst.decided = true;
-            // Release the instance's heavy state: every handler path is
-            // guarded by the decisions table once a decision exists, so
-            // candidates, forwarded batches, prepare state and the accepted
-            // value can never be read again — only `accepted_votes` must
-            // survive, because the decided-instance branch of `Accepted`
-            // distinguishes duplicate announcements (a retransmitting peer
-            // that missed the decision, owed a `Decide` reply) from routine
-            // first-time late arrivals by the recorded votes.
-            inst.my_value = None;
-            inst.forwarded = Vec::new();
-            inst.sent_accept0_value = None;
-            inst.prepare = None;
-            inst.accepted = None;
-        }
+        let votes = self
+            .instances
+            .remove(&instance)
+            .map(|inst| inst.accepted_votes)
+            .unwrap_or_default();
         self.active.remove(&instance);
-        self.decisions.insert(instance, value.clone());
+        self.decisions.insert(
+            instance,
+            Decided {
+                value: value.clone(),
+                votes,
+            },
+        );
         self.undrained.push((instance, value));
     }
 
@@ -1264,6 +1283,51 @@ mod tests {
         net.absorb(ProcessId(0), sink);
         net.run(&[]);
         assert!(net.engines[0].debug_unfinished().is_empty());
+    }
+
+    #[test]
+    fn decided_instance_keeps_only_value_and_per_ballot_votes() {
+        let members: Vec<_> = (0..3).map(ProcessId).collect();
+        let mut e: GroupConsensus<u32> = GroupConsensus::new(ProcessId(0), members);
+        let b0 = Ballot::zero(ProcessId(0));
+        let b1 = Ballot {
+            round: 1,
+            owner: ProcessId(1),
+        };
+        let accepted = |ballot| ConsensusMsg::Accepted {
+            instance: 1,
+            ballot,
+            value: 5,
+        };
+        let mut s = MsgSink::new();
+        e.on_message(ProcessId(0), accepted(b0), &mut s);
+        e.on_message(ProcessId(1), accepted(b0), &mut s);
+        assert_eq!(e.decision(1), Some(&5), "majority of b0 votes decides");
+        assert!(e.instances.is_empty(), "the instance is released");
+        assert!(s.msgs.is_empty());
+        // First late arrival: silent. Its duplicate: owed a Decide.
+        e.on_message(ProcessId(2), accepted(b0), &mut s);
+        assert!(s.msgs.is_empty(), "routine late vote stays silent");
+        e.on_message(ProcessId(2), accepted(b0), &mut s);
+        assert_eq!(
+            s.msgs,
+            vec![(
+                ProcessId(2),
+                ConsensusMsg::Decide {
+                    instance: 1,
+                    value: 5
+                }
+            )]
+        );
+        // Votes are tallied per ballot: p2's first vote at another ballot
+        // is a first arrival again, and a pre-decision voter's repeat is a
+        // duplicate.
+        s.msgs.clear();
+        e.on_message(ProcessId(2), accepted(b1), &mut s);
+        assert!(s.msgs.is_empty());
+        e.on_message(ProcessId(1), accepted(b0), &mut s);
+        assert_eq!(s.msgs.len(), 1);
+        assert!(e.instances.is_empty(), "late traffic re-creates nothing");
     }
 
     #[test]

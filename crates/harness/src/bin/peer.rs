@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use wamcast_harness::cli;
-use wamcast_harness::tcp_host::{self, delivery_service, with_trace};
+use wamcast_harness::tcp_host::{self, delivery_service, with_stats, with_trace, StatsCell};
 use wamcast_harness::StackRegistry;
 use wamcast_net::tcp::{SharedTrace, TcpNodeConfig};
 use wamcast_net::WallFaults;
@@ -224,9 +224,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         };
         let delivered = Arc::new(Mutex::new(Vec::new()));
+        let stats = StatsCell::default();
+        let service = with_stats(delivery_service(&delivered), &stats);
         let service = match &trace {
-            Some(t) => with_trace(delivery_service(&delivered), t),
-            None => delivery_service(&delivered),
+            Some(t) => with_trace(service, t),
+            None => service,
         };
         let node = match with_bind_retry(|| {
             arm.serve_tcp(
@@ -248,6 +250,9 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
         };
+        stats
+            .set(node.stats())
+            .expect("the cell is filled exactly once");
         announce(node.local_addr(), arm.name());
         node.wait();
     }

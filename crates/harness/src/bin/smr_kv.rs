@@ -265,6 +265,9 @@ fn run_tcp(kv: &KvArgs, cfg: &SmrConfig, seed: u64) -> Result<SmrOutcome, String
         exclude: Vec::new(),
         expect_all_commit: true,
     });
+    if !out.is_ok() {
+        tcp_host::report_net_stats(&procs.addrs);
+    }
     procs.shutdown();
     Ok(out)
 }

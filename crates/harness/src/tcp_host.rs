@@ -7,8 +7,8 @@
 //! `WithApply<GenuineMulticast, BuggyKv>` — the same A1 stack
 //! [`crate::smr::run_smr_net`] builds, through the same
 //! [`a1_stack_config`] construction site — plus a [`Service`] hook
-//! answering the three control-plane requests a client needs to drive and
-//! judge a run:
+//! answering the control-plane requests a client needs to drive, judge
+//! and diagnose a run:
 //!
 //! | request body                  | reply body              |
 //! |-------------------------------|-------------------------|
@@ -16,6 +16,7 @@
 //! | `[REQ_POLL] ++ MessageId`     | `Option<AppliedOp>`     |
 //! | `[REQ_LOG]`                   | `ReplicaLog`            |
 //! | `[REQ_TRACE]`                 | flight-recorder text    |
+//! | `[REQ_STATS]`                 | socket-path counters    |
 //!
 //! Request and reply bodies use the [`wamcast_types::wire`] codec (they
 //! travel inside `Frame::Req`/`Frame::Rep`, which are themselves
@@ -35,11 +36,11 @@ use crate::scenario::RETRY_INTERVAL;
 use crate::smr::{mean_response_latency, OpGen, SmrConfig, SmrOutcome};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use wamcast_core::{GenuineMulticast, WithApply};
 use wamcast_net::tcp::{
-    self, Service, SharedDeliveries, SharedTrace, TcpClient, TcpNode, TcpNodeConfig,
+    self, NetStats, Service, SharedDeliveries, SharedTrace, TcpClient, TcpNode, TcpNodeConfig,
 };
 use wamcast_net::WallFaults;
 use wamcast_smr::{
@@ -65,6 +66,10 @@ pub const REQ_LOG: u8 = 2;
 /// others reply empty, which [`fetch_trace`] surfaces as `InvalidData`.
 pub const REQ_TRACE: u8 = 3;
 
+/// Request tag: the node's socket-path drop and wake-up counters (one line
+/// of UTF-8 text; see [`with_stats`]).
+pub const REQ_STATS: u8 = 4;
+
 /// A service answering only [`REQ_DELIVERED`] — what bare delivery arms
 /// (the `peer` binary without `--smr`) expose so a client can read back
 /// the delivery order.
@@ -82,7 +87,8 @@ pub fn delivery_service(delivered: &SharedDeliveries) -> Service {
 }
 
 /// The KV peer's service: delivery log, per-op response polling, and
-/// replica-log capture. Runs on connection reader threads; all state is
+/// replica-log capture. Runs on the node thread between protocol steps
+/// (so it only ever takes locks nobody holds for long); all state is
 /// behind the same mutexes the apply path uses.
 pub fn kv_service(me: ProcessId, kv: &SharedKv, delivered: &SharedDeliveries) -> Service {
     let kv = Arc::clone(kv);
@@ -133,6 +139,35 @@ pub fn with_trace(inner: Service, trace: &SharedTrace) -> Service {
     })
 }
 
+/// Where a service finds its own node's [`NetStats`]: the service has to
+/// exist before [`tcp::serve`] returns the node whose counters it reports,
+/// so the host fills the cell in right after.
+pub type StatsCell = Arc<OnceLock<Arc<NetStats>>>;
+
+/// Wraps a service so it additionally answers [`REQ_STATS`] with the
+/// node's [`NetStats`] line (empty until `stats` is filled in);
+/// everything else defers to `inner`.
+pub fn with_stats(inner: Service, stats: &StatsCell) -> Service {
+    let stats = Arc::clone(stats);
+    Arc::new(move |body: &[u8]| {
+        if body == [REQ_STATS] {
+            return stats
+                .get()
+                .map(|s| s.to_string().into_bytes())
+                .unwrap_or_default();
+        }
+        inner(body)
+    })
+}
+
+fn fetch_text(client: &mut TcpClient, tag: u8, what: &str) -> io::Result<String> {
+    let rep = client.request(vec![tag])?;
+    if rep.is_empty() {
+        return Err(bad_reply(what));
+    }
+    String::from_utf8(rep).map_err(|_| bad_reply(what))
+}
+
 /// Pulls a remote node's flight-recorder dump ([`REQ_TRACE`]).
 ///
 /// # Errors
@@ -140,11 +175,29 @@ pub fn with_trace(inner: Service, trace: &SharedTrace) -> Service {
 /// Socket errors, reply timeout, or an empty/undecodable reply (a node
 /// serving without a trace ring answers empty).
 pub fn fetch_trace(client: &mut TcpClient) -> io::Result<String> {
-    let rep = client.request(vec![REQ_TRACE])?;
-    if rep.is_empty() {
-        return Err(bad_reply("trace"));
+    fetch_text(client, REQ_TRACE, "trace")
+}
+
+/// Pulls a remote node's socket-path counters ([`REQ_STATS`]).
+///
+/// # Errors
+///
+/// Socket errors, reply timeout, or an empty/undecodable reply.
+pub fn fetch_stats(client: &mut TcpClient) -> io::Result<String> {
+    fetch_text(client, REQ_STATS, "stats")
+}
+
+/// Prints every peer's socket-path counters to stderr, one line each —
+/// what a failed run asks first: did the transport drop something, and
+/// where. A peer that does not answer is reported as such.
+pub fn report_net_stats(addrs: &[SocketAddr]) {
+    for (i, &addr) in addrs.iter().enumerate() {
+        let mut client = TcpClient::new(addr, SMR_ARM, Duration::from_secs(1));
+        match fetch_stats(&mut client) {
+            Ok(line) => eprintln!("net stats p{i}: {line}"),
+            Err(e) => eprintln!("net stats p{i}: unavailable ({e})"),
+        }
     }
-    String::from_utf8(rep).map_err(|_| bad_reply("trace"))
 }
 
 /// One TCP-served KV replica living in *this* process (the `peer` binary
@@ -175,7 +228,8 @@ pub fn spawn_smr_peer(
     let shards = ShardMap::new(topo.num_groups());
     let kv = shared_replica(topo.group_of(me), shards);
     let delivered: SharedDeliveries = Arc::new(Mutex::new(Vec::new()));
-    let mut service = kv_service(me, &kv, &delivered);
+    let stats = StatsCell::default();
+    let mut service = with_stats(kv_service(me, &kv, &delivered), &stats);
     if let Some(t) = &trace {
         service = with_trace(service, t);
     }
@@ -196,6 +250,9 @@ pub fn spawn_smr_peer(
         delivered,
         service,
     )?;
+    stats
+        .set(node.stats())
+        .expect("the cell is filled exactly once");
     Ok(KvPeer { node, kv })
 }
 

@@ -176,8 +176,23 @@ pub fn probe_tcp_shaped(shape: (usize, usize), ops: u64) -> io::Result<TcpProbeR
     let _ = sock.shutdown(std::net::Shutdown::Both);
     drop(sock);
     let _ = drain.join();
+    // Loopback with every peer up loses nothing; a rate measured across
+    // retransmissions would be a different workload's.
+    let lossy: Vec<String> = nodes
+        .iter()
+        .map(|nd| nd.stats())
+        .enumerate()
+        .filter(|(_, stats)| stats.dropped() > 0)
+        .map(|(i, stats)| format!("p{i}: {stats}"))
+        .collect();
     for nd in nodes {
         nd.shutdown();
+    }
+    if !lossy.is_empty() {
+        return Err(io::Error::other(format!(
+            "tcp probe cluster dropped frames ({})",
+            lossy.join("; ")
+        )));
     }
     Ok(TcpProbeResult { ops, wall })
 }

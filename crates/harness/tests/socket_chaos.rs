@@ -34,7 +34,7 @@ use std::process::{Child, Command as Proc, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wamcast_harness::tcp_host::{
-    fetch_replica_log, fetch_trace, poll_response, spawn_smr_peer, KvPeer,
+    fetch_replica_log, fetch_trace, poll_response, report_net_stats, spawn_smr_peer, KvPeer,
 };
 use wamcast_harness::SMR_ARM;
 use wamcast_net::tcp::TcpClient;
@@ -150,6 +150,9 @@ impl Chaos {
     }
 
     fn assert_responded(&self, required: &[usize], what: &str) {
+        if required.iter().any(|&i| self.ops[i].responded_at.is_none()) {
+            report_net_stats(&self.addrs);
+        }
         for &i in required {
             assert!(
                 self.ops[i].responded_at.is_some(),
@@ -261,15 +264,20 @@ fn run_chaos_schedule(
     kill(p(1));
 
     // Kill the group-1 coordinator mid-batch: it has just accepted two
-    // casts (sitting in its batch buffer / in flight) when it dies.
-    let (k1, k2) = (chaos.key(1), chaos.key(2));
+    // casts (sitting in its batch buffer / in flight) when it dies. The
+    // multi-group one must not address group 2: were it to reach group 2
+    // while group 1 can no longer settle its timestamp, it would sit there
+    // in stage s1 and — A1 delivers in timestamp order — rightly hold back
+    // everything group 2 orders after it, including the liveness probe
+    // below.
+    let (k0, k1, k2) = (chaos.key(0), chaos.key(1), chaos.key(2));
     chaos.send(&mut c1, p(2), 1, Command::Incr { key: k2, delta: 1 });
     chaos.send(
         &mut c1,
         p(2),
         1,
         Command::MultiPut {
-            entries: vec![(k1, 200), (k2, 201)],
+            entries: vec![(k0, 200), (k1, 201)],
         },
     );
     chaos.killed.push(p(2));
@@ -280,10 +288,7 @@ fn run_chaos_schedule(
     let k2 = chaos.key(2);
     let mid_op = chaos.send(&mut c0, p(0), 0, Command::Put { key: k2, value: 7 });
     chaos.poll_until(Duration::from_secs(10), &[mid_op]);
-    assert!(
-        chaos.ops[mid_op].responded_at.is_some(),
-        "group 2 lost liveness although both members are up"
-    );
+    chaos.assert_responded(&[mid_op], "group 2, both members up");
 
     // Restart both victims on their old ports; client 1 re-targets the
     // surviving group-1 member for the rest of the run.
@@ -326,7 +331,12 @@ fn run_chaos_schedule(
     // (maybe-committed); the checker judges whatever actually applied.
     eprintln!("socket_chaos: {open} op(s) left maybe-committed");
 
-    chaos.judge()
+    let addrs = chaos.addrs.clone();
+    let judged = chaos.judge();
+    if !judged.0.violations.is_empty() {
+        report_net_stats(&addrs);
+    }
+    judged
 }
 
 // ---- process flavour --------------------------------------------------

@@ -34,10 +34,12 @@
 //! cluster.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod faults;
+#[cfg(unix)]
+mod poll;
 pub mod tcp;
 
 pub use faults::WallFaults;

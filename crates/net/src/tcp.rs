@@ -11,23 +11,37 @@
 //!
 //! # Shape
 //!
-//! * [`serve`] binds a listener, spawns an accept/reader thread per
-//!   connection, one outbound writer thread per peer, and one event-loop
-//!   thread stepping the protocol — then returns a non-generic
-//!   [`TcpNode`] handle.
+//! * [`serve`] binds a listener and spawns **one thread** — the node — then
+//!   returns a non-generic [`TcpNode`] handle. The node owns the protocol
+//!   value, the listener, every inbound connection and one outbound link
+//!   per peer, all nonblocking, and waits on the lot with `poll(2)`; the
+//!   timeout is the next protocol timer, rounded *up* to a millisecond so
+//!   a timer neither fires early nor spins the loop.
+//! * **One wake-up, one turn.** A turn reads whatever each ready socket
+//!   holds into that connection's reassembly buffer, decodes every
+//!   complete frame and steps the protocol on it inline (self-addressed
+//!   sends and due timers are settled in the same turn), and appends what
+//!   the steps emit to per-socket out-buffers. Every dirty socket is then
+//!   written **once**: client replies first, peer links second — a
+//!   [`Frame::CastAck`] is therefore in the client's socket before any
+//!   remote replica can have seen the cast.
 //! * Framing is a `u32` little-endian length prefix (bounded by
 //!   [`MAX_FRAME`]) around an enveloped [`Frame`]; see
 //!   [`wamcast_types::wire`] for the envelope.
 //! * **Encode-once fan-out:** a peer frame's bytes name the sender, never
-//!   the destination, so the event loop encodes each outbound frame
-//!   exactly once (into a pooled scratch buffer) and every writer link —
-//!   and every adversary-duplicated copy — shares the same `Arc<[u8]>`.
-//!   Connection readers likewise decode from one pooled buffer per
-//!   connection ([`read_frame_into`]).
-//! * **Reconnect-on-reset:** outbound links redial on demand. Frames that
-//!   race a down link are *dropped*, exactly like a lossy UDP link — the
+//!   the destination, so each outbound frame is encoded exactly once (into
+//!   a scratch buffer) and copied into the out-buffer of every destination
+//!   link — and of every adversary-duplicated copy.
+//! * **Bounded, lossy links.** Nothing here blocks and nothing queues
+//!   without bound: a frame for a link that is down, an out-buffer beyond
+//!   its cap (the peer is not reading) and the bytes queued behind a
+//!   socket that resets are *dropped*, exactly like a lossy UDP link — the
 //!   protocols' retransmission modes (`with_retry`) are what make the
-//!   stack live over real sockets, so hosts should enable them.
+//!   stack live over real sockets, so hosts should enable them. Every such
+//!   drop is counted in [`NetStats`]. A down link is redialed on demand,
+//!   at most once per 300 ms (longer after a dial that
+//!   itself took long), so a dead peer costs the node a bounded share of
+//!   its time.
 //! * **Faults:** an optional [`WallFaults`] is consulted once per outbound
 //!   copy — the *same* choke point [`Cluster`]'s channel sends use — so
 //!   drop/duplication semantics cannot diverge between the two runtimes.
@@ -38,14 +52,19 @@
 //! while the id's origin stays the hosting process, which is what the
 //! protocol cores assume of `on_cast`.
 //!
+//! Unix only: waiting on many sockets from one thread needs `poll(2)`.
+//!
 //! [`Cluster`]: crate::Cluster
 
-use crate::WallFaults;
-use std::collections::BinaryHeap;
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
+use crate::{TimerEntry, WallFaults};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::ops::Range;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,24 +75,28 @@ use wamcast_types::{
     Protocol, SimTime, Topology,
 };
 
-/// A node's shared flight recorder: the event loop appends, reader
-/// threads (the control-plane trace pull) and the host's panic hook dump.
+/// A node's shared flight recorder: the node thread appends, the
+/// control-plane trace pull and the host's panic hook dump.
 pub type SharedTrace = Arc<Mutex<TraceRing>>;
 
 /// Upper bound on one frame's body, enforced on read before allocating.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// How long an outbound worker waits for one dial attempt.
+/// How long one outbound dial attempt may take, and the least time a link
+/// whose dial failed stays down before the next attempt.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(300);
 
-/// Poll interval at which blocked threads re-check the shutdown flag.
-const POLL: Duration = Duration::from_millis(200);
+/// Longest the node sleeps in `poll` with nothing to do.
+const IDLE_POLL_MS: i32 = 200;
 
-/// Soft cap on one coalesced write: a writer drains its link queue into a
-/// single syscall up to roughly this many bytes. Individual frames larger
-/// than the cap still go out (alone); the cap only stops the batch from
-/// growing further.
-const COALESCE_BYTES: usize = 64 * 1024;
+/// Most bytes read from one connection per turn (and the initial size of
+/// its reassembly buffer): one ready connection cannot starve the others.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Most bytes queued behind one socket. A frame that would push a
+/// non-empty out-buffer past this is dropped: the peer is not reading, and
+/// queueing further would only grow memory and reorder recovery.
+const OUT_CAP: usize = 4 * 1024 * 1024;
 
 /// Everything that crosses a socket, peer-to-peer or client-to-peer.
 ///
@@ -249,9 +272,11 @@ pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<()> {
 /// The A-Deliver log a node appends to and a host snapshots.
 pub type SharedDeliveries = Arc<Mutex<Vec<AppMessage>>>;
 
-/// Application hook answering [`Frame::Req`] bodies. Runs on connection
-/// reader threads, concurrently with the event loop; share state through
-/// the same `Arc<Mutex<…>>` handles the event loop uses.
+/// Application hook answering [`Frame::Req`] bodies. Runs on the node
+/// thread, between protocol steps: it must not block (no I/O, no waiting
+/// on another thread), because nothing else of the node runs meanwhile.
+/// Share state through the same `Arc<Mutex<…>>` handles the host reads;
+/// the node holds none of its own locks across the call.
 pub type Service = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 
 /// A service that answers every request with an empty body.
@@ -273,18 +298,83 @@ pub struct TcpNodeConfig {
     /// Optional outbound-link adversary (the shared fault choke point).
     pub faults: Option<Arc<WallFaults>>,
     /// Optional flight recorder. `None` — the default everywhere tracing
-    /// is not requested — keeps the event loop's record sites to a single
-    /// branch; `Some` makes the loop append one [`TraceEvent`] per
-    /// lifecycle step, sharing the ring with whoever holds the other
-    /// handle (the control-plane pull, the `peer` binary's panic dump).
+    /// is not requested — keeps the node's record sites to a single
+    /// branch; `Some` makes it append one [`TraceEvent`] per lifecycle
+    /// step, sharing the ring with whoever holds the other handle (the
+    /// control-plane pull, the `peer` binary's panic dump).
     pub trace: Option<SharedTrace>,
 }
 
-enum LoopEv<M> {
-    Msg { from: ProcessId, msg: M },
-    Cast(AppMessage),
-    CrashNotify(ProcessId),
-    Shutdown,
+/// What a node's socket path discarded, and how often it woke. The
+/// protocols recover every one of these by retransmission; the counters
+/// exist so that no frame disappears without a trace. Read them through
+/// [`TcpNode::stats`] at any time.
+#[derive(Debug, Default)]
+pub struct NetStats {
+    link_down: AtomicU64,
+    reset: AtomicU64,
+    out_full: AtomicU64,
+    bad_frame: AtomicU64,
+    turns: AtomicU64,
+}
+
+impl NetStats {
+    /// Outbound frames dropped because their link was down (the dial
+    /// failed, or the last failed dial was too recent to try again).
+    pub fn link_down(&self) -> u64 {
+        self.link_down.load(Ordering::Relaxed)
+    }
+
+    /// Outbound links that died (reset, or closed by the peer) with bytes
+    /// still queued behind them; those bytes were dropped.
+    pub fn reset(&self) -> u64 {
+        self.reset.load(Ordering::Relaxed)
+    }
+
+    /// Frames (peer traffic or client replies) dropped because the
+    /// destination's out-buffer was at its cap: the other end is not
+    /// reading.
+    pub fn out_full(&self) -> u64 {
+        self.out_full.load(Ordering::Relaxed)
+    }
+
+    /// Frames discarded as unusable: inbound ones that failed to decode
+    /// (wrong arm or version, garbage) or claimed more than [`MAX_FRAME`]
+    /// bytes (which also closes the connection), and outbound ones too
+    /// large to frame.
+    pub fn bad_frame(&self) -> u64 {
+        self.bad_frame.load(Ordering::Relaxed)
+    }
+
+    /// Everything discarded, whatever the reason: 0 on a clean run.
+    pub fn dropped(&self) -> u64 {
+        self.link_down() + self.reset() + self.out_full() + self.bad_frame()
+    }
+
+    /// Times the node thread woke from `poll` — each wake-up is one
+    /// read → handle → write turn.
+    pub fn turns(&self) -> u64 {
+        self.turns.load(Ordering::Relaxed)
+    }
+}
+
+impl fmt::Display for NetStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "link_down={} reset={} out_full={} bad_frame={} turns={}",
+            self.link_down(),
+            self.reset(),
+            self.out_full(),
+            self.bad_frame(),
+            self.turns()
+        )
+    }
+}
+
+// Relaxed: each counter is a statistic that publishes no other data.
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Running node handle. Non-generic, so registries can store constructors
@@ -292,11 +382,9 @@ enum LoopEv<M> {
 pub struct TcpNode {
     local: SocketAddr,
     delivered: SharedDeliveries,
-    stop_flag: Arc<AtomicBool>,
-    // Sends LoopEv::Shutdown into the (type-erased) event loop.
-    trigger: Box<dyn Fn() + Send>,
-    done_rx: Receiver<()>,
-    handles: Vec<JoinHandle<()>>,
+    stats: Arc<NetStats>,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
 }
 
 impl TcpNode {
@@ -313,41 +401,49 @@ impl TcpNode {
             .clone()
     }
 
+    /// The node's live drop and wake-up counters.
+    pub fn stats(&self) -> Arc<NetStats> {
+        Arc::clone(&self.stats)
+    }
+
     /// Blocks until the node is told to exit (a [`Frame::Shutdown`] from
     /// any connection, or [`shutdown`](Self::shutdown) from another
-    /// thread), then tears down all threads.
+    /// thread).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the node thread.
     pub fn wait(self) {
-        let _ = self.done_rx.recv();
-        self.teardown();
-    }
-
-    /// Stops the node and joins every thread.
-    pub fn shutdown(self) {
-        (self.trigger)();
-        self.teardown();
-    }
-
-    fn teardown(self) {
-        self.stop_flag.store(true, Ordering::SeqCst);
-        (self.trigger)();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.local, DIAL_TIMEOUT);
-        for h in self.handles {
-            let _ = h.join();
+        if let Err(panic) = self.thread.join() {
+            std::panic::resume_unwind(panic);
         }
+    }
+
+    /// Stops the node and joins its thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the node thread.
+    pub fn shutdown(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the node out of `poll` with a throwaway connection; should
+        // the dial fail, the idle timeout notices the flag instead.
+        let _ = TcpStream::connect_timeout(&self.local, DIAL_TIMEOUT);
+        self.wait();
     }
 }
 
-/// Spawns a node: listener + per-peer outbound links + protocol event
-/// loop, all on OS threads of *this* process. Peer processes are started
-/// from the same address list by the harness's `peer` binary.
+/// Spawns a node: a listener, lazily dialed outbound links to every peer
+/// and the protocol, all driven by one thread of *this* process. Peer
+/// processes are started from the same address list by the harness's
+/// `peer` binary.
 ///
 /// `delivered` receives every A-Deliver; `service` answers
 /// [`Frame::Req`] bodies (see [`null_service`]).
 ///
 /// # Errors
 ///
-/// Returns any error binding the listen address.
+/// Returns any error binding the listen address or spawning the thread.
 pub fn serve<P>(
     cfg: TcpNodeConfig,
     proto: P,
@@ -372,293 +468,311 @@ where
         "one listen address per process"
     );
     let listener = TcpListener::bind(addrs[me.index()])?;
+    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
-    let stop_flag = Arc::new(AtomicBool::new(false));
-    let (loop_tx, loop_rx) = channel::<LoopEv<P::Msg>>();
-    let (done_tx, done_rx) = channel::<()>();
-    let mut handles = Vec::new();
-
-    // Outbound links: one writer thread per remote peer, dialing lazily
-    // and redialing after resets. A frame that races a down link is
-    // dropped (the retransmission layer recovers), mirroring loss — not
-    // buffered forever, which would reorder recovery unboundedly.
-    // Frames travel as `Arc<[u8]>`: the event loop encodes each outbound
-    // frame exactly once and every link (and every duplicate copy) shares
-    // the same bytes by refcount.
-    let mut links: Vec<Option<SyncSender<Arc<[u8]>>>> = Vec::with_capacity(addrs.len());
-    for (i, addr) in addrs.iter().enumerate() {
-        if i == me.index() {
-            links.push(None);
-            continue;
-        }
-        let addr = *addr;
-        let stop = Arc::clone(&stop_flag);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Arc<[u8]>>(4096);
-        links.push(Some(tx));
-        handles.push(std::thread::spawn(move || {
-            let mut stream: Option<TcpStream> = None;
-            // Coalescing buffer: everything queued on the link when the
-            // writer wakes goes out in ONE write syscall (bounded, so one
-            // slow drain cannot grow it unboundedly). Under load this
-            // collapses the two-syscalls-per-frame pattern into a
-            // fraction of a syscall per frame.
-            let mut wbuf: Vec<u8> = Vec::new();
-            loop {
-                let frame = match rx.recv_timeout(POLL) {
-                    Ok(f) => f,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                };
-                // Oversize frames are unsendable (the receiver rejects
-                // them); skipping preserves write_frame's drop semantics.
-                let append = |wbuf: &mut Vec<u8>, f: &[u8]| {
-                    if f.len() <= MAX_FRAME as usize {
-                        wbuf.extend_from_slice(&(f.len() as u32).to_le_bytes());
-                        wbuf.extend_from_slice(f);
-                    }
-                };
-                wbuf.clear();
-                append(&mut wbuf, &frame);
-                while wbuf.len() < COALESCE_BYTES {
-                    match rx.try_recv() {
-                        Ok(f) => append(&mut wbuf, &f),
-                        Err(_) => break,
-                    }
-                }
-                if wbuf.is_empty() {
-                    continue;
-                }
-                if stream.is_none() {
-                    stream = TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)
-                        .and_then(|s| {
-                            s.set_nodelay(true)?;
-                            Ok(s)
-                        })
-                        .ok();
-                }
-                let Some(s) = stream.as_mut() else {
-                    continue; // link down: drop the batch
-                };
-                if s.write_all(&wbuf).and_then(|()| s.flush()).is_err() {
-                    // Reset mid-write: drop this batch, redial on the next.
-                    stream = None;
-                }
-            }
-        }));
-    }
-
-    // Accept loop + one reader thread per connection.
-    {
-        let stop = Arc::clone(&stop_flag);
-        let loop_tx = loop_tx.clone();
-        let service = Arc::clone(&service);
-        let next_cast = Arc::new(Mutex::new(std::collections::HashSet::<u64>::new()));
-        handles.push(std::thread::spawn(move || {
-            let mut readers = Vec::new();
-            for conn in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(conn) = conn else { continue };
-                let _ = conn.set_nodelay(true);
-                let _ = conn.set_read_timeout(Some(POLL));
-                let stop = Arc::clone(&stop);
-                let loop_tx = loop_tx.clone();
-                let service = Arc::clone(&service);
-                let injected = Arc::clone(&next_cast);
-                readers.push(std::thread::spawn(move || {
-                    read_connection(conn, me, arm, stop, loop_tx, service, injected)
-                }));
-            }
-            for r in readers {
-                let _ = r.join();
-            }
-        }));
-    }
-
-    // Protocol event loop: the same step shape as the in-process runtime,
-    // shipping through the links with the shared fault choke point.
-    {
-        let delivered = Arc::clone(&delivered);
-        let stop = Arc::clone(&stop_flag);
-        handles.push(std::thread::spawn(move || {
-            event_loop::<P>(
-                me, arm, proto, topo, loop_rx, links, delivered, faults, trace, stop,
-            );
-            let _ = done_tx.send(());
-        }));
-    }
-
-    let trigger_tx = loop_tx;
+    let stop = Arc::new(AtomicBool::new(false));
+    let stats = Arc::new(NetStats::default());
+    let now = Instant::now();
+    let links = addrs
+        .iter()
+        .enumerate()
+        .map(|(i, &addr)| {
+            (i != me.index()).then(|| Link {
+                addr,
+                stream: None,
+                out: OutBuf::default(),
+                next_dial: now,
+            })
+        })
+        .collect();
+    let mut node = Node {
+        me,
+        arm,
+        proto,
+        topo,
+        start: faults.as_ref().map_or(now, |f| f.start()),
+        listener,
+        conns: Vec::new(),
+        links,
+        timers: BinaryHeap::new(),
+        pending_self: VecDeque::new(),
+        actions: Vec::new(),
+        frame: Vec::new(),
+        injected: HashSet::new(),
+        delivered: Arc::clone(&delivered),
+        service,
+        faults,
+        trace,
+        stats: Arc::clone(&stats),
+        stop: Arc::clone(&stop),
+        exit: false,
+    };
+    let thread = std::thread::Builder::new()
+        .name(format!("wamcast-node-{}", me.0))
+        .spawn(move || node.run())?;
     Ok(TcpNode {
         local,
         delivered,
-        stop_flag,
-        trigger: Box::new(move || {
-            let _ = trigger_tx.send(LoopEv::Shutdown);
-        }),
-        done_rx,
-        handles,
+        stats,
+        stop,
+        thread,
     })
 }
 
-/// Handles one inbound connection (peer or client) until EOF or shutdown.
-fn read_connection<M: Wire + Send + 'static>(
-    conn: TcpStream,
-    me: ProcessId,
-    arm: u8,
-    stop: Arc<AtomicBool>,
-    loop_tx: Sender<LoopEv<M>>,
-    service: Service,
-    injected: Arc<Mutex<std::collections::HashSet<u64>>>,
-) {
-    // Replies (CastAck/Rep) go back on the same socket; the Mutex orders
-    // them against each other when a client pipelines.
-    let write_half = match conn.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    // Pooled per-connection buffers: one read buffer every inbound frame
-    // lands in, one write buffer every reply (ack/rep) is sealed into —
-    // steady-state, this reader allocates only what decoded values own.
-    // The BufReader turns the two-reads-per-frame pattern (length, body)
-    // into memcpys from one page-sized socket read.
-    let mut conn = io::BufReader::with_capacity(64 * 1024, conn);
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut wbuf: Vec<u8> = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
+/// Whole length-prefixed frames waiting for one nonblocking socket.
+#[derive(Default)]
+struct OutBuf {
+    bytes: Vec<u8>,
+    /// The socket refused more bytes; `poll` says when to try again.
+    blocked: bool,
+}
+
+impl OutBuf {
+    /// Queues one frame, or counts why it cannot be: too large to frame,
+    /// or the buffer is at its cap (an empty buffer takes any frame, so
+    /// the cap never makes a frame unsendable).
+    fn push(&mut self, body: &[u8], stats: &NetStats) {
+        if body.len() > MAX_FRAME as usize {
+            bump(&stats.bad_frame);
+        } else if !self.bytes.is_empty() && self.bytes.len() + 4 + body.len() > OUT_CAP {
+            bump(&stats.out_full);
+        } else {
+            self.bytes
+                .extend_from_slice(&(body.len() as u32).to_le_bytes());
+            self.bytes.extend_from_slice(body);
         }
-        match read_frame_into(&mut conn, &mut rbuf) {
-            Ok(()) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return, // EOF or reset: the dialer reconnects if it cares
-        };
-        let frame = match wire::open::<Frame<M>>(arm, &rbuf) {
-            Ok(f) => f,
-            // Wrong version/arm/garbage: drop the frame, keep the
-            // connection — a self-stabilizing receiver never crashes on
-            // hostile input.
-            Err(_) => continue,
-        };
-        match frame {
-            Frame::Peer { from, msg } => {
-                let _ = loop_tx.send(LoopEv::Msg { from, msg });
-            }
-            Frame::Cast { seq, dest, payload } => {
-                let id = MessageId::new(me, seq);
-                // Ack first (the client records the op before the send, the
-                // ack is just confirmation), then inject exactly once even
-                // if a client retries the frame.
-                let ack: Frame<M> = Frame::CastAck { id };
-                wire::seal_into(arm, &ack, &mut wbuf);
-                if let Ok(mut w) = write_half.lock() {
-                    let _ = write_frame(&mut *w, &wbuf);
-                }
-                let fresh = injected.lock().map(|mut s| s.insert(seq)).unwrap_or(false);
-                if fresh {
-                    let _ = loop_tx.send(LoopEv::Cast(AppMessage::new(id, dest, payload)));
-                }
-            }
-            Frame::Req { body } => {
-                let rep: Frame<M> = Frame::Rep {
-                    body: service(&body),
-                };
-                wire::seal_into(arm, &rep, &mut wbuf);
-                if let Ok(mut w) = write_half.lock() {
-                    let _ = write_frame(&mut *w, &wbuf);
-                }
-            }
-            Frame::CrashNotify { of } => {
-                let _ = loop_tx.send(LoopEv::CrashNotify(of));
-            }
-            Frame::Shutdown => {
-                let _ = loop_tx.send(LoopEv::Shutdown);
-                return;
-            }
-            // Reply frames are client-bound; a node receiving one ignores it.
-            Frame::CastAck { .. } | Frame::Rep { .. } => {}
+    }
+
+    /// What to ask `poll` about this buffer's socket: always whether it
+    /// is readable, and whether it is writable again once it refused bytes.
+    fn interest(&self) -> i16 {
+        if self.blocked {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
         }
+    }
+
+    /// Whether a write is worth attempting now.
+    fn dirty(&self) -> bool {
+        !self.bytes.is_empty() && !self.blocked
+    }
+
+    /// Writes as much as the socket takes. What it does not take stays
+    /// queued; an error means the socket is dead.
+    fn flush(&mut self, mut stream: &TcpStream) -> io::Result<()> {
+        let mut done = 0;
+        let result = loop {
+            if done == self.bytes.len() {
+                break Ok(());
+            }
+            match stream.write(&self.bytes[done..]) {
+                Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.blocked = true;
+                    break Ok(());
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.bytes.drain(..done);
+        result
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn event_loop<P>(
-    me: ProcessId,
-    arm: u8,
-    mut proto: P,
-    topo: Arc<Topology>,
-    rx: Receiver<LoopEv<P::Msg>>,
-    links: Vec<Option<SyncSender<Arc<[u8]>>>>,
-    delivered: SharedDeliveries,
-    faults: Option<Arc<WallFaults>>,
-    trace: Option<SharedTrace>,
-    stop: Arc<AtomicBool>,
-) where
-    P: Protocol + Send + 'static,
-    P::Msg: Wire,
-{
-    struct TimerEntry {
-        at: Instant,
-        kind: u64,
-    }
-    impl PartialEq for TimerEntry {
-        fn eq(&self, o: &Self) -> bool {
-            self.at == o.at && self.kind == o.kind
-        }
-    }
-    impl Eq for TimerEntry {}
-    impl PartialOrd for TimerEntry {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    impl Ord for TimerEntry {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            o.at.cmp(&self.at).then(o.kind.cmp(&self.kind))
+/// One inbound connection, from a peer's outbound link or from a client.
+struct Conn {
+    stream: TcpStream,
+    /// Reassembly buffer: `rbuf[start..end]` is received and not yet
+    /// consumed. [`next_frame`](Self::next_frame) keeps room after `end`.
+    rbuf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Replies (`CastAck`, `Rep`) to a client.
+    out: OutBuf,
+    closed: bool,
+}
+
+/// An inbound length prefix above [`MAX_FRAME`].
+struct Oversize;
+
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        Conn {
+            stream,
+            rbuf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+            out: OutBuf::default(),
+            closed: false,
         }
     }
 
-    let start = faults.as_ref().map_or_else(Instant::now, |f| f.start());
-    // Flight-recorder append: a no-op branch when tracing is off. Purely
-    // observational — it reads the elapsed clock the loop already keeps
-    // and never blocks the protocol (the only other lock holders are
-    // short-lived dump readers).
-    let record = |phase: Phase, cast: Option<MessageId>, peer: Option<ProcessId>| {
-        if let Some(t) = &trace {
+    /// One `read` into the free tail of the reassembly buffer, at most
+    /// [`READ_CHUNK`] bytes.
+    fn fill(&mut self) -> io::Result<usize> {
+        let room = self.rbuf.len().min(self.end + READ_CHUNK);
+        let n = self.stream.read(&mut self.rbuf[self.end..room])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The body of the next complete frame, consuming it; `None` when the
+    /// rest of it has yet to arrive, in which case the buffer now has room
+    /// for that rest (consumed bytes reclaimed, grown only for a frame
+    /// larger than it — bounded, since the claim was checked).
+    fn next_frame(&mut self) -> Result<Option<Range<usize>>, Oversize> {
+        let have = self.end - self.start;
+        if have == 0 {
+            self.start = 0;
+            self.end = 0;
+        }
+        let need = if have < 4 {
+            4
+        } else {
+            let prefix = self.rbuf[self.start..self.start + 4]
+                .try_into()
+                .expect("four bytes");
+            let len = u32::from_le_bytes(prefix);
+            if len > MAX_FRAME {
+                return Err(Oversize);
+            }
+            4 + len as usize
+        };
+        if have >= need {
+            let body = self.start + 4..self.start + need;
+            self.start += need;
+            return Ok(Some(body));
+        }
+        if self.rbuf.len() - self.start < need {
+            self.rbuf.copy_within(self.start..self.end, 0);
+            self.start = 0;
+            self.end = have;
+            if self.rbuf.len() < need {
+                self.rbuf.resize(need, 0);
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// The outbound link to one peer: dialed on demand, write-only.
+struct Link {
+    addr: SocketAddr,
+    stream: Option<TcpStream>,
+    out: OutBuf,
+    /// Earliest instant of the next dial attempt while the link is down.
+    next_dial: Instant,
+}
+
+impl Link {
+    /// Whether the link is up, dialing it if it is down and due. The dial
+    /// blocks the node for at most [`DIAL_TIMEOUT`] (an unreachable host;
+    /// a closed port refuses at once), and a failed one keeps the link
+    /// down for at least four times as long as it took, so dead peers
+    /// cost the node at most a fifth of its time each.
+    fn up(&mut self) -> bool {
+        if self.stream.is_some() {
+            return true;
+        }
+        let began = Instant::now();
+        if began < self.next_dial {
+            return false;
+        }
+        let dialed = TcpStream::connect_timeout(&self.addr, DIAL_TIMEOUT).and_then(|s| {
+            s.set_nodelay(true)?;
+            s.set_nonblocking(true)?;
+            Ok(s)
+        });
+        match dialed {
+            Ok(s) => self.stream = Some(s),
+            Err(_) => {
+                let now = Instant::now();
+                self.next_dial = now + DIAL_TIMEOUT.max(4 * (now - began));
+            }
+        }
+        self.stream.is_some()
+    }
+
+    /// Takes the link down, dropping what was queued behind it.
+    fn down(&mut self, stats: &NetStats) {
+        self.stream = None;
+        if !self.out.bytes.is_empty() {
+            bump(&stats.reset);
+        }
+        self.out = OutBuf::default();
+    }
+}
+
+/// Everything one node thread owns.
+struct Node<P: Protocol> {
+    me: ProcessId,
+    arm: u8,
+    proto: P,
+    topo: Arc<Topology>,
+    /// Zero of [`Context::now`] and of trace timestamps.
+    start: Instant,
+    listener: TcpListener,
+    conns: Vec<Conn>,
+    /// Indexed by process id; `None` at `me`.
+    links: Vec<Option<Link>>,
+    timers: BinaryHeap<TimerEntry>,
+    /// Self-addressed sends of the last step: they never touch a socket.
+    pending_self: VecDeque<MsgSlot<P::Msg>>,
+    /// Backing storage of every step's [`Outbox`].
+    actions: Vec<Action<P::Msg>>,
+    /// Scratch every outbound frame is encoded into before it is copied
+    /// into the out-buffers of its destinations.
+    frame: Vec<u8>,
+    /// Client sequence numbers already injected (a retried `Cast` is
+    /// acknowledged again but cast once).
+    injected: HashSet<u64>,
+    delivered: SharedDeliveries,
+    service: Service,
+    faults: Option<Arc<WallFaults>>,
+    trace: Option<SharedTrace>,
+    stats: Arc<NetStats>,
+    stop: Arc<AtomicBool>,
+    /// A `Shutdown` frame arrived.
+    exit: bool,
+}
+
+impl<P> Node<P>
+where
+    P: Protocol,
+    P::Msg: Wire,
+{
+    /// Flight-recorder append: a no-op branch when tracing is off. Purely
+    /// observational — the lock is held for the push alone, and the only
+    /// other holders are short-lived dump readers.
+    fn record(&self, phase: Phase, cast: Option<MessageId>, peer: Option<ProcessId>) {
+        if let Some(t) = &self.trace {
             if let Ok(mut ring) = t.lock() {
                 ring.push(TraceEvent {
-                    at_us: start.elapsed().as_micros() as u64,
-                    node: me.0,
+                    at_us: self.start.elapsed().as_micros() as u64,
+                    node: self.me.0,
                     phase,
                     cast: cast.map(MessageId::cast_key),
                     peer: peer.map(|q| q.0),
                 });
             }
         }
-    };
-    let record_msg = |msg: &P::Msg, sending: bool, peer: ProcessId| {
-        if trace.is_none() {
+    }
+
+    fn record_msg(&self, msg: &P::Msg, sending: bool, peer: ProcessId) {
+        if self.trace.is_none() {
             return;
         }
         match P::describe_msg(msg) {
             Some(info) => {
                 let phase = info.class.phase(sending);
                 if info.casts.is_empty() {
-                    record(phase, None, Some(peer));
+                    self.record(phase, None, Some(peer));
                 } else {
                     for id in info.casts {
-                        record(phase, Some(id), Some(peer));
+                        self.record(phase, Some(id), Some(peer));
                     }
                 }
             }
@@ -668,167 +782,299 @@ fn event_loop<P>(
                 } else {
                     Phase::MsgRecv
                 };
-                record(phase, None, Some(peer));
+                self.record(phase, None, Some(peer));
             }
         }
-    };
-    let mut timers: BinaryHeap<TimerEntry> = BinaryHeap::new();
-    // Self-sends loop straight back into our own queue (no socket), via a
-    // private channel pair spliced below through `pending_self`.
-    let mut pending_self: std::collections::VecDeque<MsgSlot<P::Msg>> =
-        std::collections::VecDeque::new();
-    // Scratch buffer every outbound frame is encoded into (then copied
-    // once into its shared `Arc<[u8]>`): the encode allocation is paid
-    // once per event loop, not once per frame.
-    let mut enc_buf: Vec<u8> = Vec::new();
-
-    macro_rules! step {
-        ($f:expr) => {{
-            let ctx = Context::new(
-                me,
-                Arc::clone(&topo),
-                SimTime::from_nanos(start.elapsed().as_nanos() as u64),
-            );
-            let mut out = Outbox::new();
-            #[allow(clippy::redundant_closure_call)]
-            ($f)(&mut proto, &ctx, &mut out);
-            // The fate is drawn per copy at the shared choke point, exactly
-            // as the in-process runtime's channel sends do.
-            //
-            // `frame` is the encode-once slot for the action being shipped:
-            // the frame bytes carry `me`, not the destination, so one
-            // encoding serves every destination of a `SendMany` (and every
-            // duplicated copy). It is built lazily on the first remote
-            // destination — an action whose copies are all dropped or
-            // self-addressed never encodes at all.
-            let mut ship = |to: ProcessId, msg: MsgSlot<P::Msg>, frame: &mut Option<Arc<[u8]>>| {
-                // Record before the fault fate, mirroring the simulator:
-                // the copy *was* sent even if the adversary eats it.
-                match &msg {
-                    MsgSlot::Owned(m) => record_msg(m, true, to),
-                    MsgSlot::Shared(m) => record_msg(m, true, to),
-                }
-                let copies = match &faults {
-                    None => 1,
-                    Some(f) => {
-                        let fate = f.fate(me, to);
-                        if fate.dropped {
-                            0
-                        } else if fate.duplicate.is_some() {
-                            2
-                        } else {
-                            1
-                        }
-                    }
-                };
-                if copies == 0 {
-                    return;
-                }
-                if to == me {
-                    for _ in 0..copies {
-                        pending_self.push_back(msg.clone());
-                    }
-                    return;
-                }
-                if frame.is_none() {
-                    let mut w = WireWriter::over(std::mem::take(&mut enc_buf));
-                    w.raw(&wire::MAGIC);
-                    w.u8(wire::VERSION);
-                    w.u8(arm);
-                    w.u8(0); // Frame::Peer tag
-                    me.encode(&mut w);
-                    match &msg {
-                        MsgSlot::Owned(m) => m.encode(&mut w),
-                        MsgSlot::Shared(m) => m.encode(&mut w),
-                    }
-                    enc_buf = w.finish();
-                    *frame = Some(Arc::from(enc_buf.as_slice()));
-                }
-                let bytes = frame.as_ref().expect("just built");
-                if let Some(link) = &links[to.index()] {
-                    for _ in 0..copies {
-                        match link.try_send(Arc::clone(bytes)) {
-                            Ok(()) | Err(TrySendError::Full(_)) => {} // full = drop
-                            Err(TrySendError::Disconnected(_)) => {}
-                        }
-                    }
-                }
-            };
-            for action in out.drain() {
-                match action {
-                    Action::Send { to, msg } => ship(to, MsgSlot::Owned(msg), &mut None),
-                    Action::SendMany { tos, msg } => {
-                        let mut frame = None;
-                        for &to in &tos {
-                            ship(to, MsgSlot::Shared(Arc::clone(&msg)), &mut frame);
-                        }
-                    }
-                    Action::Deliver(m) => {
-                        record(Phase::Deliver, Some(m.id), None);
-                        delivered.lock().expect("delivery log poisoned").push(m);
-                    }
-                    Action::Timer { after, kind } => timers.push(TimerEntry {
-                        at: Instant::now() + after,
-                        kind,
-                    }),
-                }
-            }
-        }};
     }
 
-    step!(|p: &mut P, c: &Context, o: &mut Outbox<P::Msg>| p.on_start(c, o));
+    /// Runs one protocol handler and carries out what it emitted, then
+    /// every self-addressed send that followed from it.
+    fn step(&mut self, f: impl FnOnce(&mut P, &Context, &mut Outbox<P::Msg>)) {
+        self.step_once(f);
+        while let Some(slot) = self.pending_self.pop_front() {
+            let msg = slot.take();
+            self.record_msg(&msg, false, self.me);
+            let me = self.me;
+            self.step_once(|p, c, o| p.on_message(me, msg, c, o));
+        }
+    }
 
-    loop {
-        // Drain self-sends queued by the last step before anything else.
-        while let Some(slot) = pending_self.pop_front() {
-            let m = slot.take();
-            record_msg(&m, false, me);
-            let mut slot = Some(m);
-            step!(|p: &mut P, c: &Context, o: &mut Outbox<P::Msg>| {
-                let m = slot.take().expect("one invocation");
-                p.on_message(me, m, c, o)
-            });
+    fn step_once(&mut self, f: impl FnOnce(&mut P, &Context, &mut Outbox<P::Msg>)) {
+        let ctx = Context::new(
+            self.me,
+            Arc::clone(&self.topo),
+            SimTime::from_nanos(self.start.elapsed().as_nanos() as u64),
+        );
+        let mut out = Outbox::with_buffer(std::mem::take(&mut self.actions));
+        f(&mut self.proto, &ctx, &mut out);
+        let mut actions = out.into_buffer();
+        for action in actions.drain(..) {
+            match action {
+                Action::Send { to, msg } => self.ship(to, MsgSlot::Owned(msg), &mut false),
+                Action::SendMany { tos, msg } => {
+                    let mut encoded = false;
+                    for &to in &tos {
+                        self.ship(to, MsgSlot::Shared(Arc::clone(&msg)), &mut encoded);
+                    }
+                }
+                Action::Deliver(m) => {
+                    self.record(Phase::Deliver, Some(m.id), None);
+                    self.delivered
+                        .lock()
+                        .expect("delivery log poisoned")
+                        .push(m);
+                }
+                Action::Timer { after, kind } => self.timers.push(TimerEntry {
+                    at: Instant::now() + after,
+                    kind,
+                }),
+            }
         }
-        while timers.peek().is_some_and(|t| t.at <= Instant::now()) {
-            let t = timers.pop().expect("peeked");
-            step!(|p: &mut P, c: &Context, o: &mut Outbox<P::Msg>| p.on_timer(t.kind, c, o));
+        self.actions = actions;
+    }
+
+    /// Sends one copy of `msg` to `to`. `encoded` says whether
+    /// `self.frame` already holds this action's frame: the bytes carry
+    /// `me`, not the destination, so one encoding serves every destination
+    /// of a `SendMany` (and every duplicated copy). It is built on the
+    /// first remote destination — an action whose copies are all dropped
+    /// or self-addressed never encodes at all.
+    fn ship(&mut self, to: ProcessId, msg: MsgSlot<P::Msg>, encoded: &mut bool) {
+        // Record before the fault fate, mirroring the simulator: the copy
+        // *was* sent even if the adversary eats it.
+        match &msg {
+            MsgSlot::Owned(m) => self.record_msg(m, true, to),
+            MsgSlot::Shared(m) => self.record_msg(m, true, to),
         }
-        if stop.load(Ordering::SeqCst) {
+        // The fate is drawn per copy at the shared choke point, exactly as
+        // the in-process runtime's channel sends do.
+        let copies = match &self.faults {
+            None => 1,
+            Some(f) => {
+                let fate = f.fate(self.me, to);
+                if fate.dropped {
+                    return;
+                }
+                1 + usize::from(fate.duplicate.is_some())
+            }
+        };
+        if to == self.me {
+            for _ in 1..copies {
+                self.pending_self.push_back(msg.clone());
+            }
+            self.pending_self.push_back(msg);
             return;
         }
-        let wait = timers
-            .peek()
-            .map(|t| t.at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50))
-            .min(POLL);
-        let ev = match rx.recv_timeout(wait) {
-            Ok(ev) => ev,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
+        let Some(link) = self.links.get_mut(to.index()).and_then(Option::as_mut) else {
+            return;
         };
-        match ev {
-            LoopEv::Msg { from, msg } => {
-                record_msg(&msg, false, from);
-                let mut slot = Some(msg);
-                step!(|p: &mut P, c: &Context, o: &mut Outbox<P::Msg>| {
-                    let m = slot.take().expect("one invocation");
-                    p.on_message(from, m, c, o)
-                });
+        if !link.up() {
+            self.stats
+                .link_down
+                .fetch_add(copies as u64, Ordering::Relaxed);
+            return;
+        }
+        if !*encoded {
+            let mut w = WireWriter::over(std::mem::take(&mut self.frame));
+            w.raw(&wire::MAGIC);
+            w.u8(wire::VERSION);
+            w.u8(self.arm);
+            w.u8(0); // Frame::Peer tag
+            self.me.encode(&mut w);
+            match &msg {
+                MsgSlot::Owned(m) => m.encode(&mut w),
+                MsgSlot::Shared(m) => m.encode(&mut w),
             }
-            LoopEv::Cast(m) => {
-                record(Phase::Cast, Some(m.id), None);
-                let mut cast = Some(m);
-                step!(|p: &mut P, c: &Context, o: &mut Outbox<P::Msg>| {
-                    p.on_cast(cast.take().expect("one invocation"), c, o)
-                });
+            self.frame = w.finish();
+            *encoded = true;
+        }
+        for _ in 0..copies {
+            link.out.push(&self.frame, &self.stats);
+        }
+    }
+
+    /// Queues `reply` on connection `i`.
+    fn reply(&mut self, i: usize, reply: &Frame<P::Msg>) {
+        wire::seal_into(self.arm, reply, &mut self.frame);
+        self.conns[i].out.push(&self.frame, &self.stats);
+    }
+
+    /// Acts on one decoded inbound frame of connection `i`.
+    fn dispatch(&mut self, i: usize, frame: Frame<P::Msg>) {
+        match frame {
+            Frame::Peer { from, msg } => {
+                self.record_msg(&msg, false, from);
+                self.step(|p, c, o| p.on_message(from, msg, c, o));
             }
-            LoopEv::CrashNotify(of) => {
-                record(Phase::CrashNotice, None, Some(of));
-                step!(|p: &mut P, c: &Context, o: &mut Outbox<P::Msg>| {
-                    p.on_crash_notification(of, c, o)
-                });
+            Frame::Cast { seq, dest, payload } => {
+                let id = MessageId::new(self.me, seq);
+                // Ack first (the client records the op before the send, the
+                // ack is just confirmation), then inject exactly once even
+                // if a client retries the frame.
+                self.reply(i, &Frame::CastAck { id });
+                if self.injected.insert(seq) {
+                    self.record(Phase::Cast, Some(id), None);
+                    let m = AppMessage::new(id, dest, payload);
+                    self.step(|p, c, o| p.on_cast(m, c, o));
+                }
             }
-            LoopEv::Shutdown => return,
+            Frame::Req { body } => {
+                let body = (self.service)(&body);
+                self.reply(i, &Frame::Rep { body });
+            }
+            Frame::CrashNotify { of } => {
+                self.record(Phase::CrashNotice, None, Some(of));
+                self.step(|p, c, o| p.on_crash_notification(of, c, o));
+            }
+            Frame::Shutdown => self.exit = true,
+            // Reply frames are client-bound; a node receiving one ignores it.
+            Frame::CastAck { .. } | Frame::Rep { .. } => {}
+        }
+    }
+
+    /// Reads connection `i` once and handles every frame that completed.
+    fn read_conn(&mut self, i: usize) {
+        match self.conns[i].fill() {
+            Ok(n) if n > 0 => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            // EOF or reset: the dialer reconnects if it cares.
+            _ => self.conns[i].closed = true,
+        }
+        while !self.exit {
+            let body = match self.conns[i].next_frame() {
+                Ok(Some(body)) => body,
+                Ok(None) => break,
+                Err(Oversize) => {
+                    // Whatever follows an absurd length claim cannot be
+                    // framed: this connection is lost, the node is not.
+                    bump(&self.stats.bad_frame);
+                    self.conns[i].closed = true;
+                    break;
+                }
+            };
+            match wire::open::<Frame<P::Msg>>(self.arm, &self.conns[i].rbuf[body]) {
+                Ok(frame) => self.dispatch(i, frame),
+                // Wrong version/arm/garbage: drop the frame, keep the
+                // connection — a self-stabilizing receiver never crashes
+                // on hostile input.
+                Err(_) => bump(&self.stats.bad_frame),
+            }
+        }
+    }
+
+    /// Fires every timer that is due.
+    fn fire_timers(&mut self) {
+        while self.timers.peek().is_some_and(|t| t.at <= Instant::now()) {
+            let t = self.timers.pop().expect("peeked");
+            self.step(|p, c, o| p.on_timer(t.kind, c, o));
+        }
+    }
+
+    /// Milliseconds until the next timer, rounded **up** (rounding down
+    /// would wake early and spin on a zero timeout until the timer is
+    /// due), capped so the stop flag is noticed.
+    fn poll_timeout_ms(&self) -> i32 {
+        self.timers.peek().map_or(IDLE_POLL_MS, |t| {
+            let ns = t.at.saturating_duration_since(Instant::now()).as_nanos();
+            ns.div_ceil(1_000_000).min(IDLE_POLL_MS as u128) as i32
+        })
+    }
+
+    /// The node thread: one `poll`, one read → handle → write turn, until
+    /// told to stop.
+    fn run(&mut self) {
+        self.step(|p, c, o| p.on_start(c, o));
+        self.flush();
+        let mut fds: Vec<PollFd> = Vec::new();
+        // Process ids of the links in `fds`, which follow the connections.
+        let mut polled_links: Vec<usize> = Vec::new();
+        while !self.exit && !self.stop.load(Ordering::SeqCst) {
+            fds.clear();
+            polled_links.clear();
+            fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            for c in &self.conns {
+                fds.push(PollFd::new(c.stream.as_raw_fd(), c.out.interest()));
+            }
+            for (p, link) in self.links.iter().enumerate() {
+                let Some(link) = link else { continue };
+                let Some(stream) = &link.stream else { continue };
+                // POLLIN on a write-only link: the peer closing it is the
+                // only thing that can make it readable.
+                fds.push(PollFd::new(stream.as_raw_fd(), link.out.interest()));
+                polled_links.push(p);
+            }
+            // Interruption aside, `poll` fails only on a malformed set or
+            // an exhausted kernel; the host sees the panic through `wait`.
+            poll::wait(&mut fds, self.poll_timeout_ms()).expect("poll(2) on the node's sockets");
+            bump(&self.stats.turns);
+
+            let n_conns = self.conns.len();
+            for (i, fd) in fds[1..=n_conns].iter().enumerate() {
+                if fd.writable() {
+                    self.conns[i].out.blocked = false;
+                }
+                if fd.readable() {
+                    self.read_conn(i);
+                }
+            }
+            self.fire_timers();
+            for (fd, &p) in fds[1 + n_conns..].iter().zip(&polled_links) {
+                let link = self.links[p].as_mut().expect("polled links exist");
+                if fd.writable() {
+                    link.out.blocked = false;
+                }
+                if fd.readable() {
+                    let mut probe = [0u8; 64];
+                    let stream = link.stream.as_mut().expect("polled links are up");
+                    match stream.read(&mut probe) {
+                        Ok(n) if n > 0 => {} // peers send nothing here; ignore
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                        _ => link.down(&self.stats),
+                    }
+                }
+            }
+            if fds[0].readable() {
+                self.accept();
+            }
+            self.flush();
+        }
+    }
+
+    /// Takes every connection waiting on the listener.
+    fn accept(&mut self) {
+        while let Ok((stream, _)) = self.listener.accept() {
+            if stream.set_nonblocking(true).is_ok() {
+                let _ = stream.set_nodelay(true);
+                self.conns.push(Conn::new(stream));
+            }
+        }
+    }
+
+    /// Writes every dirty out-buffer once: client replies before peer
+    /// links, so a cast's ack is in the client's socket before the cast's
+    /// first message can reach another node.
+    fn flush(&mut self) {
+        for c in &mut self.conns {
+            if !c.closed && c.out.dirty() && c.out.flush(&c.stream).is_err() {
+                c.closed = true;
+            }
+        }
+        self.conns.retain(|c| !c.closed);
+        for link in self.links.iter_mut().flatten() {
+            if !link.out.dirty() {
+                continue;
+            }
+            let stream = link
+                .stream
+                .as_ref()
+                .expect("frames queue on live links only");
+            if link.out.flush(stream).is_err() {
+                link.down(&self.stats);
+            }
         }
     }
 }

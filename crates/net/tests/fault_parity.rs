@@ -33,7 +33,7 @@ fn fates(faults: &WallFaults, seq: &[(ProcessId, ProcessId)]) -> Vec<LinkFate> {
 
 /// The number of copies a runtime actually transmits for one fate — the
 /// shared interpretation both `Cluster::spawn_faulty`'s channel path and
-/// the TCP event loop apply.
+/// the TCP node apply.
 fn copies(fate: &LinkFate) -> usize {
     if fate.dropped {
         0

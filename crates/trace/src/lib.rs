@@ -8,7 +8,7 @@
 //! up its end by construction — nothing here reads a clock, draws
 //! randomness, spawns a thread or touches I/O. An event's timestamp is
 //! whatever the *host* runtime already computed for its own schedule (the
-//! simulator's virtual clock, the TCP event loop's elapsed wall time), so
+//! simulator's virtual clock, the TCP node's elapsed wall time), so
 //! pushing an event is a pure data-structure append.
 //!
 //! # Model
