@@ -9,7 +9,7 @@
 //!
 //! Every algorithm below is an executable, event-driven [`Protocol`]
 //! state machine hostable on both runtimes (the deterministic simulator
-//! and the threaded `wamcast-net` cluster) — none is a mere analytic
+//! and the `wamcast-net` TCP runtime) — none is a mere analytic
 //! latency-degree formula. The "Faults hosted" column is what the stack
 //! registry (`wamcast_harness::registry`) injects when fuzzing the arm;
 //! each module's docs state which mechanisms are faithful to the cited

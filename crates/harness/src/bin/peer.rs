@@ -124,7 +124,7 @@ fn parse_args() -> Result<PeerArgs, String> {
 }
 
 /// Builds the optional lossy-link adversary from `--drop-pct`/`--seed`:
-/// the same [`WallFaults`] choke point the in-process cluster consults.
+/// this process's own [`WallFaults`], consulted on every outbound copy.
 fn faults_of(a: &PeerArgs, topo: &Topology) -> Option<Arc<WallFaults>> {
     if a.drop_pct == 0 {
         return None;

@@ -12,7 +12,6 @@
 //! smr_kv [--groups K] [--procs D] [--clients C] [--ops N]
 //!        [--cross-pct P] [--batch B] [--seed S] [--runs R]
 //!        [--faulty]          # compile a fault plan from each seed
-//!        [--net]             # threaded wamcast-net cluster (clean links)
 //!        [--tcp]             # spawn one OS process per replica (peer bin)
 //!        [--inject-bug]      # plant the lost-apply defect; must be caught
 //!        [--replay --seed S [--plan-hash H]]   # reproduce one faulty run
@@ -25,15 +24,15 @@
 //! way `scenario_fuzz` does, so a changed fault distribution is detected
 //! instead of silently replaying a different adversary.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 use wamcast_harness::cli::{self, CommonArgs};
 use wamcast_harness::scenario::capture_trace;
-use wamcast_harness::smr::{run_smr_net, run_smr_sim, InjectedBug, SmrConfig, SmrOutcome};
+use wamcast_harness::smr::{run_smr_sim, InjectedBug, SmrConfig, SmrOutcome};
 use wamcast_harness::tcp_host::{self, run_smr_tcp, TcpRunConfig, SMR_ARM};
 use wamcast_harness::Table;
-use wamcast_net::tcp::TcpClient;
+use wamcast_net::tcp::{free_addrs, TcpClient};
 use wamcast_sim::{FaultConfig, FaultPlan};
 use wamcast_types::{BatchConfig, Topology};
 
@@ -45,7 +44,6 @@ struct KvArgs {
     cross_pct: u8,
     batch: usize,
     faulty: bool,
-    net: bool,
     tcp: bool,
 }
 
@@ -58,7 +56,6 @@ fn main() -> ExitCode {
         cross_pct: 40,
         batch: 1,
         faulty: false,
-        net: false,
         tcp: false,
     };
     let mut trace_out: Option<String> = None;
@@ -71,7 +68,6 @@ fn main() -> ExitCode {
             "--cross-pct" => kv.cross_pct = cli::parse_u64(flag, &grab(flag)?)?.min(100) as u8,
             "--batch" => kv.batch = cli::parse_u64(flag, &grab(flag)?)? as usize,
             "--faulty" => kv.faulty = true,
-            "--net" => kv.net = true,
             "--tcp" => kv.tcp = true,
             "--trace-out" => trace_out = Some(grab(flag)?),
             _ => return Ok(false),
@@ -85,24 +81,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if kv.tcp && (kv.net || kv.faulty || args.inject_bug || args.replay) {
+    if kv.tcp && (kv.faulty || args.inject_bug || args.replay) {
         eprintln!(
             "smr_kv: --tcp spawns live peer processes on clean links; it combines with none of \
-             --net, --faulty, --inject-bug, --replay"
-        );
-        return ExitCode::from(2);
-    }
-    if kv.net && kv.faulty {
-        eprintln!(
-            "smr_kv: --net runs on clean links; drop --faulty (replayable fault runs are \
-             the simulator's job)"
-        );
-        return ExitCode::from(2);
-    }
-    if kv.net && args.inject_bug {
-        eprintln!(
-            "smr_kv: --inject-bug is simulator-only (the net driver takes no bug hook); \
-             drop --net to prove the checker catches it"
+             --faulty, --inject-bug, --replay"
         );
         return ExitCode::from(2);
     }
@@ -110,11 +92,11 @@ fn main() -> ExitCode {
         eprintln!("smr_kv: --plan-hash cross-checks a compiled fault plan; it requires --faulty");
         return ExitCode::from(2);
     }
-    if trace_out.is_some() && (kv.net || kv.tcp) {
+    if trace_out.is_some() && kv.tcp {
         eprintln!(
             "smr_kv: --trace-out captures the deterministic simulator's flight recorder; \
-             it combines with neither --net nor --tcp (pull live peers' recorders over \
-             the control plane instead)"
+             it does not combine with --tcp (pull live peers' recorders over the control \
+             plane instead)"
         );
         return ExitCode::from(2);
     }
@@ -131,19 +113,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Reserves `n` distinct localhost ports by binding and dropping. A small
-/// race window exists before the peers re-bind; acceptable for a driver
-/// that owns the whole cluster lifecycle.
-fn free_addrs(n: usize) -> Result<Vec<SocketAddr>, String> {
-    let holds: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").map_err(|e| format!("reserve port: {e}")))
-        .collect::<Result<_, _>>()?;
-    holds
-        .iter()
-        .map(|l| l.local_addr().map_err(|e| format!("reserve port: {e}")))
-        .collect()
 }
 
 /// Locates the `peer` binary next to the running `smr_kv` executable
@@ -197,7 +166,7 @@ impl PeerProcs {
 /// answers its control plane.
 fn spawn_tcp_cluster(kv: &KvArgs, seed: u64) -> Result<PeerProcs, String> {
     let n = kv.groups * kv.procs;
-    let addrs = free_addrs(n)?;
+    let addrs = free_addrs(n).map_err(|e| format!("reserve ports: {e}"))?;
     let addr_list = addrs
         .iter()
         .map(ToString::to_string)
@@ -323,8 +292,6 @@ fn run_seed(kv: &KvArgs, args: &CommonArgs, seed: u64, trace_out: Option<&str>) 
         if kv.faulty { ", fault plan on" } else { "" },
         if kv.tcp {
             " — multi-process TCP runtime"
-        } else if kv.net {
-            " — threaded wamcast-net runtime"
         } else {
             " — deterministic simulator"
         },
@@ -338,8 +305,6 @@ fn run_seed(kv: &KvArgs, args: &CommonArgs, seed: u64, trace_out: Option<&str>) 
                 return ExitCode::from(1);
             }
         }
-    } else if kv.net {
-        run_smr_net(shape, &cfg, seed, Duration::from_secs(20))
     } else {
         match trace_out {
             None => run_smr_sim(shape, &plan, &cfg, seed, bug),
@@ -377,9 +342,6 @@ fn run_seed(kv: &KvArgs, args: &CommonArgs, seed: u64, trace_out: Option<&str>) 
             " --faulty --plan-hash {:#018x}",
             plan.fingerprint()
         ));
-    }
-    if kv.net {
-        replay.push_str(" --net");
     }
     if kv.tcp {
         replay.push_str(" --tcp");
@@ -424,7 +386,7 @@ fn print_table(kv: &KvArgs, out: &SmrOutcome) {
         out.unresponded.to_string(),
         cross.to_string(),
         format!("{:.1} ms", out.mean_latency.as_secs_f64() * 1e3),
-        if kv.net || kv.tcp {
+        if kv.tcp {
             "-".into()
         } else {
             format!("{:.1}", out.sends_per_op())

@@ -47,8 +47,8 @@ pub use registry::{ProtocolArm, StackRegistry};
 pub use scale::{latency_registry, run_cell, ScaleCell, ScaleConfig};
 pub use scenario::{run_scenario, run_scenario_full, RunSpec, ScenarioOutcome};
 pub use smr::{
-    response_latency_histogram, run_smr_net, run_smr_scenario, run_smr_sim, smr_throughput_once,
-    InjectedBug, SmrConfig, SmrOutcome, SmrThroughputCell,
+    response_latency_histogram, run_smr_scenario, run_smr_sim, smr_throughput_once, InjectedBug,
+    SmrConfig, SmrOutcome, SmrThroughputCell,
 };
 pub use table::Table;
 pub use tcp_host::{run_smr_tcp, spawn_smr_peer, KvPeer, TcpRunConfig, SMR_ARM};

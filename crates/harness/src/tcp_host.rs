@@ -5,7 +5,7 @@
 //! ([`crate::registry::ProtocolArm::serve_tcp`]); this module is the
 //! application-layer counterpart: one peer process hosts
 //! `WithApply<GenuineMulticast, BuggyKv>` — the same A1 stack
-//! [`crate::smr::run_smr_net`] builds, through the same
+//! [`crate::smr::run_smr_sim`] builds, through the same
 //! [`a1_stack_config`] construction site — plus a [`Service`] hook
 //! answering the control-plane requests a client needs to drive, judge
 //! and diagnose a run:
@@ -297,6 +297,42 @@ pub fn fetch_replica_log(client: &mut TcpClient) -> io::Result<ReplicaLog> {
     ReplicaLog::from_wire(&rep).map_err(|_| bad_reply("replica-log"))
 }
 
+/// Fetches the replica log of every process in `of` once the replicas are
+/// quiet: sweeps repeat until two consecutive ones agree on every
+/// `(digest, length)`, so the capture cannot race straggler applies into a
+/// spurious disagreement. After `timeout` the last sweep is returned as it
+/// is; `None` marks a replica whose fetch failed in it.
+pub fn fetch_quiesced_logs(
+    addrs: &[SocketAddr],
+    of: &[ProcessId],
+    timeout: Duration,
+) -> Vec<Option<ReplicaLog>> {
+    let mut clients: Vec<TcpClient> = of
+        .iter()
+        .map(|p| TcpClient::new(addrs[p.index()], SMR_ARM, timeout))
+        .collect();
+    let mut sweep = || -> Vec<Option<ReplicaLog>> {
+        clients
+            .iter_mut()
+            .map(|c| fetch_replica_log(c).ok())
+            .collect()
+    };
+    let deadline = Instant::now() + timeout;
+    let mut logs = sweep();
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let again = sweep();
+        let stable = logs.iter().zip(&again).all(|pair| {
+            matches!(pair, (Some(a), Some(b))
+                if a.digest == b.digest && a.applied.len() == b.applied.len())
+        });
+        logs = again;
+        if stable || Instant::now() > deadline {
+            return logs;
+        }
+    }
+}
+
 /// Configuration of one TCP-driven SMR run against already-listening
 /// peers (spawned by `smr_kv --tcp`, a test, or by hand).
 pub struct TcpRunConfig {
@@ -326,9 +362,10 @@ pub fn client_seq(client: usize, round: usize) -> u64 {
     ((client as u64) << 32) | round as u64
 }
 
-/// Drives the closed-loop KV workload against live TCP peers and judges
-/// the recorded history — the multi-process sibling of
-/// [`crate::smr::run_smr_net`]. Every op is recorded *before* its cast is
+/// Drives the closed-loop KV workload against live TCP peers — OS
+/// processes or [`spawn_smr_peer`]s of this one, the driver cannot tell —
+/// and judges the recorded history: the socket sibling of
+/// [`crate::smr::run_smr_sim`]. Every op is recorded *before* its cast is
 /// sent: a cast whose ack is lost may still commit, and the checker must
 /// know the op existed.
 pub fn run_smr_tcp(rc: &TcpRunConfig) -> SmrOutcome {
@@ -421,38 +458,11 @@ pub fn run_smr_tcp(rc: &TcpRunConfig) -> SmrOutcome {
         }
     }
 
-    // Quiescence: snapshot every correct replica's (digest, length) until
-    // two consecutive sweeps agree, so log capture cannot race straggler
-    // applies into a spurious disagreement.
     let included: Vec<ProcessId> = topo
         .processes()
         .filter(|p| !rc.exclude.contains(p))
         .collect();
-    let fetch_all = |pollers: &mut Vec<Option<TcpClient>>| -> Vec<Option<ReplicaLog>> {
-        included
-            .iter()
-            .map(|&p| {
-                let poller = pollers[p.index()].get_or_insert_with(|| {
-                    TcpClient::new(rc.addrs[p.index()], SMR_ARM, rc.op_timeout)
-                });
-                fetch_replica_log(poller).ok()
-            })
-            .collect()
-    };
-    let quiesce_deadline = Instant::now() + rc.op_timeout;
-    let mut logs = fetch_all(&mut pollers);
-    loop {
-        std::thread::sleep(Duration::from_millis(100));
-        let again = fetch_all(&mut pollers);
-        let stable = logs.iter().zip(&again).all(|(a, b)| match (a, b) {
-            (Some(a), Some(b)) => a.digest == b.digest && a.applied.len() == b.applied.len(),
-            _ => false,
-        });
-        logs = again;
-        if stable || Instant::now() > quiesce_deadline {
-            break;
-        }
-    }
+    let logs = fetch_quiesced_logs(&rc.addrs, &included, rc.op_timeout);
 
     let mut replicas: Vec<ReplicaLog> = Vec::new();
     for (i, log) in logs.into_iter().enumerate() {
@@ -495,57 +505,57 @@ pub fn run_smr_tcp(rc: &TcpRunConfig) -> SmrOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-
-    fn free_addrs(n: usize) -> Vec<SocketAddr> {
-        let holds: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-            .collect();
-        holds
-            .iter()
-            .map(|l| l.local_addr().expect("addr"))
-            .collect()
-    }
+    use wamcast_net::tcp::free_addrs;
 
     #[test]
     fn in_process_tcp_smr_run_is_clean() {
-        let (kk, dd) = (2usize, 2usize);
-        let topo = Arc::new(Topology::symmetric(kk, dd));
-        let addrs = free_addrs(topo.num_processes());
-        let peers: Vec<KvPeer> = topo
-            .processes()
-            .map(|p| {
-                spawn_smr_peer(p, Arc::clone(&topo), addrs.clone(), None, None, None)
-                    .expect("spawn")
-            })
-            .collect();
-        let cfg = TcpRunConfig {
-            shape: (kk, dd),
-            addrs,
-            smr: SmrConfig {
-                clients_per_group: 1,
-                ops_per_client: 4,
-                ..SmrConfig::default()
-            },
-            seed: 0xC0FFEE,
-            op_timeout: Duration::from_secs(30),
-            exclude: Vec::new(),
-            expect_all_commit: true,
-        };
-        let out = run_smr_tcp(&cfg);
-        assert!(out.is_ok(), "{:?}", out.violations);
-        assert_eq!(out.committed, kk * 4);
-        assert_eq!(out.unresponded, 0);
-        assert_eq!(out.history.replicas.len(), kk * dd);
-        for peer in peers {
-            peer.node.shutdown();
+        // Eager A1, then batching with the flush timer running on real
+        // time: the delivery -> apply hookup and the history checker hold
+        // on sockets either way.
+        let batched = BatchConfig::new(4).with_max_delay(Duration::from_millis(5));
+        for batch in [None, Some(batched)] {
+            let (kk, dd) = (2usize, 2usize);
+            let topo = Arc::new(Topology::symmetric(kk, dd));
+            let addrs = free_addrs(topo.num_processes()).expect("ports");
+            let peers: Vec<KvPeer> = topo
+                .processes()
+                .map(|p| {
+                    spawn_smr_peer(p, Arc::clone(&topo), addrs.clone(), batch, None, None)
+                        .expect("spawn")
+                })
+                .collect();
+            let cfg = TcpRunConfig {
+                shape: (kk, dd),
+                addrs,
+                smr: SmrConfig {
+                    clients_per_group: 1,
+                    ops_per_client: 4,
+                    ..SmrConfig::default()
+                },
+                seed: 0xC0FFEE,
+                op_timeout: Duration::from_secs(30),
+                exclude: Vec::new(),
+                expect_all_commit: true,
+            };
+            let out = run_smr_tcp(&cfg);
+            assert!(out.is_ok(), "batch {batch:?}: {:?}", out.violations);
+            assert_eq!(out.committed, kk * 4);
+            assert_eq!(out.unresponded, 0);
+            assert_eq!(out.history.replicas.len(), kk * dd);
+            assert!(
+                out.history.ops.iter().any(|o| o.dest.len() > 1),
+                "the workload must exercise cross-shard commands"
+            );
+            for peer in peers {
+                peer.node.shutdown();
+            }
         }
     }
 
     #[test]
     fn control_plane_rejects_malformed_requests() {
         let topo = Arc::new(Topology::symmetric(1, 1));
-        let addrs = free_addrs(1);
+        let addrs = free_addrs(1).expect("ports");
         let peer = spawn_smr_peer(
             ProcessId(0),
             Arc::clone(&topo),

@@ -3,8 +3,8 @@
 //! The engine probe ([`crate::perf`]) isolates the protocol hot path in
 //! one address space; this module measures what the *wire* adds: encode +
 //! syscall + decode on every hop. The scenario is a 2×2 topology of
-//! in-process TCP peers (real sockets over loopback, one OS thread set
-//! per peer — the same [`wamcast_net::tcp::serve`] stack the multi-process
+//! in-process TCP peers ([`LocalCluster`]: real sockets over loopback, the
+//! same one-thread [`wamcast_net::tcp::serve`] node the multi-process
 //! runtime uses) with a pipelining client casting fixed-size payloads to
 //! both groups as fast as the socket accepts them. The run is over when
 //! every peer has A-Delivered every cast, so the measured wall covers the
@@ -24,13 +24,10 @@ use crate::perf::json_number;
 use crate::registry::a1_stack_config;
 use crate::scenario::RETRY_INTERVAL;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use wamcast_core::GenuineMulticast;
-use wamcast_net::tcp::{
-    self, null_service, write_frame, Frame, NoMsg, SharedDeliveries, TcpNode, TcpNodeConfig,
-};
+use wamcast_net::tcp::{write_frame, Frame, LocalCluster, NoMsg};
 use wamcast_types::wire;
 use wamcast_types::{BatchConfig, GroupSet, Payload, Topology};
 
@@ -67,17 +64,6 @@ impl TcpProbeResult {
     }
 }
 
-/// Binds `n` listeners on ephemeral loopback ports and returns their
-/// addresses. The listeners are dropped before the peers bind — the tiny
-/// race this opens is acceptable in a probe (a collision surfaces as a
-/// bind error, not a wrong number).
-fn free_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
-    let held: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0"))
-        .collect::<io::Result<_>>()?;
-    held.iter().map(|l| l.local_addr()).collect()
-}
-
 /// One probe repeat on the canonical [`TCP_PROBE_SHAPE`]; see
 /// [`probe_tcp_shaped`].
 ///
@@ -101,30 +87,15 @@ pub fn probe_tcp_once(ops: u64) -> io::Result<TcpProbeResult> {
 /// fails to deliver everything within the probe deadline.
 pub fn probe_tcp_shaped(shape: (usize, usize), ops: u64) -> io::Result<TcpProbeResult> {
     let (groups, per_group) = shape;
-    let topo = Arc::new(Topology::symmetric(groups, per_group));
-    let n = topo.num_processes();
-    let addrs = free_addrs(n)?;
     let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(20));
     let mcfg = a1_stack_config(Some(batch), Some(RETRY_INTERVAL));
-
-    let mut nodes: Vec<TcpNode> = Vec::with_capacity(n);
-    for p in topo.processes() {
-        let delivered: SharedDeliveries = Arc::new(Mutex::new(Vec::new()));
-        let proto = GenuineMulticast::new(p, &topo, mcfg);
-        nodes.push(tcp::serve(
-            TcpNodeConfig {
-                me: p,
-                topo: Arc::clone(&topo),
-                addrs: addrs.clone(),
-                arm: TCP_PROBE_ARM,
-                faults: None,
-                trace: None,
-            },
-            proto,
-            delivered,
-            null_service(),
-        )?);
-    }
+    let cluster = LocalCluster::serve(
+        Topology::symmetric(groups, per_group),
+        TCP_PROBE_ARM,
+        None,
+        |p, t| GenuineMulticast::new(p, t, mcfg),
+    )?;
+    let everyone = || cluster.topology().processes();
 
     let dest = GroupSet::first_n(groups);
     let payload = Payload::from(vec![0x5A; TCP_PROBE_PAYLOAD]);
@@ -133,7 +104,7 @@ pub fn probe_tcp_shaped(shape: (usize, usize), ops: u64) -> io::Result<TcpProbeR
     // back-to-back (loopback backpressure is the only throttle), acks
     // drained and discarded by a side thread so the peer's reply writes
     // never block.
-    let mut sock = TcpStream::connect_timeout(&nodes[0].local_addr(), Duration::from_secs(5))?;
+    let mut sock = TcpStream::connect_timeout(&cluster.addrs()[0], Duration::from_secs(5))?;
     sock.set_nodelay(true)?;
     let mut drain_half = sock.try_clone()?;
     let drain = std::thread::spawn(move || {
@@ -154,13 +125,11 @@ pub fn probe_tcp_shaped(shape: (usize, usize), ops: u64) -> io::Result<TcpProbeR
     // (the A-Deliver test) caps each peer's log at `ops`, so equality is
     // completion, not a race.
     loop {
-        if nodes.iter().all(|nd| nd.delivered().len() as u64 == ops) {
+        if everyone().all(|p| cluster.delivered(p).len() as u64 == ops) {
             break;
         }
         if start.elapsed() > PROBE_DEADLINE {
-            for nd in nodes {
-                nd.shutdown();
-            }
+            cluster.shutdown();
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 "tcp probe cluster failed to deliver within the deadline",
@@ -178,16 +147,12 @@ pub fn probe_tcp_shaped(shape: (usize, usize), ops: u64) -> io::Result<TcpProbeR
     let _ = drain.join();
     // Loopback with every peer up loses nothing; a rate measured across
     // retransmissions would be a different workload's.
-    let lossy: Vec<String> = nodes
-        .iter()
-        .map(|nd| nd.stats())
-        .enumerate()
+    let lossy: Vec<String> = everyone()
+        .map(|p| (p, cluster.stats(p)))
         .filter(|(_, stats)| stats.dropped() > 0)
-        .map(|(i, stats)| format!("p{i}: {stats}"))
+        .map(|(p, stats)| format!("{p}: {stats}"))
         .collect();
-    for nd in nodes {
-        nd.shutdown();
-    }
+    cluster.shutdown();
     if !lossy.is_empty() {
         return Err(io::Error::other(format!(
             "tcp probe cluster dropped frames ({})",

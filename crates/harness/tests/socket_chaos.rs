@@ -29,31 +29,22 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::process::{Child, Command as Proc, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wamcast_harness::tcp_host::{
-    fetch_replica_log, fetch_trace, poll_response, report_net_stats, spawn_smr_peer, KvPeer,
+    client_seq, fetch_quiesced_logs, fetch_replica_log, fetch_trace, poll_response,
+    report_net_stats, spawn_smr_peer, KvPeer,
 };
 use wamcast_harness::SMR_ARM;
-use wamcast_net::tcp::TcpClient;
+use wamcast_net::tcp::{free_addrs, TcpClient};
 use wamcast_smr::{history, responder_shard, Command, History, OpRecord, ShardMap};
 use wamcast_types::{GroupId, MessageId, ProcessId, SimTime, Topology};
 
 const GROUPS: usize = 3;
 const PROCS: usize = 2;
 const OP_TIMEOUT: Duration = Duration::from_secs(30);
-
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let holds: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    holds
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect()
-}
 
 /// The shared chaos driver: records ops pre-send, casts them through a
 /// per-client caster, polls responder shards on never-killed processes
@@ -97,7 +88,7 @@ impl Chaos {
     /// cast is fine — the pre-send record marks it maybe-committed.
     fn send(&mut self, client: &mut TcpClient, caster: ProcessId, c: usize, cmd: Command) -> usize {
         let dest = self.shards.dest_of(&cmd);
-        let seq = ((c as u64) << 32) | self.ops.len() as u64;
+        let seq = client_seq(c, self.ops.len());
         self.ops.push(OpRecord {
             id: MessageId::new(caster, seq),
             cmd: cmd.clone(),
@@ -163,39 +154,15 @@ impl Chaos {
         }
     }
 
-    /// Quiesces the never-killed replicas (two consecutive agreeing
-    /// `(digest, len)` sweeps), captures their logs and runs the checker.
-    fn judge(mut self) -> (history::HistoryReport, History) {
+    /// Quiesces the never-killed replicas, captures their logs and runs
+    /// the checker.
+    fn judge(self) -> (history::HistoryReport, History) {
         let correct: Vec<ProcessId> = self
             .topo
             .processes()
             .filter(|p| !self.killed.contains(p))
             .collect();
-        let deadline = Instant::now() + OP_TIMEOUT;
-        let mut last: Vec<Option<(u64, usize)>> = Vec::new();
-        let logs = loop {
-            let logs: Vec<_> = correct
-                .iter()
-                .map(|&p| {
-                    let addr = self.addrs[p.index()];
-                    let poller = self
-                        .pollers
-                        .entry(p)
-                        .or_insert_with(|| TcpClient::new(addr, SMR_ARM, OP_TIMEOUT));
-                    fetch_replica_log(poller).ok()
-                })
-                .collect();
-            let snap: Vec<Option<(u64, usize)>> = logs
-                .iter()
-                .map(|l| l.as_ref().map(|l| (l.digest, l.applied.len())))
-                .collect();
-            if (snap.iter().all(Option::is_some) && snap == last) || Instant::now() > deadline {
-                break logs;
-            }
-            last = snap;
-            std::thread::sleep(Duration::from_millis(100));
-        };
-        let replicas = logs
+        let replicas = fetch_quiesced_logs(&self.addrs, &correct, OP_TIMEOUT)
             .into_iter()
             .map(|l| l.expect("replica log fetch from a correct peer"))
             .collect();
@@ -383,7 +350,7 @@ fn wait_ready(addrs: &[SocketAddr]) {
 
 #[test]
 fn killing_and_restarting_real_peer_processes_keeps_history_clean() {
-    let addrs = free_addrs(GROUPS * PROCS);
+    let addrs = free_addrs(GROUPS * PROCS).expect("ports");
     let mut spawned: Vec<Option<Child>> = Vec::new();
     for me in 0..(GROUPS * PROCS) as u32 {
         match spawn_peer_process(me, &addrs) {
@@ -459,7 +426,7 @@ fn killing_and_restarting_real_peer_processes_keeps_history_clean() {
 #[test]
 fn thread_fallback_chaos_survives_peer_restart() {
     let topo = Arc::new(Topology::symmetric(GROUPS, PROCS));
-    let addrs = free_addrs(GROUPS * PROCS);
+    let addrs = free_addrs(GROUPS * PROCS).expect("ports");
     let peers: RefCell<Vec<Option<KvPeer>>> = RefCell::new(
         topo.processes()
             .map(|me| {

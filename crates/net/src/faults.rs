@@ -1,13 +1,11 @@
-//! The single fault-application choke point for wall-clock runtimes.
+//! The single fault-application choke point of the socket runtime.
 //!
-//! Both hosted transports — the in-process mpsc [`Cluster`] and the
-//! multi-process TCP runtime ([`crate::tcp`]) — must consult *this* type on
-//! every outbound copy, so drop/duplication semantics cannot diverge
-//! between them: for the same ([`FaultPlan`], seed) and the same send
-//! sequence, both runtimes draw the same fate stream (pinned by the
-//! differential test in `tests/fault_parity.rs`).
-//!
-//! [`Cluster`]: crate::Cluster
+//! A TCP node ([`crate::tcp`]) consults *this* type once per outbound
+//! copy to another process, and every node of an in-process cluster
+//! shares one instance, so the whole cluster faces one adversary drawing
+//! from one deterministic fate stream: the same ([`FaultPlan`], seed) and
+//! the same send sequence draw the same fates (pinned by
+//! `tests/fault_parity.rs`).
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -20,8 +18,9 @@ use wamcast_types::{FaultInjector, FaultPlan, LinkFate, ProcessId, SimTime};
 /// adversary.
 ///
 /// Scope: drop, duplication and partitions are honored; latency *spikes*
-/// are not (neither an mpsc channel nor a kernel socket exposes a delay to
-/// scale — shaping latency is the discrete-event runtime's job). Fates
+/// are not (a kernel socket exposes no delay to scale — shaping latency is
+/// the discrete-event runtime's job), and neither is the plan's crash
+/// schedule (on sockets a crash is an act of the host). Fates
 /// draw from the plan's deterministic stream, but thread interleaving
 /// makes the *assignment* of fates to messages nondeterministic;
 /// bit-for-bit replay is the simulator's job.
@@ -64,14 +63,5 @@ impl WallFaults {
             .lock()
             .expect("fault injector poisoned")
             .on_send(from, to, now)
-    }
-
-    /// Runs `f` with the underlying plan (crash schedule inspection).
-    pub fn with_plan<R>(&self, f: impl FnOnce(&FaultPlan) -> R) -> R {
-        f(self
-            .injector
-            .lock()
-            .expect("fault injector poisoned")
-            .plan())
     }
 }

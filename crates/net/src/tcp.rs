@@ -1,13 +1,13 @@
-//! Multi-process TCP runtime: one OS process per protocol instance,
-//! connected by `std::net` sockets speaking the `wamcast_types::wire`
-//! format.
+//! TCP runtime: one node per protocol instance, connected by `std::net`
+//! sockets speaking the `wamcast_types::wire` format — one OS process
+//! each (the harness's `peer` binary), or all in the calling process over
+//! loopback ([`LocalCluster`]).
 //!
-//! This is the runtime the simulator and the in-process [`Cluster`] cannot
-//! stand in for: messages really cross byte boundaries (every send pays
-//! encode + syscall + decode), and chaos means real `kill -9` and real
-//! socket resets, not a flag flip. The protocol values hosted here are the
-//! same sans-io state machines the other runtimes drive — the only new
-//! requirement is `P::Msg: Wire`.
+//! This is the runtime the simulator cannot stand in for: messages really
+//! cross byte boundaries (every send pays encode + syscall + decode), and
+//! chaos means real `kill -9` and real socket resets, not a flag flip. The
+//! protocol values hosted here are the same sans-io state machines the
+//! simulator drives — the only new requirement is `P::Msg: Wire`.
 //!
 //! # Shape
 //!
@@ -43,8 +43,12 @@
 //!   itself took long), so a dead peer costs the node a bounded share of
 //!   its time.
 //! * **Faults:** an optional [`WallFaults`] is consulted once per outbound
-//!   copy — the *same* choke point [`Cluster`]'s channel sends use — so
-//!   drop/duplication semantics cannot diverge between the two runtimes.
+//!   copy to another process: a dropped copy is never queued, a duplicated
+//!   one is queued twice. Self-addressed sends never reach it.
+//! * **Ids are checked where they enter.** A frame naming a process or a
+//!   group the topology does not have is refused at dispatch — counted as
+//!   a bad frame, no protocol step, no reply — so the cores' indexing by
+//!   id never sees a value a socket made up.
 //!
 //! Casts carry a client-chosen sequence number and are injected with
 //! `MessageId::new(server, seq)`: the client knows the op id *before* the
@@ -53,11 +57,9 @@
 //! protocol cores assume of `on_cast`.
 //!
 //! Unix only: waiting on many sockets from one thread needs `poll(2)`.
-//!
-//! [`Cluster`]: crate::Cluster
 
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::{TimerEntry, WallFaults};
+use crate::WallFaults;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -339,9 +341,10 @@ impl NetStats {
     }
 
     /// Frames discarded as unusable: inbound ones that failed to decode
-    /// (wrong arm or version, garbage) or claimed more than [`MAX_FRAME`]
-    /// bytes (which also closes the connection), and outbound ones too
-    /// large to frame.
+    /// (wrong arm or version, garbage), named a process or group the
+    /// topology does not have, or claimed more than [`MAX_FRAME`] bytes
+    /// (which also closes the connection), and outbound ones too large to
+    /// frame.
     pub fn bad_frame(&self) -> u64 {
         self.bad_frame.load(Ordering::Relaxed)
     }
@@ -706,6 +709,30 @@ impl Link {
     }
 }
 
+/// A pending protocol timer; the heap pops the earliest deadline first.
+struct TimerEntry {
+    at: Instant,
+    kind: u64,
+}
+
+impl PartialEq for TimerEntry {
+    fn eq(&self, o: &Self) -> bool {
+        self.at == o.at && self.kind == o.kind
+    }
+}
+impl Eq for TimerEntry {}
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(o))
+    }
+}
+impl Ord for TimerEntry {
+    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+        // Min-heap on deadline.
+        o.at.cmp(&self.at).then(o.kind.cmp(&self.kind))
+    }
+}
+
 /// Everything one node thread owns.
 struct Node<P: Protocol> {
     me: ProcessId,
@@ -846,8 +873,14 @@ where
             MsgSlot::Owned(m) => self.record_msg(m, true, to),
             MsgSlot::Shared(m) => self.record_msg(m, true, to),
         }
-        // The fate is drawn per copy at the shared choke point, exactly as
-        // the in-process runtime's channel sends do.
+        // A self-addressed send is a process-local hand-off, not a link:
+        // the adversary never faults `from == to` and draws no randomness
+        // for it, so it is not asked.
+        if to == self.me {
+            self.pending_self.push_back(msg);
+            return;
+        }
+        // One fate per copy, from the adversary every node shares.
         let copies = match &self.faults {
             None => 1,
             Some(f) => {
@@ -858,13 +891,6 @@ where
                 1 + usize::from(fate.duplicate.is_some())
             }
         };
-        if to == self.me {
-            for _ in 1..copies {
-                self.pending_self.push_back(msg.clone());
-            }
-            self.pending_self.push_back(msg);
-            return;
-        }
         let Some(link) = self.links.get_mut(to.index()).and_then(Option::as_mut) else {
             return;
         };
@@ -899,8 +925,21 @@ where
         self.conns[i].out.push(&self.frame, &self.stats);
     }
 
-    /// Acts on one decoded inbound frame of connection `i`.
+    /// Acts on one decoded inbound frame of connection `i`. The ids a frame
+    /// names came off a socket: one the topology does not have is refused
+    /// here (no step, no reply), because the protocol cores index by them.
     fn dispatch(&mut self, i: usize, frame: Frame<P::Msg>) {
+        let known = match &frame {
+            Frame::Peer { from: p, .. } | Frame::CrashNotify { of: p } => {
+                p.index() < self.topo.num_processes()
+            }
+            Frame::Cast { dest, .. } => !dest.is_empty() && dest.is_subset(self.topo.all_groups()),
+            _ => true,
+        };
+        if !known {
+            bump(&self.stats.bad_frame);
+            return;
+        }
         match frame {
             Frame::Peer { from, msg } => {
                 self.record_msg(&msg, false, from);
@@ -1204,6 +1243,236 @@ impl TcpClient {
         })();
         self.reset();
         r
+    }
+}
+
+/// Reserves `n` distinct loopback addresses by binding port 0 `n` times
+/// and dropping the listeners, for whoever starts a cluster from one
+/// address list: [`LocalCluster`], or a spawner of `peer` processes.
+/// Another process can take a port before its node binds it; that
+/// surfaces as the node's bind error.
+///
+/// # Errors
+///
+/// Any error binding a loopback listener.
+pub fn free_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
+    reserve(n)?.iter().map(TcpListener::local_addr).collect()
+}
+
+/// `n` listeners on distinct loopback ports the kernel chose; a port stays
+/// reserved until its listener is dropped.
+fn reserve(n: usize) -> io::Result<Vec<TcpListener>> {
+    (0..n).map(|_| TcpListener::bind("127.0.0.1:0")).collect()
+}
+
+/// How long [`LocalCluster`] waits for a node's `CastAck`.
+const LOCAL_ACK_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Every process of a topology served inside the calling process, over
+/// loopback TCP: real sockets, real timers and the real node loop, with no
+/// OS processes to manage. Tests, examples and probes host a protocol here;
+/// anything a client could do from outside works against
+/// [`addrs`](Self::addrs) too.
+///
+/// Links are lossy by design (see the module docs), so hosted protocols
+/// should run with their retransmission mode on.
+pub struct LocalCluster {
+    topo: Arc<Topology>,
+    addrs: Vec<SocketAddr>,
+    /// Indexed by process id.
+    slots: Vec<Slot>,
+}
+
+/// What the host keeps per process.
+struct Slot {
+    /// `None` once crashed.
+    node: Option<TcpNode>,
+    log: SharedDeliveries,
+    stats: Arc<NetStats>,
+    /// Carries this process's casts and crash notices; dialed on first use.
+    client: TcpClient,
+    next_seq: u64,
+}
+
+impl LocalCluster {
+    /// Reserves one loopback port per process of `topo` and serves each
+    /// process's `factory(p, topo)` on it, under envelope arm `arm` and —
+    /// if given — one adversary shared by every node's outbound links.
+    ///
+    /// # Errors
+    ///
+    /// Any error reserving the ports or from a node's [`serve`]; the nodes
+    /// already started are stopped first.
+    pub fn serve<P>(
+        topo: Topology,
+        arm: u8,
+        faults: Option<Arc<WallFaults>>,
+        mut factory: impl FnMut(ProcessId, &Topology) -> P,
+    ) -> io::Result<Self>
+    where
+        P: Protocol + Send + 'static,
+        P::Msg: Wire,
+    {
+        let topo = Arc::new(topo);
+        let held = reserve(topo.num_processes())?;
+        let addrs = held
+            .iter()
+            .map(TcpListener::local_addr)
+            .collect::<io::Result<Vec<_>>>()?;
+        let mut cluster = LocalCluster {
+            topo: Arc::clone(&topo),
+            addrs: addrs.clone(),
+            slots: Vec::with_capacity(addrs.len()),
+        };
+        for (p, hold) in topo.processes().zip(held) {
+            // Each port is given up only as its node is about to bind it,
+            // so clusters starting side by side cannot take each other's.
+            drop(hold);
+            let log = SharedDeliveries::default();
+            let served = serve(
+                TcpNodeConfig {
+                    me: p,
+                    topo: Arc::clone(&topo),
+                    addrs: addrs.clone(),
+                    arm,
+                    faults: faults.clone(),
+                    trace: None,
+                },
+                factory(p, &topo),
+                Arc::clone(&log),
+                null_service(),
+            );
+            match served {
+                Ok(node) => cluster.slots.push(Slot {
+                    stats: node.stats(),
+                    node: Some(node),
+                    log,
+                    client: TcpClient::new(addrs[p.index()], arm, LOCAL_ACK_TIMEOUT),
+                    next_seq: 0,
+                }),
+                Err(e) => {
+                    cluster.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(cluster)
+    }
+
+    /// The cluster topology.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// Listen address of every process, indexed by process id.
+    pub fn addrs(&self) -> &[SocketAddr] {
+        &self.addrs
+    }
+
+    /// A-XCasts a fresh message from `caster` to `dest` and returns its id
+    /// once `caster` acknowledged it. Sequence numbers count up from 0 per
+    /// caster; a client of [`addrs`](Self::addrs) casting through the same
+    /// process must stay clear of them.
+    ///
+    /// # Errors
+    ///
+    /// Any socket error, or a timeout waiting for the ack — which is also
+    /// how a crashed `caster` and a `dest` the node refuses (empty, or
+    /// naming a group the topology lacks) show. The cast may still commit.
+    pub fn cast(
+        &mut self,
+        caster: ProcessId,
+        dest: GroupSet,
+        payload: Payload,
+    ) -> io::Result<MessageId> {
+        let slot = &mut self.slots[caster.index()];
+        let seq = slot.next_seq;
+        slot.next_seq += 1;
+        slot.client.cast(seq, dest, payload)
+    }
+
+    /// Snapshot of the messages A-Delivered by `p`, in delivery order
+    /// (what it delivered before crashing, if it crashed).
+    pub fn delivered(&self, p: ProcessId) -> Vec<AppMessage> {
+        self.slots[p.index()]
+            .log
+            .lock()
+            .expect("delivery log poisoned")
+            .clone()
+    }
+
+    /// `p`'s drop and wake-up counters (final ones, if it crashed).
+    pub fn stats(&self, p: ProcessId) -> &NetStats {
+        &self.slots[p.index()].stats
+    }
+
+    /// Crashes `p` — its node stops and its sockets close, with whatever
+    /// was queued behind them — then tells every survivor, standing in for
+    /// a failure detector.
+    ///
+    /// # Errors
+    ///
+    /// Any socket error notifying a survivor (the rest are still told).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `p`'s node thread.
+    pub fn crash(&mut self, p: ProcessId) -> io::Result<()> {
+        if let Some(node) = self.slots[p.index()].node.take() {
+            node.shutdown();
+        }
+        let mut result = Ok(());
+        for slot in self.slots.iter_mut().filter(|s| s.node.is_some()) {
+            if let Err(e) = slot.client.crash_notify(p) {
+                result = Err(e);
+            }
+        }
+        result
+    }
+
+    /// Blocks until every live process addressed by `id`'s destination has
+    /// delivered it.
+    ///
+    /// # Errors
+    ///
+    /// `TimedOut` if `timeout` elapses first.
+    pub fn await_delivery_everywhere(&self, id: MessageId, timeout: Duration) -> io::Result<()> {
+        let delivered_by = |slot: &Slot| {
+            let log = slot.log.lock().expect("delivery log poisoned");
+            log.iter().find(|m| m.id == id).map(|m| m.dest)
+        };
+        let deadline = Instant::now() + timeout;
+        loop {
+            // The destination is learned from the first process to deliver.
+            if let Some(dest) = self.slots.iter().find_map(delivered_by) {
+                let everywhere = self
+                    .topo
+                    .processes_in(dest)
+                    .map(|p| &self.slots[p.index()])
+                    .all(|slot| slot.node.is_none() || delivered_by(slot).is_some());
+                if everywhere {
+                    return Ok(());
+                }
+            }
+            if Instant::now() > deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("{id} not delivered everywhere within {timeout:?}"),
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Stops every node and joins its thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of a node thread.
+    pub fn shutdown(self) {
+        for node in self.slots.into_iter().filter_map(|s| s.node) {
+            node.shutdown();
+        }
     }
 }
 

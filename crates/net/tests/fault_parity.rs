@@ -1,15 +1,16 @@
-//! Differential test for the fault-application choke point.
+//! The fate stream of the fault-application choke point.
 //!
-//! Both wall-clock runtimes — the mpsc `Cluster` and the TCP runtime —
-//! consult one shared [`WallFaults`] per outbound copy. This test pins the
-//! property that makes that sharing meaningful: for identical
-//! `(FaultPlan, seed)` and an identical send sequence, the fate stream is
-//! identical, so neither runtime can drift into its own drop/duplication
-//! semantics.
+//! The socket runtime consults one shared [`WallFaults`] per outbound
+//! copy. These tests pin what makes a faulted run describable by
+//! `(FaultPlan, seed)`: for an identical plan, seed and send sequence the
+//! fate stream is identical, a different seed draws a different one, and
+//! probability-1 rules are certain. What a fate *means* in frames on the
+//! wire is pinned on the node's send path itself
+//! (`tcp_cluster.rs::adversary_fates_map_to_copies_on_the_send_path`).
 
 use std::time::Duration;
 use wamcast_net::WallFaults;
-use wamcast_types::{FaultConfig, FaultPlan, LinkFate, ProcessId, SimTime, Topology};
+use wamcast_types::{FaultConfig, FaultPlan, LinkFate, ProcessId, Topology};
 
 /// A deterministic send sequence: every ordered pair of a 6-process
 /// topology, many times over.
@@ -29,19 +30,6 @@ fn send_sequence(n: u32, rounds: usize) -> Vec<(ProcessId, ProcessId)> {
 
 fn fates(faults: &WallFaults, seq: &[(ProcessId, ProcessId)]) -> Vec<LinkFate> {
     seq.iter().map(|&(f, t)| faults.fate(f, t)).collect()
-}
-
-/// The number of copies a runtime actually transmits for one fate — the
-/// shared interpretation both `Cluster::spawn_faulty`'s channel path and
-/// the TCP node apply.
-fn copies(fate: &LinkFate) -> usize {
-    if fate.dropped {
-        0
-    } else if fate.duplicate.is_some() {
-        2
-    } else {
-        1
-    }
 }
 
 fn busy_plan(seed: u64) -> FaultPlan {
@@ -91,43 +79,6 @@ fn different_seeds_diverge() {
 }
 
 #[test]
-fn copy_interpretation_is_shared() {
-    // Pin the mapping fate -> transmitted copies that both runtimes use:
-    // dropped beats duplicated, duplication transmits exactly one extra.
-    let clean = LinkFate::CLEAN;
-    assert_eq!(copies(&clean), 1);
-    let dropped = LinkFate {
-        dropped: true,
-        ..LinkFate::CLEAN
-    };
-    assert_eq!(copies(&dropped), 0);
-    let dup = LinkFate {
-        duplicate: Some(0.5),
-        ..LinkFate::CLEAN
-    };
-    assert_eq!(copies(&dup), 2);
-    let both = LinkFate {
-        dropped: true,
-        duplicate: Some(0.5),
-        ..LinkFate::CLEAN
-    };
-    assert_eq!(copies(&both), 0, "a dropped copy is never duplicated");
-
-    // And the interpretation over a real stream is deterministic.
-    let plan = busy_plan(11);
-    let seq = send_sequence(6, 20);
-    let a: Vec<usize> = fates(&WallFaults::new(plan.clone(), 11), &seq)
-        .iter()
-        .map(copies)
-        .collect();
-    let b: Vec<usize> = fates(&WallFaults::new(plan, 11), &seq)
-        .iter()
-        .map(copies)
-        .collect();
-    assert_eq!(a, b);
-}
-
-#[test]
 fn total_drop_plan_drops_everything() {
     let plan = FaultPlan::none()
         .with_drop(ProcessId(0), ProcessId(1), 1.0)
@@ -140,13 +91,4 @@ fn total_drop_plan_drops_everything() {
         let clean = faults.fate(ProcessId(2), ProcessId(3));
         assert!(!clean.dropped && clean.duplicate.is_none());
     }
-}
-
-#[test]
-fn plan_inspection_matches_input() {
-    let at = SimTime::from_nanos(5);
-    let plan = FaultPlan::none().with_crash(at, ProcessId(2));
-    let faults = WallFaults::new(plan, 0);
-    let crashes = faults.with_plan(|p| p.crashes.clone());
-    assert_eq!(crashes, vec![(at, ProcessId(2))]);
 }

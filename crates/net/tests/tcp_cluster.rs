@@ -1,11 +1,11 @@
-//! In-process smoke of the TCP runtime: several `TcpNode`s in one test
-//! process, talking over real localhost sockets. The multi-*process*
-//! version (spawned peers, `kill -9` chaos) lives in the harness crate,
-//! which owns the `peer` binary; this tier proves the socket plumbing —
-//! framing, dial/redial, cast/ack, service requests — with no process
-//! management in the way. The second half drives one node's read/write
-//! state machine directly, with raw sockets standing in for clients and
-//! peers, so each case controls exactly which bytes arrive when.
+//! The TCP runtime's socket plumbing, over real localhost sockets in one
+//! test process: framing, dial/redial, cast/ack, service requests. (The
+//! protocol-level cases on the in-process host are in `cluster.rs`; the
+//! multi-*process* version — spawned peers, `kill -9` chaos — lives in the
+//! harness crate, which owns the `peer` binary.) The second half drives
+//! one node's read/write state machine directly, with raw sockets standing
+//! in for clients and peers, so each case controls exactly which bytes
+//! arrive when; it ends with the fault path, under probability-1 rules.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -13,150 +13,80 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wamcast_core::{GenuineMulticast, MulticastConfig, RoundBroadcast};
 use wamcast_net::tcp::{
-    self, null_service, read_frame, write_frame, Frame, NoMsg, Service, SharedDeliveries,
-    TcpClient, TcpNode, TcpNodeConfig, MAX_FRAME,
+    self, free_addrs, null_service, read_frame, write_frame, Frame, LocalCluster, NoMsg, Service,
+    SharedDeliveries, TcpClient, TcpNode, TcpNodeConfig, MAX_FRAME,
 };
-use wamcast_types::wire;
+use wamcast_net::WallFaults;
+use wamcast_types::wire::{self, Wire};
 use wamcast_types::{
-    AppMessage, Context, GroupSet, MessageId, Outbox, Payload, ProcessId, Protocol, Topology,
+    AppMessage, Context, FaultPlan, GroupId, GroupSet, MessageId, Outbox, Payload, ProcessId,
+    Protocol, SimTime, Topology,
 };
 
-/// Reserves `n` distinct localhost ports by binding and dropping.
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let holds: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    holds
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect()
-}
-
-fn spawn_a2_cluster(
-    k: usize,
-    d: usize,
-    arm: u8,
-) -> (Vec<TcpNode>, Vec<SharedDeliveries>, Vec<SocketAddr>) {
-    let topo = Arc::new(Topology::symmetric(k, d));
-    let addrs = free_addrs(topo.num_processes());
-    let mut nodes = Vec::new();
-    let mut logs = Vec::new();
-    for p in topo.processes() {
-        let delivered: SharedDeliveries = Arc::new(Mutex::new(Vec::new()));
-        let node = tcp::serve(
-            TcpNodeConfig {
-                me: p,
-                topo: Arc::clone(&topo),
-                addrs: addrs.clone(),
-                arm,
-                faults: None,
-                trace: None,
-            },
-            RoundBroadcast::new(p, &topo).with_retry(Duration::from_millis(100)),
-            Arc::clone(&delivered),
-            null_service(),
-        )
-        .expect("serve");
-        logs.push(delivered);
-        nodes.push(node);
-    }
-    (nodes, logs, addrs)
-}
-
-fn await_all(logs: &[SharedDeliveries], want: usize, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if logs.iter().all(|l| l.lock().unwrap().len() >= want) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
+const RETRY: Duration = Duration::from_millis(100);
 
 #[test]
 fn broadcast_total_order_over_sockets() {
-    let (nodes, logs, addrs) = spawn_a2_cluster(2, 2, 7);
-    let mut client = TcpClient::new(addrs[0], 7, Duration::from_secs(5));
+    let cluster = LocalCluster::serve(Topology::symmetric(2, 2), 7, None, |p, t| {
+        RoundBroadcast::new(p, t).with_retry(RETRY)
+    })
+    .expect("serve");
+    // An outside client with its own sequence numbers: the host casts none.
+    let mut client = TcpClient::new(cluster.addrs()[0], 7, Duration::from_secs(5));
     let all = GroupSet::first_n(2);
     let n_msgs = 20u64;
     for seq in 0..n_msgs {
         let id = client
             .cast(seq, all, Payload::from(vec![seq as u8]))
             .expect("cast");
-        assert_eq!(id.origin, ProcessId(0));
-        assert_eq!(id.seq, seq);
+        assert_eq!(id, MessageId::new(ProcessId(0), seq));
     }
-    assert!(
-        await_all(&logs, n_msgs as usize, Duration::from_secs(30)),
-        "not all nodes delivered {n_msgs} messages: {:?}",
-        logs.iter()
-            .map(|l| l.lock().unwrap().len())
-            .collect::<Vec<_>>()
-    );
+    for seq in 0..n_msgs {
+        cluster
+            .await_delivery_everywhere(MessageId::new(ProcessId(0), seq), Duration::from_secs(30))
+            .expect("every node delivered every message");
+    }
     // Total order: every node delivered the identical sequence.
-    let first: Vec<AppMessage> = logs[0].lock().unwrap().clone();
-    for log in &logs[1..] {
-        assert_eq!(&*log.lock().unwrap(), &first, "delivery orders diverged");
+    let first = cluster.delivered(ProcessId(0));
+    assert_eq!(first.len(), n_msgs as usize);
+    for p in cluster.topology().processes() {
+        assert_eq!(cluster.delivered(p), first, "delivery orders diverged");
     }
-    for node in nodes {
-        node.shutdown();
-    }
+    cluster.shutdown();
 }
 
 #[test]
 fn genuine_multicast_over_sockets_routes_by_group() {
-    let topo = Arc::new(Topology::symmetric(2, 2));
-    let addrs = free_addrs(topo.num_processes());
-    let arm = 3;
-    let mut nodes = Vec::new();
-    let mut logs = Vec::new();
-    for p in topo.processes() {
-        let delivered: SharedDeliveries = Arc::new(Mutex::new(Vec::new()));
-        let node = tcp::serve(
-            TcpNodeConfig {
-                me: p,
-                topo: Arc::clone(&topo),
-                addrs: addrs.clone(),
-                arm,
-                faults: None,
-                trace: None,
-            },
-            GenuineMulticast::new(
-                p,
-                &topo,
-                MulticastConfig::default().with_retry(Duration::from_millis(100)),
-            ),
-            Arc::clone(&delivered),
-            null_service(),
-        )
-        .expect("serve");
-        logs.push(delivered);
-        nodes.push(node);
-    }
+    let mut cluster = LocalCluster::serve(Topology::symmetric(2, 2), 3, None, |p, t| {
+        GenuineMulticast::new(p, t, MulticastConfig::default().with_retry(RETRY))
+    })
+    .expect("serve");
     // Group-0-only cast from a group-0 member: genuineness says group 1
     // must stay silent.
-    let mut client = TcpClient::new(addrs[0], arm, Duration::from_secs(5));
-    let g0 = GroupSet::first_n(1);
-    client
-        .cast(0, g0, Payload::from_static(b"local"))
+    let id = cluster
+        .cast(
+            ProcessId(0),
+            GroupSet::first_n(1),
+            Payload::from_static(b"local"),
+        )
         .expect("cast");
-    assert!(
-        await_all(&logs[..2], 1, Duration::from_secs(30)),
-        "group 0 did not deliver"
-    );
+    cluster
+        .await_delivery_everywhere(id, Duration::from_secs(30))
+        .expect("group 0 delivered");
     std::thread::sleep(Duration::from_millis(200));
-    assert!(logs[2].lock().unwrap().is_empty(), "genuineness violated");
-    assert!(logs[3].lock().unwrap().is_empty(), "genuineness violated");
-    for node in nodes {
-        node.shutdown();
+    for bystander in [ProcessId(2), ProcessId(3)] {
+        assert!(
+            cluster.delivered(bystander).is_empty(),
+            "genuineness violated"
+        );
     }
+    cluster.shutdown();
 }
 
 #[test]
 fn service_requests_answered_on_node_thread() {
     let topo = Arc::new(Topology::symmetric(1, 1));
-    let addrs = free_addrs(1);
+    let addrs = free_addrs(1).expect("ports");
     let delivered: SharedDeliveries = Arc::new(Mutex::new(Vec::new()));
     let node = tcp::serve(
         TcpNodeConfig {
@@ -186,7 +116,7 @@ fn service_requests_answered_on_node_thread() {
 #[test]
 fn shutdown_frame_ends_wait() {
     let topo = Arc::new(Topology::symmetric(1, 1));
-    let addrs = free_addrs(1);
+    let addrs = free_addrs(1).expect("ports");
     let delivered: SharedDeliveries = Arc::new(Mutex::new(Vec::new()));
     let node = tcp::serve(
         TcpNodeConfig {
@@ -245,10 +175,10 @@ const ARM: u8 = 0x2A;
 fn serve_p0<P>(proto: P, others: &[SocketAddr], service: Service) -> (TcpNode, SocketAddr)
 where
     P: Protocol + Send + 'static,
-    P::Msg: wire::Wire,
+    P::Msg: Wire,
 {
     let topo = Arc::new(Topology::symmetric(1 + others.len(), 1));
-    let mut addrs = free_addrs(1);
+    let mut addrs = free_addrs(1).expect("ports");
     addrs.extend_from_slice(others);
     let node = tcp::serve(
         TcpNodeConfig {
@@ -273,6 +203,11 @@ fn echo_service() -> Service {
 
 /// One length-prefixed, enveloped client frame.
 fn framed(frame: &Frame<NoMsg>) -> Vec<u8> {
+    framed_as(frame)
+}
+
+/// [`framed`] for any frame, peer traffic included.
+fn framed_as<M: Wire>(frame: &Frame<M>) -> Vec<u8> {
     let mut bytes = Vec::new();
     write_frame(&mut bytes, &wire::seal(ARM, frame)).expect("frame fits");
     bytes
@@ -345,6 +280,53 @@ fn oversize_length_claim_closes_that_connection_only() {
 }
 
 #[test]
+fn frames_naming_ids_outside_the_topology_are_refused_and_the_node_keeps_serving() {
+    // A 1x1 topology: the only process is p0, the only group g0.
+    let (node, addr) = serve_p0(Flood, &[], echo_service());
+    let hostile: Vec<Vec<u8>> = vec![
+        framed(&Frame::Cast {
+            seq: 1,
+            dest: GroupSet::singleton(GroupId(5)),
+            payload: Payload::new(),
+        }),
+        framed(&Frame::Cast {
+            seq: 2,
+            dest: GroupSet::new(),
+            payload: Payload::new(),
+        }),
+        framed(&Frame::CrashNotify { of: ProcessId(9) }),
+        framed_as(&Frame::Peer {
+            from: ProcessId(7),
+            msg: AppMessage::new(
+                MessageId::new(ProcessId(7), 0),
+                GroupSet::first_n(1),
+                Payload::new(),
+            ),
+        }),
+    ];
+    let mut s = raw_client(addr);
+    for bytes in &hostile {
+        s.write_all(bytes).expect("write");
+    }
+    // Frames of one connection are handled in order, so the echo says all
+    // of the above were — and being the first reply, that no cast was acked.
+    s.write_all(&framed(&Frame::Req { body: vec![1] }))
+        .expect("write");
+    assert_eq!(read_reply(&mut s), Frame::Rep { body: vec![1] });
+    assert!(node.delivered().is_empty(), "a refused frame takes no step");
+
+    let mut fresh = TcpClient::new(addr, ARM, Duration::from_secs(5));
+    let id = fresh
+        .cast(3, GroupSet::first_n(1), Payload::from_static(b"valid"))
+        .expect("a fresh connection is accepted and its cast acked");
+    await_that("the valid cast is delivered", || {
+        node.delivered().iter().any(|m| m.id == id)
+    });
+    assert_eq!(node.stats().bad_frame(), hostile.len() as u64);
+    node.shutdown();
+}
+
+#[test]
 fn peer_that_never_reads_fills_the_capped_out_buffer_and_the_node_keeps_serving() {
     // Process 1 is a listener nobody accepts from: the kernel completes the
     // handshake and buffers what it is sent, up to its limits.
@@ -377,7 +359,7 @@ fn peer_that_never_reads_fills_the_capped_out_buffer_and_the_node_keeps_serving(
 #[test]
 fn refusing_peer_does_not_delay_the_cast_ack() {
     // Process 1's address has no listener: every dial is refused.
-    let (node, addr) = serve_p0(Flood, &free_addrs(1), echo_service());
+    let (node, addr) = serve_p0(Flood, &free_addrs(1).expect("ports"), echo_service());
     let mut client = TcpClient::new(addr, ARM, Duration::from_secs(5));
     client.request(vec![0]).expect("client connected");
     let t = Instant::now();
@@ -429,6 +411,40 @@ fn cast_ack_is_readable_before_any_remote_replica_sees_the_cast() {
     });
     assert_eq!(&ack[..n], &expected[..], "ack not in the socket yet");
     node.shutdown();
+}
+
+#[test]
+fn adversary_fates_map_to_copies_on_the_send_path() {
+    // Probability-1 rules make every fate certain: p0 -> p1 always drops,
+    // every surviving copy is duplicated. This pins, on the node's real
+    // send path, what a fate means in frames: dropped = 0 copies (and a
+    // dropped copy is never duplicated), duplicated = 2, and a
+    // self-addressed send is a hand-off the adversary never sees = 1.
+    let (p0, p1, p2) = (ProcessId(0), ProcessId(1), ProcessId(2));
+    let plan = FaultPlan::none().with_drop(p0, p1, 1.0).with_duplication(
+        1.0,
+        SimTime::ZERO,
+        SimTime::from_millis(3_600_000),
+    );
+    let faults = Arc::new(WallFaults::new(plan, 1));
+    let mut cluster =
+        LocalCluster::serve(Topology::symmetric(3, 1), ARM, Some(faults), |_, _| Flood)
+            .expect("serve");
+    let everyone = cluster.topology().all_groups();
+    let ids_at = |cluster: &LocalCluster, p| -> Vec<MessageId> {
+        cluster.delivered(p).iter().map(|m| m.id).collect()
+    };
+
+    let a = cluster.cast(p0, everyone, Payload::new()).expect("cast");
+    await_that("p2 has both copies of a", || ids_at(&cluster, p2) == [a, a]);
+    let b = cluster.cast(p1, everyone, Payload::new()).expect("cast");
+    await_that("p0 and p2 have both copies of b", || {
+        ids_at(&cluster, p0) == [a, b, b] && ids_at(&cluster, p2) == [a, a, b, b]
+    });
+    // p0 queues its copy for p1 before the one for p2 and p2 has long had
+    // both of its: had a copy of a been sent to p1, it would be here.
+    assert_eq!(ids_at(&cluster, p1), [b], "p0 -> p1 drops; self-send once");
+    cluster.shutdown();
 }
 
 /// Test protocol: re-arms a 1.5 ms timer `rounds` times, noting when each

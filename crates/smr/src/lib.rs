@@ -29,7 +29,7 @@
 //! The closed-loop client driver lives in `wamcast-harness` (`smr`
 //! module / the `smr_kv` binary), which runs this service on both the
 //! deterministic simulator (including under `FaultPlan` adversaries) and
-//! the threaded `wamcast-net` cluster.
+//! the `wamcast-net` TCP runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,8 +20,8 @@
 //!
 //! Both runtimes consume the same adversary: the discrete-event simulator
 //! applies fates at delivery-scheduling time (virtual time), and the
-//! threaded runtime (`wamcast-net`) applies them at channel-send time
-//! (wall-clock offsets). A simulated run therefore stays a pure function of
+//! socket runtime (`wamcast-net`) applies them at send time (wall-clock
+//! offsets). A simulated run therefore stays a pure function of
 //! `(topology, config, workload, seed)` — every fuzzed failure reproduces
 //! bit-for-bit from its seed and [`FaultPlan::fingerprint`].
 //!

@@ -3,8 +3,8 @@
 //! Every algorithm in this workspace — the paper's A1 and A2, their
 //! substrates (consensus, reliable multicast) and all baselines — is written
 //! as a pure state machine implementing [`Protocol`]. A host runtime (the
-//! deterministic simulator in `wamcast-sim`, or the threaded in-process
-//! cluster in `wamcast-net`) feeds it events and executes the [`Action`]s it
+//! deterministic simulator in `wamcast-sim`, or the TCP runtime in
+//! `wamcast-net`) feeds it events and executes the [`Action`]s it
 //! emits. Protocol code contains no I/O, no clocks, no threads and no
 //! randomness, which gives us:
 //!

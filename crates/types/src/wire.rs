@@ -1,11 +1,10 @@
 //! Dependency-free wire codec: the byte format protocol messages use to
 //! cross process boundaries.
 //!
-//! Everything before this module ran in one address space — the simulator
-//! hands `Arc<M>` around and the threaded runtime ships clones through mpsc
-//! channels — so no message had ever been serialized. The TCP runtime in
-//! `wamcast-net` needs real bytes, and the workspace builds offline with no
-//! external dependencies, so the codec is hand-rolled: a tiny writer/reader
+//! The simulator runs in one address space and hands `Arc<M>` around, so
+//! it never serializes a message. The TCP runtime in `wamcast-net` needs
+//! real bytes, and the workspace builds offline with no external
+//! dependencies, so the codec is hand-rolled: a tiny writer/reader
 //! pair ([`WireWriter`] / [`WireReader`]), a [`Wire`] trait implemented by
 //! every protocol message, and a versioned envelope ([`seal`] / [`open`])
 //! that frames each datagram with `magic, version, arm-id` so peers reject

@@ -23,7 +23,7 @@
 //! | [`rmcast`] | non-uniform and uniform reliable multicast |
 //! | [`core`] | **the paper's algorithms**: A1, A2, and the non-genuine reduction — each with the consensus-amortizing batching layer (`DESIGN.md` §"Batching layer") |
 //! | [`baselines`] | Skeen, Fritzke \[5\], ring \[4\], Rodrigues \[10\], optimistic \[12\], sequencer \[13\], deterministic merge \[1\] |
-//! | [`net`] | threaded in-process runtime (same protocol cores, real threads, real flush timers) |
+//! | [`net`] | the TCP runtime (same protocol cores, real sockets, real flush timers): one `poll`-driven node per process, as OS processes or as an in-process loopback cluster |
 //! | [`smr`] | the service layer: a partitioned, replicated KV store routed by genuine multicast, with a history-based consistency checker (`DESIGN.md` §7) |
 //! | [`harness`] | the experiment harness regenerating Figure 1, the theorem runs, the E9 batching throughput sweep, and the E11 closed-loop KV driver |
 //!
