@@ -1,12 +1,14 @@
 //! Heartbeat eventually-perfect failure detector.
 //!
-//! The simulator injects crash notifications directly (its ◇P oracle), so
-//! protocols running under `wamcast-sim` do not need this module. The
-//! threaded runtime (`wamcast-net`) has no oracle; it drives this detector
-//! from periodic heartbeats instead. The detector is sans-io: the host calls
-//! [`on_heartbeat`](HeartbeatFd::on_heartbeat) when a heartbeat arrives and
-//! [`on_tick`](HeartbeatFd::on_tick) on its own schedule, and reacts to the
-//! returned [`FdEvent`]s (typically by feeding
+//! **No runtime drives this detector yet**: it has no caller outside its
+//! own tests. The simulator injects crash notifications directly (its ◇P
+//! oracle), and a socket node (`wamcast-net`) learns of a crash only when
+//! some outside party sends it a `Frame::CrashNotify` — nothing does after
+//! a `kill -9`. Whether the socket runtime gets wired to this module or the
+//! module is deleted is an open ROADMAP item. The detector is sans-io: a
+//! host would call [`on_heartbeat`](HeartbeatFd::on_heartbeat) when a
+//! heartbeat arrives and [`on_tick`](HeartbeatFd::on_tick) on its own
+//! schedule, and react to the returned [`FdEvent`]s (typically by feeding
 //! [`GroupConsensus::on_suspect`](crate::GroupConsensus::on_suspect)).
 
 use std::collections::{BTreeMap, BTreeSet};

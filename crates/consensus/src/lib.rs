@@ -22,9 +22,9 @@
 //!   in `DESIGN.md` (the accumulation half lives in `wamcast-core`,
 //!   governed by `wamcast_types::BatchConfig`).
 //! * [`HeartbeatFd`] — an eventually-perfect failure detector built from
-//!   heartbeats, used by the threaded runtime (`wamcast-net`). Under the
-//!   simulator, protocols instead receive crash notifications from the
-//!   simulator's ◇P oracle and feed them to
+//!   heartbeats. No runtime drives it yet (see its module docs): protocols
+//!   receive crash notifications from the simulator's ◇P oracle, or from a
+//!   `CrashNotify` frame on sockets, and feed them to
 //!   [`GroupConsensus::on_suspect`].
 //!
 //! Liveness requires a majority of each group to be correct, which is the

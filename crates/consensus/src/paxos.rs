@@ -18,7 +18,7 @@
 //!   value was proposed by some process.
 //! * **Recovery.** When the coordinator is suspected (via
 //!   [`on_suspect`](GroupConsensus::on_suspect), fed by the simulator's ◇P
-//!   oracle or by [`HeartbeatFd`](crate::HeartbeatFd)), the next
+//!   oracle or, on sockets, by a `CrashNotify` frame), the next
 //!   non-suspected member runs classic prepare/promise with a higher ballot,
 //!   adopting the highest accepted value among a majority of promises.
 //! * **Catch-up.** A process receiving traffic for an instance it already
@@ -474,9 +474,9 @@ impl<V: Value> GroupConsensus<V> {
         }
     }
 
-    /// Feeds a suspicion (from the host's failure-detector oracle or a
-    /// [`HeartbeatFd`](crate::HeartbeatFd)). May trigger coordinator
-    /// takeover and re-forwarding of pending proposals.
+    /// Feeds a suspicion (from the host's failure-detector oracle: the
+    /// simulator's ◇P, a `CrashNotify` frame on sockets). May trigger
+    /// coordinator takeover and re-forwarding of pending proposals.
     pub fn on_suspect(&mut self, suspect: ProcessId, sink: &mut MsgSink<V>) {
         if !self.members.contains(&suspect) || !self.suspected.insert(suspect) {
             return;

@@ -13,9 +13,10 @@
 //! measurement — latency *degrees* are a logical-clock notion only the
 //! simulator computes. A crash is [`tcp::LocalCluster::crash`] in process
 //! or `kill -9` across processes; crash *notifications* are sent to the
-//! survivors as [`tcp::Frame::CrashNotify`], standing in for
-//! `wamcast_consensus::HeartbeatFd`. Replayable crash *schedules* are the
-//! simulator's job.
+//! survivors as [`tcp::Frame::CrashNotify`] by whoever crashed it — this
+//! runtime has no failure detector of its own
+//! (`wamcast_consensus::HeartbeatFd` is not wired to it). Replayable crash
+//! *schedules* are the simulator's job.
 //!
 //! [`Context::now`]: wamcast_types::Context::now
 //!

@@ -81,3 +81,11 @@ pub use runtime::{LastEvent, RunError, SimConfig, Simulation};
 // `wamcast-types` (so `wamcast-net` can share the same adversary); they are
 // re-exported here because the simulator is their primary consumer.
 pub use wamcast_types::{FaultConfig, FaultInjector, FaultPlan, FaultWindow, LinkFate, SplitMix64};
+
+/// Fisher–Yates, for the unit tests that need a seeded permutation.
+#[cfg(test)]
+pub(crate) fn shuffle<T>(v: &mut [T], rng: &mut SplitMix64) {
+    for i in (1..v.len()).rev() {
+        v.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+}

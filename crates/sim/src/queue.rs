@@ -1,36 +1,57 @@
 //! The two-level calendar/bucket event queue.
 //!
-//! The engine's previous queue was a flat `BinaryHeap<Ev>`: every push and
-//! pop paid an `O(log n)` sift moving whole event structs, even though
-//! discrete-event workloads here are extremely *time-collided* — a
+//! Discrete-event workloads here are extremely *time-collided* — a
 //! consensus round schedules dozens of arrivals at the identical instant
-//! (constant link models), and they all pop together. [`BucketQueue`]
-//! exploits that: level one is a time-ordered index over level-two
-//! *buckets*, one `Vec` of events per distinct instant.
+//! (constant link models), and they all pop together — so a flat
+//! `BinaryHeap` of events pays an `O(log n)` sift of whole event structs
+//! for what is mostly appending to a list. [`BucketQueue`] exploits the
+//! collisions: level one is a time-ordered index over level-two *buckets*,
+//! one `Vec` of events per distinct instant.
 //!
-//! The index is a vector of `(instant, bucket)` pairs sorted by instant
-//! **descending**, so the earliest bucket is popped from the back in
-//! `O(1)`, plus two caches: the earliest bucket lives outside the index
-//! entirely (`cur`), and the last-touched index slot is remembered
-//! (`hint`). The hint pays off because schedule bursts collide: a fan-out
-//! of d copies over one link class lands on one future instant, so one
-//! binary search covers d pushes. Measured on the `3x3 a1-batched` probe,
-//! ~80% of pushes append to an existing bucket.
+//! The buckets of future instants live in a slab (`slots`, with a free
+//! list). The index over them is a min-heap of the queued instants
+//! (`order`: which bucket is next) and a hash map from instant to slab
+//! slot (`slot_of`: where an instant's bucket is; looked up by key only,
+//! never iterated). Filing a new instant costs `O(log n)` in the number of
+//! queued instants *wherever it falls* — `O(1)` after every queued instant
+//! (a driver loading its plan with time-ascending `cast_at` calls), a
+//! sift before all of them or in between — and refilling the front is one
+//! heap pop; neither allocates per instant. Until PR 22 the index was a
+//! `Vec` sorted by instant descending, so that the refill was a `pop()`;
+//! a plan loaded in ascending order then inserted every new instant at
+//! position 0 and moved every bucket already queued, `Θ(n²)` for n casts
+//! — 0.5 s for 40 000, more than the run they preceded. Two caches keep
+//! the index off the hot path: the earliest bucket lives outside it
+//! entirely (`cur`), and the last-touched future bucket is remembered as
+//! `(instant, slot)` (`hint`). The hint pays off because schedule bursts
+//! collide: a fan-out of d copies over one link class lands on one future
+//! instant, so one map lookup covers d pushes. Measured on the `3x3
+//! a1-batched` probe, ~80% of pushes append to an existing bucket.
+//!
+//! A bucket's allocation leaves its slot when the bucket becomes the
+//! front, and drained fronts are recycled through a pool of at most
+//! `SPARE_CAP`: a plan of n instants holds n small buckets while it is
+//! queued, not n grown ones forever after.
 //!
 //! # Determinism
 //!
-//! Pop order is total and identical to the old heap's: earliest `at`
-//! first, ties broken **LIFO** (largest insertion `seq` first). The heap
-//! got LIFO from its `(at asc, seq desc)` comparator; the bucket gets it
-//! structurally — events of one instant are appended in ascending `seq`
-//! order (the engine's `seq` counter is monotone) and popped from the
-//! back. An event scheduled *at the current instant while it is being
-//! drained* is pushed onto the live bucket's back and pops next, exactly
-//! as a fresh heap maximum would. The engine-swap regression corpus
-//! (`wamcast-harness/tests/engine_determinism.rs`) pins this bit-for-bit
-//! against pre-swap golden fingerprints, and the property tests below
-//! check the order against a model on random interleavings.
+//! Pop order is total and identical to a heap ordered by `(at asc, seq
+//! desc)`: earliest `at` first, ties broken **LIFO** (largest insertion
+//! `seq` first). The bucket gets LIFO structurally — events of one instant
+//! are appended in ascending `seq` order (the engine's `seq` counter is
+//! monotone) and popped from the back. An event scheduled *at the current
+//! instant while it is being drained* is pushed onto the live bucket's
+//! back and pops next, exactly as a fresh heap maximum would. Queued
+//! instants are distinct, so `order` has no ties to break, and nothing
+//! depends on slot numbers or on the map's internal order. The engine-swap
+//! regression corpus (`wamcast-harness/tests/engine_determinism.rs`) pins
+//! this bit-for-bit against golden fingerprints, and the property tests
+//! below check the order against a model on random interleavings.
 
+use std::cmp::Reverse;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BinaryHeap;
+use std::hash::{BuildHasherDefault, Hasher};
 use wamcast_types::SimTime;
 
 /// Max spare bucket allocations kept for reuse. Buckets churn once per
@@ -38,29 +59,68 @@ use wamcast_types::SimTime;
 /// allocation-free without hoarding memory after a burst.
 const SPARE_CAP: usize = 32;
 
+/// The events of one instant, ascending `seq`; popped from the back.
+type Bucket<T> = Vec<(u64, T)>;
+
+/// Hasher for `slot_of`'s keys: nanosecond counts chosen by the run, not
+/// by an outside party, so one multiply replaces SipHash on a path taken
+/// once per distinct instant. Instants are mostly multiples of a link
+/// delay — their low bits are equal — and a product's low bits depend on
+/// the factor's low bits only, so `finish` folds the high half down: the
+/// table takes its bucket from the low bits.
+#[derive(Default)]
+struct InstantHasher(u64);
+
+impl Hasher for InstantHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// A monotone-time priority queue of `(SimTime, seq, T)` entries; see the
 /// [module docs](self) for the structure and the ordering contract.
 ///
 /// `seq` values must be unique and assigned in increasing order by the
 /// caller (the engine's global event counter); `push` accepts any `at`,
 /// including instants earlier than the cached front bucket (an external
-/// `cast_at` between run calls), at the cost of one index insertion.
+/// `cast_at` between run calls). A push to an instant not yet queued
+/// costs `O(log n)` in the number of queued instants, whatever the order
+/// instants arrive in; a push to the front or the last-touched instant is
+/// `O(1)`.
 #[derive(Debug)]
 pub struct BucketQueue<T> {
     /// Instant of the cached earliest bucket. Meaningful iff `cur` is
     /// non-empty or the queue is empty (invariant: `cur` is non-empty
-    /// whenever `later` is).
+    /// whenever `order` is).
     cur_at: SimTime,
-    /// The earliest bucket, ascending `seq`; popped from the back.
-    cur: Vec<(u64, T)>,
-    /// Buckets at instants strictly after `cur_at`, sorted by instant
-    /// descending (earliest last, so refills pop from the back).
-    later: Vec<(SimTime, Vec<(u64, T)>)>,
-    /// Index into `later` of the last-touched bucket. Verified by instant
-    /// before use, so a stale hint is a miss, never a wrong append.
-    hint: usize,
+    /// The earliest bucket.
+    cur: Bucket<T>,
+    /// Every instant strictly after `cur_at` that has events, earliest on
+    /// top. Holds exactly the keys of `slot_of`.
+    order: BinaryHeap<Reverse<SimTime>>,
+    /// The slot of `slots` holding each instant of `order`.
+    slot_of: HashMap<SimTime, usize, BuildHasherDefault<InstantHasher>>,
+    /// Bucket storage. A slot named by `slot_of` holds that instant's
+    /// (non-empty) bucket; a slot listed in `free` holds an unallocated
+    /// empty one.
+    slots: Vec<Bucket<T>>,
+    /// Slots of `slots` not named by `slot_of`.
+    free: Vec<usize>,
+    /// The last-touched entry of `slot_of`, cleared when that entry is
+    /// removed — so a hint that matches by instant names the right slot.
+    hint: Option<(SimTime, usize)>,
     /// Emptied bucket allocations kept for reuse.
-    spare: Vec<Vec<(u64, T)>>,
+    spare: Vec<Bucket<T>>,
     len: usize,
 }
 
@@ -76,8 +136,11 @@ impl<T> BucketQueue<T> {
         BucketQueue {
             cur_at: SimTime::ZERO,
             cur: Vec::new(),
-            later: Vec::new(),
-            hint: 0,
+            order: BinaryHeap::new(),
+            slot_of: HashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            hint: None,
             spare: Vec::new(),
             len: 0,
         }
@@ -95,20 +158,29 @@ impl<T> BucketQueue<T> {
         self.len == 0
     }
 
-    /// A recycled (or fresh) empty bucket.
-    fn fresh_bucket(&mut self) -> Vec<(u64, T)> {
-        let mut v = self.spare.pop().unwrap_or_default();
-        v.clear();
-        v
+    /// Puts `bucket` into a free slot of `slots`, returning the slot.
+    /// Takes the two fields rather than `&mut self` so that it can run
+    /// while a `slot_of` entry is borrowed.
+    fn store(slots: &mut Vec<Bucket<T>>, free: &mut Vec<usize>, bucket: Bucket<T>) -> usize {
+        match free.pop() {
+            Some(slot) => {
+                slots[slot] = bucket;
+                slot
+            }
+            None => {
+                slots.push(bucket);
+                slots.len() - 1
+            }
+        }
     }
 
     /// Enqueues `item` at instant `at` with insertion number `seq`.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         self.len += 1;
         if self.cur.is_empty() {
-            // Queue was empty (the cur-nonempty invariant says `later` is
+            // Queue was empty (the cur-nonempty invariant says `order` is
             // too): start the front bucket here.
-            debug_assert!(self.later.is_empty());
+            debug_assert!(self.order.is_empty());
             self.cur_at = at;
             self.cur.push((seq, item));
         } else if at == self.cur_at {
@@ -119,42 +191,38 @@ impl<T> BucketQueue<T> {
         } else {
             // `at < cur_at`: an external push (cast_at / crash_at between
             // run calls) before the cached front. Re-file the front bucket
-            // — its instant is strictly below every `later` instant, so it
-            // goes to the very end of the descending index — and start a
-            // fresh front here.
-            let fresh = self.fresh_bucket();
+            // under its instant and start a fresh front here.
+            let fresh = self.spare.pop().unwrap_or_default();
             let old = std::mem::replace(&mut self.cur, fresh);
-            self.later.push((self.cur_at, old));
+            let slot = Self::store(&mut self.slots, &mut self.free, old);
+            self.slot_of.insert(self.cur_at, slot);
+            self.order.push(Reverse(self.cur_at));
             self.cur_at = at;
             self.cur.push((seq, item));
         }
     }
 
-    /// Push into the descending future index: hint first, then binary
-    /// search, inserting a new bucket on miss.
+    /// Push into a future bucket: hint first, then the index, filing a new
+    /// bucket on miss.
     fn push_later(&mut self, at: SimTime, seq: u64, item: T) {
-        if let Some(slot) = self.later.get_mut(self.hint) {
-            if slot.0 == at {
-                debug_assert!(slot.1.last().map_or(true, |&(s, _)| s < seq));
-                slot.1.push((seq, item));
-                return;
+        let slot = match self.hint {
+            Some((t, slot)) if t == at => slot,
+            _ => {
+                let slot = match self.slot_of.entry(at) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        self.order.push(Reverse(at));
+                        let fresh = self.spare.pop().unwrap_or_default();
+                        *e.insert(Self::store(&mut self.slots, &mut self.free, fresh))
+                    }
+                };
+                self.hint = Some((at, slot));
+                slot
             }
-        }
-        // Descending order: an element sorts before the target position
-        // while its instant is larger, so compare reversed.
-        match self.later.binary_search_by(|probe| at.cmp(&probe.0)) {
-            Ok(i) => {
-                debug_assert!(self.later[i].1.last().map_or(true, |&(s, _)| s < seq));
-                self.later[i].1.push((seq, item));
-                self.hint = i;
-            }
-            Err(i) => {
-                let mut bucket = self.fresh_bucket();
-                bucket.push((seq, item));
-                self.later.insert(i, (at, bucket));
-                self.hint = i;
-            }
-        }
+        };
+        let bucket = &mut self.slots[slot];
+        debug_assert!(bucket.last().map_or(true, |&(s, _)| s < seq));
+        bucket.push((seq, item));
     }
 
     /// The next event to pop: `(at, seq, &item)`.
@@ -170,7 +238,15 @@ impl<T> BucketQueue<T> {
         let at = self.cur_at;
         self.len -= 1;
         if self.cur.is_empty() {
-            if let Some((t, bucket)) = self.later.pop() {
+            if let Some(Reverse(t)) = self.order.pop() {
+                let slot = self.slot_of.remove(&t).expect("order and slot_of agree");
+                // The bucket takes its allocation with it: the freed slot
+                // keeps none.
+                let bucket = std::mem::take(&mut self.slots[slot]);
+                self.free.push(slot);
+                if self.hint.is_some_and(|(h, _)| h == t) {
+                    self.hint = None;
+                }
                 let drained = std::mem::replace(&mut self.cur, bucket);
                 if self.spare.len() < SPARE_CAP {
                     self.spare.push(drained);
@@ -185,7 +261,7 @@ impl<T> BucketQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SplitMix64;
+    use crate::{shuffle, SplitMix64};
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -263,54 +339,105 @@ mod tests {
         }
     }
 
-    /// Model check: against a sorted-by-`(at, Reverse(seq))` reference on
-    /// random interleavings of pushes and pops.
+    /// Model check against an ordered set of `(at, Reverse(seq))` on a
+    /// random interleaving of pushes and pops, after `preload` far-future
+    /// instants (shuffled) were queued. Pushes never precede the last
+    /// popped instant (the engine never schedules in the past) but do land
+    /// before the cached front, between queued instants and on them.
+    fn check_against_model(seed: u64, preload: u64, ops: usize) {
+        use std::cmp::Reverse;
+        use std::collections::BTreeSet;
+        let mut rng = SplitMix64::new(seed);
+        let mut q = BucketQueue::new();
+        let mut model: BTreeSet<(SimTime, Reverse<u64>)> = BTreeSet::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut BucketQueue<u64>, model: &mut BTreeSet<_>, at: SimTime| {
+            q.push(at, seq, seq);
+            model.insert((at, Reverse(seq)));
+            seq += 1;
+        };
+        // The plan: one instant per 3 ms from 50 ms on, in random order.
+        let mut plan: Vec<u64> = (0..preload).map(|i| 50 + 3 * i).collect();
+        shuffle(&mut plan, &mut rng);
+        for t in plan {
+            push(&mut q, &mut model, ms(t));
+        }
+        let mut horizon = SimTime::ZERO; // pops only move time forward
+        for _ in 0..ops {
+            if rng.next_below(3) < 2 || model.is_empty() {
+                // Mostly within 4 ms of the last pop (the engine's shape);
+                // with a plan queued, sometimes anywhere inside it.
+                let ahead = if preload > 0 && rng.next_below(4) == 0 {
+                    rng.next_below(3 * preload)
+                } else {
+                    rng.next_below(5)
+                };
+                let at = SimTime::from_nanos(horizon.as_nanos() + ahead * 1_000_000);
+                push(&mut q, &mut model, at);
+            } else {
+                let (at, Reverse(s)) = model.pop_first().expect("non-empty");
+                assert_eq!(q.peek(), Some((at, s, &s)), "seed {seed}");
+                assert_eq!(q.pop(), Some((at, s, s)), "seed {seed}");
+                horizon = at;
+            }
+            assert_eq!(q.len(), model.len());
+        }
+        while let Some((at, Reverse(s))) = model.pop_first() {
+            assert_eq!(q.pop(), Some((at, s, s)), "seed {seed}");
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+    }
+
     #[test]
     fn matches_reference_model_on_random_schedules() {
-        for seed in 0..50u64 {
-            let mut rng = SplitMix64::new(seed);
+        for seed in 0..50 {
+            check_against_model(seed, 0, 400);
+        }
+    }
+
+    /// The same check with a plan queued first: thousands of buckets in the
+    /// index, so filing, the hint and the refill are exercised away from
+    /// the near-empty index the engine's own pushes keep.
+    #[test]
+    fn matches_reference_model_with_a_preloaded_plan() {
+        for seed in 0..10 {
+            check_against_model(seed, 3_000, 6_000);
+        }
+    }
+
+    /// Loading a plan of `N` distinct instants and draining it is
+    /// `O(N log N)` whatever order the instants are pushed in. The bound is
+    /// for a debug build on a busy shared box; an index that shifts its
+    /// entries on insert (the descending `Vec` this queue had until PR 22)
+    /// needs tens of seconds in release for the ascending load alone.
+    #[test]
+    fn plan_length_is_not_quadratic_in_any_push_order() {
+        const N: u64 = 200_000;
+        let ascending: Vec<u64> = (0..N).collect();
+        let descending: Vec<u64> = (0..N).rev().collect();
+        let mut shuffled = ascending.clone();
+        shuffle(&mut shuffled, &mut SplitMix64::new(22));
+        for (order, plan) in [
+            ("ascending", ascending),
+            ("descending", descending),
+            ("shuffled", shuffled),
+        ] {
+            let t0 = std::time::Instant::now();
             let mut q = BucketQueue::new();
-            let mut model: Vec<(SimTime, u64, u64)> = Vec::new(); // (at, seq, item)
-            let mut seq = 0u64;
-            let mut popped = Vec::new();
-            let mut popped_model = Vec::new();
-            let mut horizon = SimTime::ZERO; // pops only move time forward
-            for _ in 0..400 {
-                if rng.next_below(3) < 2 || model.is_empty() {
-                    // Push at an instant ≥ the last popped time (the
-                    // engine never schedules in the past).
-                    let at =
-                        SimTime::from_nanos(horizon.as_nanos() + rng.next_below(5) * 1_000_000);
-                    q.push(at, seq, seq);
-                    model.push((at, seq, seq));
-                    seq += 1;
-                } else {
-                    let got = q.pop().expect("model non-empty");
-                    // Reference: min at, max seq.
-                    let best = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(at, s, _))| (at, std::cmp::Reverse(s)))
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    let want = model.swap_remove(best);
-                    horizon = got.0;
-                    popped.push(got);
-                    popped_model.push(want);
-                }
+            for (seq, &t) in plan.iter().enumerate() {
+                q.push(ms(t), seq as u64, t);
             }
-            while let Some(got) = q.pop() {
-                let best = model
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(at, s, _))| (at, std::cmp::Reverse(s)))
-                    .map(|(i, _)| i)
-                    .unwrap();
-                popped_model.push(model.swap_remove(best));
-                popped.push(got);
+            assert_eq!(q.len() as u64, N);
+            for t in 0..N {
+                assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((ms(t), t)));
             }
-            assert!(model.is_empty());
-            assert_eq!(popped, popped_model, "seed {seed}");
+            assert!(q.is_empty());
+            let took = t0.elapsed();
+            assert!(
+                took < std::time::Duration::from_secs(5),
+                "{order}: {N} instants took {took:?}"
+            );
         }
     }
 

@@ -531,12 +531,10 @@ impl<P: Protocol> Simulation<P> {
     /// drains, or `deadline` passes. Returns `true` iff the delivery
     /// condition was met.
     ///
-    /// The delivery predicate costs O(|msgs|·d), so it is evaluated once
-    /// per 64 dispatched events rather than per event — otherwise large
-    /// workloads spend more time checking than simulating. The run may
-    /// therefore overshoot the exact delivery instant by up to 63 events;
-    /// callers needing exact windows use the recorded per-delivery times in
-    /// [`RunMetrics`].
+    /// The delivery condition is looked at once per 64 dispatched events
+    /// rather than per event. The run may therefore overshoot the exact
+    /// delivery instant by up to 63 events; callers needing exact windows
+    /// use the recorded per-delivery times in [`RunMetrics`].
     ///
     /// # Panics
     ///
@@ -551,6 +549,18 @@ impl<P: Protocol> Simulation<P> {
     /// Fallible form of
     /// [`run_until_delivered`](Self::run_until_delivered).
     ///
+    /// Each 64-event look resumes at a cursor — the first id of `msgs` not
+    /// yet found delivered — instead of rescanning the list, so a wait on
+    /// n ids costs O(n·d) over the whole run, not per look. Skipping the
+    /// ids behind the cursor cannot change an answer: for one message the
+    /// condition is monotone in the run (a dispatched cast stays
+    /// dispatched, delivery records are only ever added, and `alive` only
+    /// loses members, which only removes processes the condition waits
+    /// for), so an id found delivered at one look is delivered at every
+    /// later one. The looks therefore return what
+    /// [`all_delivered`](Self::all_delivered) over the whole list would, at
+    /// the same events, and the run stops at the same step.
+    ///
     /// # Errors
     ///
     /// Returns [`RunError::StepBudgetExhausted`] when `max_steps` handler
@@ -561,6 +571,7 @@ impl<P: Protocol> Simulation<P> {
         deadline: SimTime,
     ) -> Result<bool, RunError> {
         let countdown = std::cell::Cell::new(0u32);
+        let cursor = std::cell::Cell::new(0usize);
         let check = |sim: &Self| {
             let c = countdown.get();
             if c > 0 {
@@ -568,7 +579,10 @@ impl<P: Protocol> Simulation<P> {
                 return true;
             }
             countdown.set(63);
-            !sim.all_delivered(msgs)
+            let from = cursor.get();
+            let done = msgs[from..].iter().take_while(|&&m| sim.delivered(m));
+            cursor.set(from + done.count());
+            cursor.get() < msgs.len()
         };
         self.run_while(deadline, check)?;
         Ok(self.all_delivered(msgs))
@@ -576,16 +590,19 @@ impl<P: Protocol> Simulation<P> {
 
     /// Whether every alive process addressed by each message has delivered it.
     pub fn all_delivered(&self, msgs: &[MessageId]) -> bool {
-        msgs.iter().all(|&m| {
-            let Some(cast) = self.metrics.casts.get(&m) else {
-                // Cast event not yet dispatched.
-                return false;
-            };
-            self.topo
-                .processes_in(cast.dest)
-                .filter(|p| self.alive[p.index()])
-                .all(|p| self.metrics.has_delivered(p, m))
-        })
+        msgs.iter().all(|&m| self.delivered(m))
+    }
+
+    /// Whether every alive process addressed by `m` has delivered it.
+    fn delivered(&self, m: MessageId) -> bool {
+        let Some(cast) = self.metrics.casts.get(&m) else {
+            // Cast event not yet dispatched.
+            return false;
+        };
+        self.topo
+            .processes_in(cast.dest)
+            .filter(|p| self.alive[p.index()])
+            .all(|p| self.metrics.has_delivered(p, m))
     }
 
     /// Core loop: dispatch events while `keep_going(self)` holds and time is
@@ -1015,6 +1032,86 @@ mod tests {
         let ok = sim.run_until_delivered(&[id], SimTime::from_millis(10_000));
         assert!(ok);
         assert!(sim.now() <= SimTime::from_millis(101));
+    }
+
+    /// `try_run_until_delivered` resumes its look at a cursor; the
+    /// reference below rescans the whole list with `all_delivered` on the
+    /// same 64-event cadence. Both must give the same answer at the same
+    /// step — whatever the order of the id list, when an addressed process
+    /// crashes mid-run (the condition stops waiting for it), and when the
+    /// deadline cuts the run short.
+    #[test]
+    fn delivery_cursor_stops_where_a_full_rescan_does() {
+        let build = |crash: bool| {
+            let net = NetConfig::default().with_inter(crate::LatencyModel::Uniform {
+                min: Duration::from_millis(50),
+                max: Duration::from_millis(150),
+            });
+            let cfg = SimConfig::default().with_seed(7).with_net(net);
+            let mut sim = Simulation::new(Topology::symmetric(3, 3), cfg, |_, _| Flood);
+            let all = sim.topology().all_groups();
+            let ids: Vec<MessageId> = (0..300u64)
+                .map(|i| {
+                    let dest = if i % 3 == 0 {
+                        GroupSet::singleton(GroupId((i % 2) as u16))
+                    } else {
+                        all
+                    };
+                    let caster = ProcessId((i % 8) as u32); // never p8
+                    sim.cast_at(SimTime::from_millis(i), caster, dest, Payload::new())
+                })
+                .collect();
+            if crash {
+                // Copies in flight to p8 vanish: for those casts the
+                // condition is met by the crash, not by a delivery.
+                sim.crash_at(SimTime::from_millis(150), ProcessId(8));
+            }
+            (sim, ids)
+        };
+        let rescan = |sim: &mut Simulation<Flood>, msgs: &[MessageId], deadline| {
+            let countdown = std::cell::Cell::new(0u32);
+            sim.run_while(deadline, |sim| {
+                let c = countdown.get();
+                if c > 0 {
+                    countdown.set(c - 1);
+                    return true;
+                }
+                countdown.set(63);
+                !sim.all_delivered(msgs)
+            })
+            .expect("within budget");
+            sim.all_delivered(msgs)
+        };
+        let far = SimTime::from_millis(60_000);
+        let mut stops = Vec::new();
+        for (crash, shuffled, deadline, want) in [
+            (false, false, far, true),
+            (false, true, far, true),
+            (true, false, far, true),
+            (true, true, far, true),
+            (false, true, SimTime::from_millis(200), false),
+        ] {
+            let (mut a, mut ids) = build(crash);
+            let (mut b, _) = build(crash);
+            ids.truncate(200); // the last 100 casts are not waited for
+            if shuffled {
+                crate::shuffle(&mut ids, &mut SplitMix64::new(1));
+            }
+            let got = a.try_run_until_delivered(&ids, deadline).expect("budget");
+            assert_eq!(got, rescan(&mut b, &ids, deadline));
+            assert_eq!(got, want, "crash {crash} shuffled {shuffled}");
+            assert_eq!(a.metrics().steps, b.metrics().steps);
+            assert_eq!(a.now(), b.now());
+            stops.push(a.metrics().steps);
+        }
+        // The wait stops before the run is over, after many looks, and the
+        // order of the id list does not move the stop.
+        let (mut full, _) = build(false);
+        full.run_to_quiescence();
+        assert!(stops[0] < full.metrics().steps);
+        assert!(stops[0] > 64 * 10, "several looks happened");
+        assert_eq!(stops[0], stops[1]);
+        assert_eq!(stops[2], stops[3]);
     }
 
     #[test]

@@ -362,8 +362,9 @@ pub trait Protocol {
 
     /// The host's failure-detector oracle reports that `crashed` has
     /// crashed. In the simulator this models an eventually perfect detector
-    /// with configurable detection delay; `wamcast-net` drives it from
-    /// heartbeat timeouts. Only ever invoked for processes that really
+    /// with configurable detection delay. `wamcast-net` has no detector of
+    /// its own: a socket node invokes this only when it is sent a
+    /// `Frame::CrashNotify`. Only ever invoked for processes that really
     /// crashed (accuracy), eventually invoked at every correct process for
     /// every crashed one (completeness).
     fn on_crash_notification(
