@@ -21,9 +21,9 @@
 //! Clock synchronization: the simulator's virtual time doubles as the
 //! synchronized publisher clock (\[1\] assumes one; see DESIGN.md).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
-use wamcast_types::{AppMessage, Context, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{AppMessage, Context, IdSet, Outbox, ProcessId, Protocol};
 
 /// Wire messages of the deterministic merge.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,7 +58,7 @@ pub struct DeterministicMerge {
     horizon: BTreeMap<ProcessId, u64>,
     /// Per-publisher FIFO queues of messages addressed to us.
     queues: BTreeMap<ProcessId, VecDeque<(u64, AppMessage)>>,
-    delivered: BTreeSet<MessageId>,
+    delivered: IdSet,
 }
 
 impl DeterministicMerge {
@@ -77,7 +77,7 @@ impl DeterministicMerge {
             phase,
             horizon: BTreeMap::new(),
             queues: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            delivered: IdSet::new(),
         }
     }
 
@@ -165,8 +165,7 @@ impl Protocol for DeterministicMerge {
         match msg {
             MergeMsg::Pub { msg, ts } => {
                 self.advance(from, ts);
-                if ctx.topology().addresses(msg.dest, self.me) && !self.delivered.contains(&msg.id)
-                {
+                if ctx.topology().addresses(msg.dest, self.me) && !self.delivered.contains(msg.id) {
                     self.queues.entry(from).or_default().push_back((ts, msg));
                 }
             }

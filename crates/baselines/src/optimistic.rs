@@ -27,9 +27,9 @@
 //! spikes only) and checks it with the broadcast/non-uniform invariant
 //! profile.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
-use wamcast_types::{AppMessage, Context, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol};
 
 /// Wire messages of the optimistic broadcast.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,7 +58,7 @@ pub struct OptimisticBroadcast {
     data: BTreeMap<MessageId, AppMessage>,
     positions: BTreeMap<u64, MessageId>,
     next_deliver: u64,
-    delivered: BTreeSet<MessageId>,
+    delivered: IdSet,
     /// Timer token → message awaiting optimistic delivery.
     timers: BTreeMap<u64, MessageId>,
     next_timer: u64,
@@ -79,7 +79,7 @@ impl OptimisticBroadcast {
             data: BTreeMap::new(),
             positions: BTreeMap::new(),
             next_deliver: 0,
-            delivered: BTreeSet::new(),
+            delivered: IdSet::new(),
             timers: BTreeMap::new(),
             next_timer: 0,
             optimistic: Vec::new(),
@@ -103,7 +103,7 @@ impl OptimisticBroadcast {
 
     fn on_data(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<OptimisticMsg>) {
         let id = m.id;
-        if self.data.contains_key(&id) || self.delivered.contains(&id) {
+        if self.data.contains_key(&id) || self.delivered.contains(id) {
             return;
         }
         self.data.insert(id, m);

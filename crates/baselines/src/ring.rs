@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
-use wamcast_types::{AppMessage, Context, GroupId, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{AppMessage, Context, GroupId, IdSet, MessageId, Outbox, ProcessId, Protocol};
 
 /// Timer token of the retransmission round (retry mode only).
 const RETRY_TIMER: u64 = 0;
@@ -111,10 +111,10 @@ pub struct RingMulticast {
     /// waits for a final acknowledgment before handling other messages").
     blocked_on: Option<MessageId>,
     /// Messages ordered by this group already.
-    ordered: BTreeSet<MessageId>,
+    ordered: IdSet,
     /// Delivery buffer.
     pending: BTreeMap<MessageId, PendingDelivery>,
-    delivered: BTreeSet<MessageId>,
+    delivered: IdSet,
     cons: GroupConsensus<RingStep>,
     buffered_decisions: BTreeMap<u64, RingStep>,
     /// Retransmission interval; `None` (the default) keeps the paper-exact
@@ -147,9 +147,9 @@ impl RingMulticast {
             prop_inst: 0,
             queue: BTreeMap::new(),
             blocked_on: None,
-            ordered: BTreeSet::new(),
+            ordered: IdSet::new(),
             pending: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            delivered: IdSet::new(),
             cons: GroupConsensus::new(me, topo.members(group).to_vec()),
             buffered_decisions: BTreeMap::new(),
             retry: None,
@@ -238,7 +238,7 @@ impl RingMulticast {
 
     fn on_enter(&mut self, msg: AppMessage, ts: u64, ctx: &Context, out: &mut Outbox<RingMsg>) {
         let id = msg.id;
-        if self.ordered.contains(&id) || self.delivered.contains(&id) {
+        if self.ordered.contains(id) || self.delivered.contains(id) {
             return;
         }
         // Delivery lower bound: the chain-accumulated timestamp only.
@@ -294,7 +294,7 @@ impl RingMulticast {
         // arrived — a deadlock when consensus `Decide`s trail the final
         // fan-out (delayed or retransmitted decisions under faults).
         let already_final =
-            self.delivered.contains(&id) || self.pending.get(&id).is_some_and(|p| p.is_final);
+            self.delivered.contains(id) || self.pending.get(&id).is_some_and(|p| p.is_final);
         if !self.ordered.insert(id) || already_final {
             // Last-group members that skip the fan-out must still adopt
             // retransmission duty: the peer whose `Final` raced our
@@ -433,7 +433,7 @@ impl RingMulticast {
             // the caster but not an addressee, so it must not deliver.
             return;
         }
-        if self.delivered.contains(&id) {
+        if self.delivered.contains(id) {
             return;
         }
         // Unblock and push the clock past the final timestamp, so the next
@@ -443,7 +443,7 @@ impl RingMulticast {
             self.handoff = None;
         }
         self.clock = self.clock.max(ts + 1);
-        if !self.ordered.contains(&id) {
+        if !self.ordered.contains(id) {
             // The final raced ahead of our own group's decision for this
             // message (consensus `Decide`s can trail under loss). Stash it
             // — the delivery test refuses unordered messages — and queue
@@ -480,7 +480,7 @@ impl RingMulticast {
             else {
                 return;
             };
-            if !min_p.is_final || !self.ordered.contains(&min_id) {
+            if !min_p.is_final || !self.ordered.contains(min_id) {
                 return;
             }
             let p = self.pending.remove(&min_id).expect("present");

@@ -37,7 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
-use wamcast_types::{AppMessage, Context, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol};
 
 /// Wire messages of the Rodrigues et al. multicast.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,7 +77,7 @@ pub struct RodriguesMulticast {
     me: ProcessId,
     lc: u64,
     pending: BTreeMap<MessageId, Pending>,
-    delivered: BTreeSet<MessageId>,
+    delivered: IdSet,
     /// One cross-group consensus engine per in-flight message.
     engines: BTreeMap<MessageId, GroupConsensus<u64>>,
     /// Proposals/consensus traffic that raced ahead of the Data copy.
@@ -95,7 +95,7 @@ impl RodriguesMulticast {
             me,
             lc: 0,
             pending: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            delivered: IdSet::new(),
             engines: BTreeMap::new(),
             early_ts: BTreeMap::new(),
             early_cons: BTreeMap::new(),
@@ -125,7 +125,7 @@ impl RodriguesMulticast {
 
     fn on_data(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<RodriguesMsg>) {
         let id = m.id;
-        if self.delivered.contains(&id) || self.pending.contains_key(&id) {
+        if self.delivered.contains(id) || self.pending.contains_key(&id) {
             return;
         }
         if !ctx.topology().addresses(m.dest, self.me) {
@@ -184,7 +184,7 @@ impl RodriguesMulticast {
         ctx: &Context,
         out: &mut Outbox<RodriguesMsg>,
     ) {
-        if self.delivered.contains(&id) {
+        if self.delivered.contains(id) {
             return;
         }
         let Some(p) = self.pending.get_mut(&id) else {
@@ -231,7 +231,7 @@ impl RodriguesMulticast {
         msg: ConsensusMsg<u64>,
         out: &mut Outbox<RodriguesMsg>,
     ) {
-        if self.delivered.contains(&id) {
+        if self.delivered.contains(id) {
             return;
         }
         if !self.engines.contains_key(&id) {

@@ -26,7 +26,7 @@
 //! both handled idempotently).
 
 use std::collections::{BTreeMap, BTreeSet};
-use wamcast_types::{AppMessage, Context, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol};
 
 /// Wire messages of the uniform sequencer broadcast.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,7 +57,7 @@ pub struct SequencerBroadcast {
     positions: BTreeMap<u64, MessageId>,
     votes: BTreeMap<MessageId, BTreeSet<ProcessId>>,
     next_deliver: u64,
-    delivered: BTreeSet<MessageId>,
+    delivered: IdSet,
     /// Optimistic delivery sequence (on Assign receipt), exposed for
     /// comparison with the final order.
     optimistic: Vec<MessageId>,
@@ -75,7 +75,7 @@ impl SequencerBroadcast {
             positions: BTreeMap::new(),
             votes: BTreeMap::new(),
             next_deliver: 0,
-            delivered: BTreeSet::new(),
+            delivered: IdSet::new(),
             optimistic: Vec::new(),
         }
     }
@@ -87,7 +87,7 @@ impl SequencerBroadcast {
 
     fn on_data(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<SequencerMsg>) {
         let id = m.id;
-        if self.data.contains_key(&id) || self.delivered.contains(&id) {
+        if self.data.contains_key(&id) || self.delivered.contains(id) {
             return;
         }
         self.data.insert(id, m);

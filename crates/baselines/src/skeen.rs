@@ -30,8 +30,8 @@
 //! crash-orphaned proposal blocks delivery forever. Duplicates are
 //! harmless (all handlers are idempotent).
 
-use std::collections::{BTreeMap, BTreeSet};
-use wamcast_types::{AppMessage, Context, MessageId, Outbox, ProcessId, Protocol};
+use std::collections::BTreeMap;
+use wamcast_types::{AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol};
 
 /// Wire messages of Skeen's algorithm.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,7 +62,7 @@ pub struct SkeenMulticast {
     me: ProcessId,
     lc: u64,
     pending: BTreeMap<MessageId, Pending>,
-    delivered: BTreeSet<MessageId>,
+    delivered: IdSet,
     /// Proposals that arrived before the Data copy (link jitter).
     early: BTreeMap<MessageId, BTreeMap<ProcessId, u64>>,
 }
@@ -74,7 +74,7 @@ impl SkeenMulticast {
             me,
             lc: 0,
             pending: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            delivered: IdSet::new(),
             early: BTreeMap::new(),
         }
     }
@@ -85,7 +85,7 @@ impl SkeenMulticast {
     }
 
     fn on_data(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<SkeenMsg>) {
-        if self.delivered.contains(&m.id) || self.pending.contains_key(&m.id) {
+        if self.delivered.contains(m.id) || self.pending.contains_key(&m.id) {
             return;
         }
         if !ctx.topology().addresses(m.dest, self.me) {

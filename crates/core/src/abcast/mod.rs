@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
 use wamcast_types::{
-    AppMessage, BatchConfig, Context, FxHashMap, FxHashSet, GroupId, MessageId, Outbox, ProcessId,
+    AppMessage, BatchConfig, Context, FxHashMap, GroupId, IdSet, MessageId, Outbox, ProcessId,
     Protocol, SharedBatch,
 };
 
@@ -132,7 +132,8 @@ pub struct RoundBroadcast {
     /// Payload bytes pooled in `rdelivered` (incremental, so the byte
     /// trigger costs O(1) per arrival).
     rdelivered_bytes: usize,
-    adelivered: FxHashSet<MessageId>,
+    /// `ADELIVERED`: one id per cast, forever — hence ranges.
+    adelivered: IdSet,
     /// `Msgs`: received bundles, round → group → bundle. The outer map is
     /// point-keyed by round; the inner stays ordered because
     /// `finish_round` folds it.
@@ -143,7 +144,7 @@ pub struct RoundBroadcast {
     buffered_decisions: FxHashMap<u64, RoundBundle>,
     /// R-Delivered messages by origin, for crash-triggered intra-group relay.
     by_origin: FxHashMap<ProcessId, Vec<AppMessage>>,
-    relayed: FxHashSet<MessageId>,
+    relayed: IdSet,
     /// Batch policy gating round starts (see type docs); `max_delay` is the
     /// pacing window, `max_msgs`/`max_bytes` flush a backlog early.
     batch: BatchConfig,
@@ -193,13 +194,13 @@ impl RoundBroadcast {
             barrier: 0,
             rdelivered: BTreeMap::new(),
             rdelivered_bytes: 0,
-            adelivered: FxHashSet::default(),
+            adelivered: IdSet::new(),
             bundles: FxHashMap::default(),
             waiting_bundles: None,
             cons: GroupConsensus::new(me, members).with_merge(merge_bundles),
             buffered_decisions: FxHashMap::default(),
             by_origin: FxHashMap::default(),
-            relayed: FxHashSet::default(),
+            relayed: IdSet::new(),
             batch: BatchConfig::disabled(),
             timer_armed: false,
             idle_rounds: 1,
@@ -307,7 +308,7 @@ impl RoundBroadcast {
 
     /// Lines 6–7: R-Deliver within the group.
     fn on_rdeliver(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<BroadcastMsg>) {
-        if self.adelivered.contains(&m.id) || self.rdelivered.contains_key(&m.id) {
+        if self.adelivered.contains(m.id) || self.rdelivered.contains_key(&m.id) {
             return;
         }
         self.by_origin
@@ -491,7 +492,7 @@ impl RoundBroadcast {
             // Unique handles (typical for remote bundles) move their
             // messages out; shared ones copy, as before the Arc.
             .flat_map(|b| std::sync::Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone()))
-            .filter(|m| !self.adelivered.contains(&m.id))
+            .filter(|m| !self.adelivered.contains(m.id))
             .collect();
         to_deliver.sort_by_key(|m| m.id);
         to_deliver.dedup_by_key(|m| m.id);
@@ -628,7 +629,7 @@ impl Protocol for RoundBroadcast {
         }
         // Intra-group relay of messages whose caster crashed (reliable
         // multicast agreement).
-        if let Some(msgs) = self.by_origin.get(&crashed).cloned() {
+        if let Some(msgs) = self.by_origin.get(&crashed) {
             let peers: Vec<ProcessId> = ctx
                 .topology()
                 .members(self.group)
@@ -638,7 +639,7 @@ impl Protocol for RoundBroadcast {
                 .collect();
             for m in msgs {
                 if self.relayed.insert(m.id) {
-                    out.send_many(peers.clone(), BroadcastMsg::Rm(m));
+                    out.send_many(peers.iter().copied(), BroadcastMsg::Rm(m.clone()));
                 }
             }
         }

@@ -57,8 +57,8 @@ use std::time::Duration;
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
 use wamcast_rmcast::{RmcastEngine, RmcastMsg, RmcastOut, UniformRmcastEngine};
 use wamcast_types::{
-    AppMessage, BatchConfig, Context, FxHashMap, FxHashSet, GroupId, MessageId, Outbox, ProcessId,
-    Protocol,
+    AppMessage, BatchConfig, Context, FxHashMap, FxHashSet, GroupId, IdSet, MessageId, Outbox,
+    ProcessId, Protocol,
 };
 
 /// Timer token of the batch flush timer (see [`MulticastConfig::batch`]).
@@ -254,7 +254,8 @@ pub struct GenuineMulticast {
     s1_waiting: FxHashSet<MessageId>,
     /// Payload bytes of the unproposed batch.
     unproposed_bytes: usize,
-    adelivered: FxHashSet<MessageId>,
+    /// `ADELIVERED`: one id per cast, forever — hence ranges.
+    adelivered: IdSet,
     rmcast: RmcastEngine,
     /// Used instead of `rmcast` when `cfg.uniform_dissemination` is set.
     urmcast: UniformRmcastEngine,
@@ -362,7 +363,7 @@ impl GenuineMulticast {
             unproposed: FxHashSet::default(),
             s1_waiting: FxHashSet::default(),
             unproposed_bytes: 0,
-            adelivered: FxHashSet::default(),
+            adelivered: IdSet::new(),
             rmcast,
             urmcast: UniformRmcastEngine::new(me),
             cons: GroupConsensus::new(me, members).with_merge(merge_msg_sets),
@@ -440,7 +441,7 @@ impl GenuineMulticast {
     /// Lines 10–13: on R-Deliver(m) or receive(TS, m) with m fresh, add m to
     /// PENDING in stage s0 with the current clock as provisional timestamp.
     fn on_rdeliver(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<MulticastMsg>) {
-        if self.pending.contains_key(&m.id) || self.adelivered.contains(&m.id) {
+        if self.pending.contains_key(&m.id) || self.adelivered.contains(m.id) {
             return;
         }
         self.by_ts.push(Reverse((self.k, m.id)));
@@ -565,7 +566,7 @@ impl GenuineMulticast {
         for &i in &order {
             let entry = &msg_set[i];
             let id = entry.msg.id;
-            if self.adelivered.contains(&id) {
+            if self.adelivered.contains(id) {
                 // Already A-Delivered here (decision learned late); its
                 // timestamp no longer matters but keeps the clock monotone.
                 max_ts = max_ts.max(entry.ts);
@@ -764,7 +765,7 @@ impl GenuineMulticast {
                     }
                     p.set_proposal(sender_group, entry.ts);
                 }
-                None if self.adelivered.contains(&id) => {
+                None if self.adelivered.contains(id) => {
                     if !nudge {
                         continue;
                     }

@@ -42,6 +42,11 @@
 //!   at most once per 300 ms (longer after a dial that
 //!   itself took long), so a dead peer costs the node a bounded share of
 //!   its time.
+//! * **One body per cast.** A cast's payload reaches a node many times —
+//!   in its `Data`, in every `(TS, batch)`, `Accept` and `Accepted` that
+//!   names it — and the protocol layers keep what they are handed. Each
+//!   node decodes through its own [`BodyCache`], so those copies are
+//!   handles to one buffer; [`NetStats::body_hits`] says how often.
 //! * **Faults:** an optional [`WallFaults`] is consulted once per outbound
 //!   copy to another process: a dropped copy is never queued, a duplicated
 //!   one is queued twice. Self-addressed sends never reach it.
@@ -60,7 +65,7 @@
 
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::WallFaults;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -71,9 +76,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wamcast_trace::{Phase, TraceEvent, TraceRing};
-use wamcast_types::wire::{self, Wire, WireError, WireReader, WireWriter};
+use wamcast_types::wire::{self, BodyCache, Wire, WireError, WireReader, WireWriter};
 use wamcast_types::{
-    Action, AppMessage, Context, GroupSet, MessageId, MsgSlot, Outbox, Payload, ProcessId,
+    Action, AppMessage, Context, GroupSet, IdSet, MessageId, MsgSlot, Outbox, Payload, ProcessId,
     Protocol, SimTime, Topology,
 };
 
@@ -307,10 +312,10 @@ pub struct TcpNodeConfig {
     pub trace: Option<SharedTrace>,
 }
 
-/// What a node's socket path discarded, and how often it woke. The
-/// protocols recover every one of these by retransmission; the counters
-/// exist so that no frame disappears without a trace. Read them through
-/// [`TcpNode::stats`] at any time.
+/// What a node's socket path discarded, how often it woke, and how its
+/// body cache fared. The protocols recover every drop by retransmission;
+/// the counters exist so that no frame disappears without a trace. Read
+/// them through [`TcpNode::stats`] at any time.
 #[derive(Debug, Default)]
 pub struct NetStats {
     link_down: AtomicU64,
@@ -318,6 +323,8 @@ pub struct NetStats {
     out_full: AtomicU64,
     bad_frame: AtomicU64,
     turns: AtomicU64,
+    body_hits: AtomicU64,
+    body_misses: AtomicU64,
 }
 
 impl NetStats {
@@ -359,18 +366,32 @@ impl NetStats {
     pub fn turns(&self) -> u64 {
         self.turns.load(Ordering::Relaxed)
     }
+
+    /// Message bodies decoded as a handle to a copy the node already held
+    /// (see [`BodyCache`]): allocations and retained bytes saved.
+    pub fn body_hits(&self) -> u64 {
+        self.body_hits.load(Ordering::Relaxed)
+    }
+
+    /// Message bodies decoded into a fresh buffer: the first sight of a
+    /// cast, or a cache slot another cast had taken meanwhile.
+    pub fn body_misses(&self) -> u64 {
+        self.body_misses.load(Ordering::Relaxed)
+    }
 }
 
 impl fmt::Display for NetStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "link_down={} reset={} out_full={} bad_frame={} turns={}",
+            "link_down={} reset={} out_full={} bad_frame={} turns={} body_hits={} body_misses={}",
             self.link_down(),
             self.reset(),
             self.out_full(),
             self.bad_frame(),
-            self.turns()
+            self.turns(),
+            self.body_hits(),
+            self.body_misses()
         )
     }
 }
@@ -501,7 +522,8 @@ where
         pending_self: VecDeque::new(),
         actions: Vec::new(),
         frame: Vec::new(),
-        injected: HashSet::new(),
+        injected: IdSet::new(),
+        bodies: BodyCache::new(),
         delivered: Arc::clone(&delivered),
         service,
         faults,
@@ -753,9 +775,12 @@ struct Node<P: Protocol> {
     /// Scratch every outbound frame is encoded into before it is copied
     /// into the out-buffers of its destinations.
     frame: Vec<u8>,
-    /// Client sequence numbers already injected (a retried `Cast` is
-    /// acknowledged again but cast once).
-    injected: HashSet<u64>,
+    /// Casts already injected (a retried `Cast` is acknowledged again but
+    /// cast once).
+    injected: IdSet,
+    /// The bodies this node decoded lately; every inbound frame is decoded
+    /// through it.
+    bodies: BodyCache,
     delivered: SharedDeliveries,
     service: Service,
     faults: Option<Arc<WallFaults>>,
@@ -951,8 +976,11 @@ where
                 // ack is just confirmation), then inject exactly once even
                 // if a client retries the frame.
                 self.reply(i, &Frame::CastAck { id });
-                if self.injected.insert(seq) {
+                if self.injected.insert(id) {
                     self.record(Phase::Cast, Some(id), None);
+                    // A `Cast` names its message by `seq` alone; from here
+                    // on every frame carrying it shares this body.
+                    self.bodies.prime(id, &payload);
                     let m = AppMessage::new(id, dest, payload);
                     self.step(|p, c, o| p.on_cast(m, c, o));
                 }
@@ -995,7 +1023,16 @@ where
                     break;
                 }
             };
-            match wire::open::<Frame<P::Msg>>(self.arm, &self.conns[i].rbuf[body]) {
+            let frame = wire::open_sharing::<Frame<P::Msg>>(
+                self.arm,
+                &self.conns[i].rbuf[body],
+                &mut self.bodies,
+            );
+            // Relaxed: statistics, publishing nothing else.
+            let (hits, misses) = (self.bodies.hits(), self.bodies.misses());
+            self.stats.body_hits.store(hits, Ordering::Relaxed);
+            self.stats.body_misses.store(misses, Ordering::Relaxed);
+            match frame {
                 Ok(frame) => self.dispatch(i, frame),
                 // Wrong version/arm/garbage: drop the frame, keep the
                 // connection — a self-stabilizing receiver never crashes
@@ -1505,6 +1542,65 @@ mod tests {
         }
         assert!(Frame::<u64>::from_wire(&[99]).is_err());
         assert!(NoMsg::from_wire(&[0]).is_err());
+    }
+
+    fn peer_frame(seq: u64, body: &[u8]) -> Frame<AppMessage> {
+        Frame::Peer {
+            from: ProcessId(1),
+            msg: AppMessage::new(
+                MessageId::new(ProcessId(0), seq),
+                GroupSet::first_n(2),
+                Payload::copy_from_slice(body),
+            ),
+        }
+    }
+
+    fn body_of(frame: &Frame<AppMessage>) -> &Payload {
+        match frame {
+            Frame::Peer { msg, .. } => &msg.payload,
+            other => panic!("not a peer frame: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn body_cache_shares_equal_bytes_and_nothing_else() {
+        const ARM: u8 = 3;
+        let mut cache = BodyCache::new();
+        let mut open = |f: &Frame<AppMessage>| -> Frame<AppMessage> {
+            wire::open_sharing(ARM, &wire::seal(ARM, f), &mut cache).expect("decodes")
+        };
+        // Same id, same bytes, two frames: one buffer.
+        let original = peer_frame(7, b"the body");
+        let (a, b) = (open(&original), open(&original));
+        assert_eq!((&a, &b), (&original, &original));
+        assert_eq!(body_of(&a).as_ptr(), body_of(&b).as_ptr());
+        // Same id, other bytes (a lying or buggy sender): no sharing, and
+        // neither value is disturbed — ids are never trusted alone.
+        let forged = peer_frame(7, b"THE BODY");
+        let c = open(&forged);
+        assert_eq!(c, forged);
+        assert_ne!(body_of(&c).as_ptr(), body_of(&a).as_ptr());
+        assert_eq!((&a, &b), (&original, &original));
+        // Empty bodies own no buffer: nothing to copy, nothing to cache.
+        let empty = open(&peer_frame(8, b""));
+        assert_eq!(empty, peer_frame(8, b""));
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        // A reader without a cache decodes the same values, each its own.
+        let plain: Frame<AppMessage> =
+            wire::open(ARM, &wire::seal(ARM, &original)).expect("decodes");
+        assert_eq!(plain, original);
+        assert_ne!(body_of(&plain).as_ptr(), body_of(&a).as_ptr());
+    }
+
+    #[test]
+    fn a_primed_cast_shares_its_body_with_later_frames() {
+        let mut cache = BodyCache::new();
+        let cast = Payload::copy_from_slice(b"from the client");
+        cache.prime(MessageId::new(ProcessId(0), 7), &cast);
+        let frame = peer_frame(7, &cast);
+        let echoed: Frame<AppMessage> =
+            wire::open_sharing(3, &wire::seal(3, &frame), &mut cache).expect("decodes");
+        assert_eq!(body_of(&echoed).as_ptr(), cast.as_ptr());
     }
 
     #[test]

@@ -19,8 +19,8 @@ use wamcast_net::tcp::{
 use wamcast_net::WallFaults;
 use wamcast_types::wire::{self, Wire};
 use wamcast_types::{
-    AppMessage, Context, FaultPlan, GroupId, GroupSet, MessageId, Outbox, Payload, ProcessId,
-    Protocol, SimTime, Topology,
+    AppMessage, BatchConfig, Context, FaultPlan, GroupId, GroupSet, MessageId, Outbox, Payload,
+    ProcessId, Protocol, SimTime, Topology,
 };
 
 const RETRY: Duration = Duration::from_millis(100);
@@ -79,6 +79,53 @@ fn genuine_multicast_over_sockets_routes_by_group() {
             cluster.delivered(bystander).is_empty(),
             "genuineness violated"
         );
+    }
+    cluster.shutdown();
+}
+
+/// Batched A1 puts every cast's body on the wire many times — its `Data`,
+/// each group's `(TS, batch)`, the `Accept`s and `Accepted`s naming it. A
+/// node's body cache must turn the repeats into handles to one buffer
+/// without ever changing what is delivered.
+#[test]
+fn bodies_are_shared_per_node_and_delivered_intact_on_a_batched_a1_run() {
+    let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(5));
+    let mut cluster = LocalCluster::serve(Topology::symmetric(2, 2), 4, None, |p, t| {
+        let cfg = MulticastConfig::default()
+            .with_batch(batch)
+            .with_retry(RETRY);
+        GenuineMulticast::new(p, t, cfg)
+    })
+    .expect("serve");
+    let both = GroupSet::first_n(2);
+    let body = |i: u64| -> Vec<u8> { (0..64).map(|b| (i * 31 + b) as u8).collect() };
+    let mut cast: Vec<(MessageId, Vec<u8>)> = Vec::new();
+    for i in 0..40u64 {
+        let caster = ProcessId(if i % 2 == 0 { 0 } else { 2 });
+        let id = cluster
+            .cast(caster, both, Payload::from(body(i)))
+            .expect("cast");
+        cast.push((id, body(i)));
+    }
+    for (id, _) in &cast {
+        cluster
+            .await_delivery_everywhere(*id, Duration::from_secs(30))
+            .expect("delivered everywhere");
+    }
+    for p in cluster.topology().processes() {
+        let delivered = cluster.delivered(p);
+        assert_eq!(delivered.len(), cast.len(), "{p} delivered each cast once");
+        for (id, bytes) in &cast {
+            let m = delivered.iter().find(|m| m.id == *id).expect("delivered");
+            assert_eq!(
+                m.payload.as_slice(),
+                &bytes[..],
+                "{p} delivered {id} intact"
+            );
+        }
+        let stats = cluster.stats(p);
+        assert_eq!(stats.dropped(), 0, "{p}: {stats}");
+        assert!(stats.body_hits() > 0, "{p} shared no body: {stats}");
     }
     cluster.shutdown();
 }

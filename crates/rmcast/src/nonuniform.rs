@@ -2,7 +2,7 @@
 
 use crate::{RmcastMsg, RmcastOut};
 use std::collections::BTreeSet;
-use wamcast_types::{AppMessage, FxHashMap, FxHashSet, MessageId, ProcessId, Topology};
+use wamcast_types::{AppMessage, FxHashMap, FxHashSet, IdSet, MessageId, ProcessId, Topology};
 
 /// Non-uniform reliable multicast engine (§2.2).
 ///
@@ -47,12 +47,13 @@ use wamcast_types::{AppMessage, FxHashMap, FxHashSet, MessageId, ProcessId, Topo
 #[derive(Clone, Debug)]
 pub struct RmcastEngine {
     me: ProcessId,
-    /// Point-query only (the dedup hot path).
-    seen: FxHashSet<MessageId>,
+    /// R-MCast integrity's dedup set (the hot path): grows by one id per
+    /// cast heard of, forever, so it is stored as ranges.
+    seen: IdSet,
     /// Delivered messages kept by origin for crash-triggered relay
     /// (point-keyed; the per-origin `Vec` preserves delivery order).
     by_origin: FxHashMap<ProcessId, Vec<AppMessage>>,
-    relayed: FxHashSet<MessageId>,
+    relayed: IdSet,
     /// Retransmission mode (see [`with_acks`](Self::with_acks)).
     ack_mode: bool,
     /// Per message: the copy plus the recipients that have not acked yet.
@@ -82,9 +83,9 @@ impl RmcastEngine {
     pub fn new(me: ProcessId) -> Self {
         RmcastEngine {
             me,
-            seen: FxHashSet::default(),
+            seen: IdSet::new(),
             by_origin: FxHashMap::default(),
-            relayed: FxHashSet::default(),
+            relayed: IdSet::new(),
             ack_mode: false,
             outstanding: FxHashMap::default(),
             debtors: FxHashMap::default(),
@@ -103,7 +104,7 @@ impl RmcastEngine {
 
     /// Whether `m` was already R-Delivered (or sent) here.
     pub fn has_seen(&self, m: MessageId) -> bool {
-        self.seen.contains(&m)
+        self.seen.contains(m)
     }
 
     /// Whether any of this process's sends still await acknowledgement
@@ -121,14 +122,16 @@ impl RmcastEngine {
         // ascending message id, then ascending recipient.
         let mut ids: Vec<MessageId> = self.outstanding.keys().copied().collect();
         ids.sort_unstable();
+        let mut rs = std::mem::take(&mut self.recips_buf);
         for id in ids {
             let (m, waiting) = &self.outstanding[&id];
-            let mut rs: Vec<ProcessId> = waiting.clone();
+            rs.extend_from_slice(waiting);
             rs.sort_unstable();
-            for q in rs {
+            for q in rs.drain(..) {
                 out.sends.push((q, RmcastMsg::Data(m.clone())));
             }
         }
+        self.recips_buf = rs;
     }
 
     /// Removes `crashed` from every unacked recipient set — and from all
@@ -264,14 +267,17 @@ impl RmcastEngine {
         // A crashed process never acks: stop retransmitting to it whether
         // or not it originated anything.
         self.prune_crashed(crashed);
-        let Some(msgs) = self.by_origin.get(&crashed) else {
+        // Taken out for the walk (`track` needs the rest of `self`) and
+        // put back whole: relaying delivers nothing, so nothing is recorded
+        // under any origin meanwhile.
+        let Some(msgs) = self.by_origin.remove(&crashed) else {
             return;
         };
-        for m in msgs.clone() {
+        let mut recipients = std::mem::take(&mut self.recips_buf);
+        for m in &msgs {
             if !self.relayed.insert(m.id) {
                 continue;
             }
-            let mut recipients = std::mem::take(&mut self.recips_buf);
             recipients.extend(
                 topo.processes_in(m.dest)
                     .filter(|&q| q != self.me && q != crashed),
@@ -281,10 +287,11 @@ impl RmcastEngine {
             }
             // Relays are retransmitted too: under loss, the relayer is the
             // only remaining source of a crashed origin's message.
-            self.track(&m, &recipients);
+            self.track(m, &recipients);
             recipients.clear();
-            self.recips_buf = recipients;
         }
+        self.recips_buf = recipients;
+        self.by_origin.insert(crashed, msgs);
     }
 
     fn record_delivery(&mut self, m: &AppMessage) {

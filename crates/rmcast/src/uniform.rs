@@ -2,7 +2,7 @@
 
 use crate::{RmcastMsg, RmcastOut};
 use std::collections::{BTreeMap, BTreeSet};
-use wamcast_types::{AppMessage, MessageId, ProcessId, Topology};
+use wamcast_types::{AppMessage, IdSet, MessageId, ProcessId, Topology};
 
 /// Uniform reliable multicast engine.
 ///
@@ -46,8 +46,8 @@ use wamcast_types::{AppMessage, MessageId, ProcessId, Topology};
 pub struct UniformRmcastEngine {
     me: ProcessId,
     /// Messages already relayed by this process.
-    relayed: BTreeSet<MessageId>,
-    delivered: BTreeSet<MessageId>,
+    relayed: IdSet,
+    delivered: IdSet,
     /// Known holders per message (origin + relayers + self).
     holders: BTreeMap<MessageId, BTreeSet<ProcessId>>,
     payloads: BTreeMap<MessageId, AppMessage>,
@@ -58,8 +58,8 @@ impl UniformRmcastEngine {
     pub fn new(me: ProcessId) -> Self {
         UniformRmcastEngine {
             me,
-            relayed: BTreeSet::new(),
-            delivered: BTreeSet::new(),
+            relayed: IdSet::new(),
+            delivered: IdSet::new(),
             holders: BTreeMap::new(),
             payloads: BTreeMap::new(),
         }
@@ -67,7 +67,7 @@ impl UniformRmcastEngine {
 
     /// Whether `m` was already R-Delivered here.
     pub fn has_delivered(&self, m: MessageId) -> bool {
-        self.delivered.contains(&m)
+        self.delivered.contains(m)
     }
 
     /// R-MCasts `m` (origin side): sends to every addressed process and
@@ -118,7 +118,7 @@ impl UniformRmcastEngine {
     }
 
     fn try_deliver(&mut self, id: MessageId, topo: &Topology, out: &mut RmcastOut) {
-        if self.delivered.contains(&id) {
+        if self.delivered.contains(id) {
             return;
         }
         let Some(m) = self.payloads.get(&id) else {

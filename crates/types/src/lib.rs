@@ -11,6 +11,9 @@
 //! * [`MessageId`] and [`AppMessage`] — application messages with globally
 //!   unique, totally ordered identifiers (the paper breaks timestamp ties by
 //!   `m.id`);
+//! * [`IdSet`] — the grow-only id sets of the pseudo-code (`ADELIVERED`,
+//!   R-MCast integrity) as per-origin `seq` ranges: exact, 16 bytes per
+//!   dense run instead of per id;
 //! * [`LatencyClock`] — the *modified Lamport clock* of §2.3 used to define
 //!   the **latency degree** Δ(m, R): sends to a different group cost one
 //!   tick, intra-group sends are free;
@@ -50,6 +53,7 @@ pub mod fault;
 pub mod fxhash;
 mod groupset;
 mod ids;
+mod idset;
 mod message;
 pub mod proto;
 mod rng;
@@ -66,6 +70,7 @@ pub use fault::{FaultConfig, FaultInjector, FaultPlan, FaultWindow, LinkFate};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use groupset::GroupSet;
 pub use ids::{GroupId, ProcessId};
+pub use idset::IdSet;
 pub use message::{AppMessage, MessageId, Payload};
 pub use proto::{Action, Context, MsgClass, MsgInfo, MsgSlot, Outbox, Protocol};
 pub use rng::SplitMix64;

@@ -46,8 +46,9 @@
 //! ));
 //! ```
 
-use crate::{AppMessage, GroupId, GroupSet, MessageId, Payload, ProcessId};
+use crate::{AppMessage, FxBuildHasher, GroupId, GroupSet, MessageId, Payload, ProcessId};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// First two bytes of every enveloped datagram.
@@ -217,6 +218,130 @@ impl WireWriter {
     }
 }
 
+/// `log2` of the number of [`BodyCache`] slots. A body is worth finding
+/// from the first copy of its cast a node decodes until the last one — the
+/// `Data`, each group's `(TS, batch)`, then `Forward`, `Accept` and every
+/// member's `Accepted` of up to two consensus instances — which is a few
+/// batch windows and consensus rounds: some 100 ms on a loaded node, so
+/// about 4 000 casts in flight at the 40 000 casts/s a node sustains. Dense
+/// sequence numbers spread evenly under the multiplicative hash, so 2^12
+/// slots hold that window nearly collision-free; a collision costs one
+/// allocation, as every decode did before, never a wrong body.
+const BODY_SLOT_BITS: u32 = 12;
+
+/// One node's memory of the message bodies it decoded lately, so that the
+/// many frames carrying one cast — its `Data`, every `(TS, batch)`,
+/// `Accept` and `Accepted` naming it — end up sharing **one** buffer per
+/// node instead of each keeping a private copy alive.
+///
+/// Direct-mapped and fixed-size: an id hashes to one slot, a newer id
+/// simply takes the slot over. Ids are never trusted alone — a cached body
+/// is shared only if it is byte-equal to what the frame carries — so a
+/// hostile or buggy sender can make the cache miss, not make it lie.
+/// Belongs to exactly one node: a process-wide cache would share bodies
+/// between the nodes of an in-process cluster, which separate processes
+/// could not.
+///
+/// # Example
+///
+/// ```
+/// use wamcast_types::wire::{BodyCache, Wire, WireReader};
+/// use wamcast_types::{AppMessage, GroupSet, MessageId, Payload, ProcessId};
+///
+/// let m = AppMessage::new(
+///     MessageId::new(ProcessId(0), 7),
+///     GroupSet::first_n(2),
+///     Payload::from(b"body".to_vec()),
+/// );
+/// let bytes = m.to_wire();
+/// let mut cache = BodyCache::new();
+/// let a = AppMessage::decode(&mut WireReader::with_bodies(&bytes, &mut cache)).unwrap();
+/// let b = AppMessage::decode(&mut WireReader::with_bodies(&bytes, &mut cache)).unwrap();
+/// assert_eq!((&a, &b), (&m, &m));
+/// assert_eq!(a.payload.as_ptr(), b.payload.as_ptr(), "one buffer, two handles");
+/// assert_eq!((cache.hits(), cache.misses()), (1, 1));
+/// ```
+pub struct BodyCache {
+    slots: Box<[Option<(MessageId, Payload)>]>,
+    hits: u64,
+    misses: u64,
+}
+
+impl BodyCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        BodyCache {
+            slots: vec![None; 1 << BODY_SLOT_BITS].into_boxed_slice(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn slot(id: MessageId) -> usize {
+        // The top bits of a multiplicative hash are its well-mixed ones.
+        (FxBuildHasher::default().hash_one(id) >> (u64::BITS - BODY_SLOT_BITS)) as usize
+    }
+
+    /// The payload of message `id`, whose bytes on the wire are `bytes`:
+    /// the cached buffer if it holds exactly these bytes under this id,
+    /// else a fresh copy, which takes the slot. Empty bodies own no buffer
+    /// and are never cached.
+    pub fn share(&mut self, id: MessageId, bytes: &[u8]) -> Payload {
+        if bytes.is_empty() {
+            return Payload::new();
+        }
+        let slot = &mut self.slots[Self::slot(id)];
+        match slot {
+            Some((held_id, held)) if *held_id == id && held.as_slice() == bytes => {
+                self.hits += 1;
+                held.clone()
+            }
+            _ => {
+                let fresh = Payload::copy_from_slice(bytes);
+                *slot = Some((id, fresh.clone()));
+                self.misses += 1;
+                fresh
+            }
+        }
+    }
+
+    /// Records `payload` as the body of `id` — for a body that reached the
+    /// node outside an [`AppMessage`] (a client's cast, which names its
+    /// message only by sequence number), so later frames carrying the
+    /// message find it.
+    pub fn prime(&mut self, id: MessageId, payload: &Payload) {
+        if !payload.is_empty() {
+            self.slots[Self::slot(id)] = Some((id, payload.clone()));
+        }
+    }
+
+    /// Bodies [`share`](Self::share) found and shared.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Bodies [`share`](Self::share) had to copy: first sight of a cast,
+    /// a slot taken over meanwhile, or bytes that differ from the cached.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+}
+
+impl Default for BodyCache {
+    fn default() -> Self {
+        BodyCache::new()
+    }
+}
+
+impl fmt::Debug for BodyCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BodyCache")
+            .field("hits", &self.hits)
+            .field("misses", &self.misses)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Cursor over received bytes the [`Wire`] decoders read from.
 ///
 /// All getters return [`WireError::Truncated`] instead of panicking when the
@@ -234,12 +359,24 @@ impl WireWriter {
 #[derive(Debug)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
+    /// Where [`body`](Self::body) looks for a copy it already made.
+    bodies: Option<&'a mut BodyCache>,
 }
 
 impl<'a> WireReader<'a> {
     /// A reader over `buf`, positioned at the start.
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf }
+        WireReader { buf, bodies: None }
+    }
+
+    /// [`new`](Self::new), with the decoding node's [`BodyCache`]: message
+    /// bodies the node already holds are shared instead of copied again.
+    /// What is decoded is equal either way.
+    pub fn with_bodies(buf: &'a [u8], bodies: &'a mut BodyCache) -> Self {
+        WireReader {
+            buf,
+            bodies: Some(bodies),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -307,6 +444,17 @@ impl<'a> WireReader<'a> {
             });
         }
         self.take(n)
+    }
+
+    /// Reads the length-prefixed payload of message `id`: one copy into a
+    /// fresh refcounted buffer, or — with a [`BodyCache`] that holds these
+    /// very bytes under `id` — a handle to the copy made earlier.
+    pub fn body(&mut self, id: MessageId) -> Result<Payload, WireError> {
+        let bytes = self.bytes()?;
+        Ok(match self.bodies.as_deref_mut() {
+            Some(cache) => cache.share(id, bytes),
+            None => Payload::copy_from_slice(bytes),
+        })
     }
 
     /// Reads a `u32` element count for a sequence, validated against the
@@ -439,9 +587,8 @@ pub fn peek_arm(bytes: &[u8]) -> Result<u8, WireError> {
     Ok(bytes[3])
 }
 
-/// Opens an enveloped datagram: checks magic, version and arm id, then
-/// decodes the body, requiring every byte to be consumed.
-pub fn open<M: Wire>(want_arm: u8, bytes: &[u8]) -> Result<M, WireError> {
+/// Checks magic, version and arm id, and returns what follows the envelope.
+fn enveloped(want_arm: u8, bytes: &[u8]) -> Result<&[u8], WireError> {
     let got = peek_arm(bytes)?;
     if got != want_arm {
         return Err(WireError::WrongArm {
@@ -449,7 +596,27 @@ pub fn open<M: Wire>(want_arm: u8, bytes: &[u8]) -> Result<M, WireError> {
             want: want_arm,
         });
     }
-    M::from_wire(&bytes[ENVELOPE_LEN..])
+    Ok(&bytes[ENVELOPE_LEN..])
+}
+
+/// Opens an enveloped datagram: checks magic, version and arm id, then
+/// decodes the body, requiring every byte to be consumed.
+pub fn open<M: Wire>(want_arm: u8, bytes: &[u8]) -> Result<M, WireError> {
+    M::from_wire(enveloped(want_arm, bytes)?)
+}
+
+/// [`open`] for a node that keeps a [`BodyCache`]: the same checks, the
+/// same value, but message bodies the cache already holds are shared with
+/// it instead of copied out of `bytes` again.
+pub fn open_sharing<M: Wire>(
+    want_arm: u8,
+    bytes: &[u8],
+    bodies: &mut BodyCache,
+) -> Result<M, WireError> {
+    let mut r = WireReader::with_bodies(enveloped(want_arm, bytes)?, bodies);
+    let v = M::decode(&mut r)?;
+    r.finish()?;
+    Ok(v)
 }
 
 impl Wire for u64 {
@@ -546,7 +713,7 @@ impl Wire for AppMessage {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let id = MessageId::decode(r)?;
         let dest = GroupSet::decode(r)?;
-        let payload = Payload::decode(r)?;
+        let payload = r.body(id)?;
         Ok(AppMessage { id, dest, payload })
     }
 }
