@@ -57,7 +57,7 @@ struct PeerArgs {
     addrs: Vec<SocketAddr>,
 }
 
-fn parse_args() -> Result<PeerArgs, String> {
+fn parse_args() -> Result<(PeerArgs, Topology), String> {
     let mut a = PeerArgs {
         arm: "a1".to_string(),
         me: 0,
@@ -77,7 +77,10 @@ fn parse_args() -> Result<PeerArgs, String> {
         };
         match flag.as_str() {
             "--arm" => a.arm = grab(&flag)?,
-            "--me" => a.me = cli::parse_u64(&flag, &grab(&flag)?)? as u32,
+            "--me" => {
+                let v = cli::parse_u64(&flag, &grab(&flag)?)?;
+                a.me = u32::try_from(v).map_err(|e| format!("{flag} {v}: {e}"))?;
+            }
             "--groups" => a.groups = cli::parse_u64(&flag, &grab(&flag)?)? as usize,
             "--procs" => a.procs = cli::parse_u64(&flag, &grab(&flag)?)? as usize,
             "--batch" => a.batch = cli::parse_u64(&flag, &grab(&flag)?)? as usize,
@@ -108,19 +111,25 @@ fn parse_args() -> Result<PeerArgs, String> {
     if a.addrs.is_empty() {
         return Err("--addrs is required (comma-separated, one per process)".into());
     }
-    if a.addrs.len() != a.groups * a.procs {
+    let processes = a.groups.saturating_mul(a.procs);
+    if a.addrs.len() != processes {
         return Err(format!(
-            "--addrs lists {} addresses but the {}x{} topology has {} processes",
+            "--addrs lists {} addresses but the {}x{} topology has {processes} processes",
             a.addrs.len(),
             a.groups,
             a.procs,
-            a.groups * a.procs
         ));
     }
+    // Past the count check `--groups` is at most the address count, so
+    // the builder loop is bounded; what it rejects is a usage error.
+    let topo = (0..a.groups)
+        .fold(Topology::builder(), |b, _| b.group(a.procs))
+        .build()
+        .map_err(|e| format!("--groups {}: {e}", a.groups))?;
     if a.me as usize >= a.addrs.len() {
         return Err(format!("--me {} out of range", a.me));
     }
-    Ok(a)
+    Ok((a, topo))
 }
 
 /// Builds the optional lossy-link adversary from `--drop-pct`/`--seed`:
@@ -159,14 +168,14 @@ fn with_bind_retry<T>(mut serve: impl FnMut() -> std::io::Result<T>) -> std::io:
 }
 
 fn main() -> ExitCode {
-    let a = match parse_args() {
-        Ok(a) => a,
+    let (a, topo) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("peer: {e}");
             return ExitCode::from(2);
         }
     };
-    let topo = Arc::new(Topology::symmetric(a.groups, a.procs));
+    let topo = Arc::new(topo);
     let me = ProcessId(a.me);
     let faults = faults_of(&a, &topo);
 

@@ -29,7 +29,6 @@ pub mod figure1_measured;
 pub mod forensics;
 pub mod measure;
 pub mod parallel;
-pub mod perf;
 pub mod registry;
 pub mod scale;
 pub mod scenario;
@@ -37,7 +36,6 @@ pub mod smr;
 pub mod sweeps;
 pub mod table;
 pub mod tcp_host;
-pub mod tcpperf;
 pub mod throughput;
 pub mod workload;
 

@@ -1,6 +1,6 @@
 //! A deterministic fork-join driver for embarrassingly parallel sweeps.
 //!
-//! Every run of a fuzz sweep or a perf probe is an independent function of
+//! Every run of a fuzz sweep or a scale sweep is an independent function of
 //! its seed, so wall-clock scales with worker threads — but the *report*
 //! must not depend on scheduling. [`run_indexed`] executes `f(0..n)` on a
 //! pool of `threads` workers pulling indices from a shared atomic counter
@@ -60,14 +60,6 @@ where
     results.into_iter().map(|(_, t)| t).collect()
 }
 
-/// The worker count to use when the caller does not specify one: the
-/// machine's available parallelism, 1 if unknown.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,10 +88,5 @@ mod tests {
             i
         });
         assert_eq!(out, (0..257).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
     }
 }

@@ -290,8 +290,7 @@ pub fn render_table(cells: &[ScaleCell]) -> String {
 
 /// Serializes the sweep as the `BENCH_scale.json` artifact: one flat
 /// object per cell under `"cells"`, sweep parameters at the top level.
-/// Dependency-free JSON in the same spirit as
-/// [`PerfSnapshot::to_json`](crate::perf::PerfSnapshot::to_json).
+/// Dependency-free JSON, written by hand.
 pub fn to_json(cfg: &ScaleConfig, cells: &[ScaleCell]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"wamcast-scale-v1\",\n");
@@ -405,7 +404,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"wamcast-scale-v1\""));
         assert!(json.contains("\"arm\": \"skeen\""));
         assert!(json.contains("\"fingerprint\": \"0x"));
-        // Flat-number fields parse back with the perf helper.
-        assert!(crate::perf::json_number(&json, "deliver_p50_ms").is_some());
+        let p50 = fmt_ms(cell.hist("deliver_ns").p50());
+        assert!(json.contains(&format!("\"deliver_p50_ms\": {p50},")));
     }
 }

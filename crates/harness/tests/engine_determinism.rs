@@ -25,10 +25,14 @@
 mod common;
 
 use common::fingerprint;
+use std::time::Duration;
+use wamcast_core::{GenuineMulticast, MulticastConfig};
 use wamcast_harness::run_scenario_full;
-use wamcast_harness::scenario::RunSpec;
+use wamcast_harness::scenario::{RunSpec, RETRY_INTERVAL};
+use wamcast_harness::workload::{all_group_pairs, poisson};
 use wamcast_harness::StackRegistry;
-use wamcast_sim::FaultConfig;
+use wamcast_sim::{FaultConfig, SimConfig, Simulation};
+use wamcast_types::{BatchConfig, Payload, Topology};
 
 /// Golden `seed fingerprint` lines, generated by the pre-overhaul engine.
 const GOLDEN: &str = include_str!("golden_engine_fingerprints.txt");
@@ -150,4 +154,43 @@ fn fingerprint_is_sensitive_to_delivery_order() {
         .expect("some process delivered at least two messages");
     seq.swap(0, 1);
     assert_ne!(base, fingerprint(&m));
+}
+
+/// The E12 probe (`sim_a1 --seconds 1 --seed 0xE12` in `benchmark/`): 3×3
+/// topology, batched A1 (8 casts / 20 ms) with the fuzz arm's retry,
+/// Poisson 2 000 casts/s for one virtual second over every group pair and
+/// all groups, no faults, send log off. Returns the steps dispatched and
+/// the events the recorder saw (retained + evicted) at `trace_cap`
+/// (0 = recorder off).
+fn e12_probe(trace_cap: usize) -> (u64, u64) {
+    let topo = Topology::symmetric(3, 3);
+    let mut dests = all_group_pairs(&topo);
+    dests.push(topo.all_groups());
+    let casts = poisson(&topo, 2000.0, Duration::from_secs(1), &dests, 0xE12);
+    let cfg = SimConfig::default().with_seed(0xE12).with_send_log(false);
+    let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(20));
+    let mcfg = MulticastConfig::default()
+        .with_batch(batch)
+        .with_retry(RETRY_INTERVAL);
+    let mut sim = Simulation::new(topo, cfg, |p, t| GenuineMulticast::new(p, t, mcfg));
+    if trace_cap > 0 {
+        sim.enable_trace(trace_cap);
+    }
+    for c in &casts {
+        sim.cast_at(c.at, c.caster, c.dest, Payload::new());
+    }
+    sim.run_to_quiescence();
+    let recorded = sim.trace().map_or(0, |t| t.len() as u64 + t.evicted());
+    (sim.metrics().steps, recorded)
+}
+
+/// The step count every E12 number since PR 4 was measured on. One step
+/// more or less means the engine or A1 changed the schedule.
+#[test]
+fn e12_probe_dispatches_69_665_steps() {
+    let (steps, _) = e12_probe(0);
+    assert_eq!(steps, 69_665, "recorder off");
+    let (steps, recorded) = e12_probe(1 << 16);
+    assert_eq!(steps, 69_665, "recording must not perturb the schedule");
+    assert!(recorded > 0, "a traced probe must actually record");
 }
