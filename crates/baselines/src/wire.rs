@@ -1,6 +1,8 @@
-//! Wire codecs for every baseline protocol's messages, so the TCP runtime
+//! Wire layout of every baseline protocol's messages, so the TCP runtime
 //! can host the Figure 1 baselines exactly like the paper's algorithms.
-//! Tag values are part of the wire format; renumbering is a protocol break.
+//! Declared once with `wamcast_types::wire_enum!` / `wire_struct!`, which
+//! generate the codec and the fuzz generator. Tags and field order are
+//! part of the wire format: changing either is a protocol break.
 
 use crate::detmerge::MergeMsg;
 use crate::optimistic::OptimisticMsg;
@@ -8,240 +10,50 @@ use crate::ring::{RingMsg, RingStep};
 use crate::rodrigues::RodriguesMsg;
 use crate::sequencer::SequencerMsg;
 use crate::skeen::SkeenMsg;
-use wamcast_consensus::ConsensusMsg;
-use wamcast_types::wire::{Wire, WireError, WireReader, WireWriter};
-use wamcast_types::{AppMessage, MessageId};
+use wamcast_types::{wire_enum, wire_struct};
 
-impl Wire for SkeenMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            SkeenMsg::Data(m) => {
-                w.u8(0);
-                m.encode(w);
-            }
-            SkeenMsg::Propose { id, ts } => {
-                w.u8(1);
-                id.encode(w);
-                w.u64(*ts);
-            }
-        }
-    }
+wire_enum!(SkeenMsg {
+    0 => Data(m),
+    1 => Propose { id, ts },
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(SkeenMsg::Data(AppMessage::decode(r)?)),
-            1 => Ok(SkeenMsg::Propose {
-                id: MessageId::decode(r)?,
-                ts: r.u64()?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                what: "SkeenMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire_struct!(RingStep { msg, ts });
 
-impl Wire for RingStep {
-    fn encode(&self, w: &mut WireWriter) {
-        self.msg.encode(w);
-        w.u64(self.ts);
-    }
+wire_enum!(RingMsg {
+    0 => Enter { msg, ts },
+    1 => Cons(c),
+    2 => Final { msg, ts },
+    3 => FinalAck { id },
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let msg = AppMessage::decode(r)?;
-        let ts = r.u64()?;
-        Ok(RingStep { msg, ts })
-    }
-}
+wire_enum!(RodriguesMsg {
+    0 => Data(m),
+    1 => Ts { id, ts },
+    2 => Cons { id, msg },
+});
 
-impl Wire for RingMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            RingMsg::Enter { msg, ts } => {
-                w.u8(0);
-                msg.encode(w);
-                w.u64(*ts);
-            }
-            RingMsg::Cons(c) => {
-                w.u8(1);
-                c.encode(w);
-            }
-            RingMsg::Final { msg, ts } => {
-                w.u8(2);
-                msg.encode(w);
-                w.u64(*ts);
-            }
-            RingMsg::FinalAck { id } => {
-                w.u8(3);
-                id.encode(w);
-            }
-        }
-    }
+wire_enum!(SequencerMsg {
+    0 => Data(m),
+    1 => Assign { id, n },
+    2 => Vote { id },
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(RingMsg::Enter {
-                msg: AppMessage::decode(r)?,
-                ts: r.u64()?,
-            }),
-            1 => Ok(RingMsg::Cons(ConsensusMsg::<RingStep>::decode(r)?)),
-            2 => Ok(RingMsg::Final {
-                msg: AppMessage::decode(r)?,
-                ts: r.u64()?,
-            }),
-            3 => Ok(RingMsg::FinalAck {
-                id: MessageId::decode(r)?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                what: "RingMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(OptimisticMsg {
+    0 => Data(m),
+    1 => Seq { id, n },
+});
 
-impl Wire for RodriguesMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            RodriguesMsg::Data(m) => {
-                w.u8(0);
-                m.encode(w);
-            }
-            RodriguesMsg::Ts { id, ts } => {
-                w.u8(1);
-                id.encode(w);
-                w.u64(*ts);
-            }
-            RodriguesMsg::Cons { id, msg } => {
-                w.u8(2);
-                id.encode(w);
-                msg.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(RodriguesMsg::Data(AppMessage::decode(r)?)),
-            1 => Ok(RodriguesMsg::Ts {
-                id: MessageId::decode(r)?,
-                ts: r.u64()?,
-            }),
-            2 => Ok(RodriguesMsg::Cons {
-                id: MessageId::decode(r)?,
-                msg: ConsensusMsg::<u64>::decode(r)?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                what: "RodriguesMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for SequencerMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            SequencerMsg::Data(m) => {
-                w.u8(0);
-                m.encode(w);
-            }
-            SequencerMsg::Assign { id, n } => {
-                w.u8(1);
-                id.encode(w);
-                w.u64(*n);
-            }
-            SequencerMsg::Vote { id } => {
-                w.u8(2);
-                id.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(SequencerMsg::Data(AppMessage::decode(r)?)),
-            1 => Ok(SequencerMsg::Assign {
-                id: MessageId::decode(r)?,
-                n: r.u64()?,
-            }),
-            2 => Ok(SequencerMsg::Vote {
-                id: MessageId::decode(r)?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                what: "SequencerMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for OptimisticMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            OptimisticMsg::Data(m) => {
-                w.u8(0);
-                m.encode(w);
-            }
-            OptimisticMsg::Seq { id, n } => {
-                w.u8(1);
-                id.encode(w);
-                w.u64(*n);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(OptimisticMsg::Data(AppMessage::decode(r)?)),
-            1 => Ok(OptimisticMsg::Seq {
-                id: MessageId::decode(r)?,
-                n: r.u64()?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                what: "OptimisticMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for MergeMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            MergeMsg::Pub { msg, ts } => {
-                w.u8(0);
-                msg.encode(w);
-                w.u64(*ts);
-            }
-            MergeMsg::Null { ts } => {
-                w.u8(1);
-                w.u64(*ts);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(MergeMsg::Pub {
-                msg: AppMessage::decode(r)?,
-                ts: r.u64()?,
-            }),
-            1 => Ok(MergeMsg::Null { ts: r.u64()? }),
-            tag => Err(WireError::UnknownTag {
-                what: "MergeMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(MergeMsg {
+    0 => Pub { msg, ts },
+    1 => Null { ts },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wamcast_consensus::Ballot;
-    use wamcast_types::{GroupSet, Payload, ProcessId};
+    use wamcast_consensus::{Ballot, ConsensusMsg};
+    use wamcast_types::wire::Wire;
+    use wamcast_types::{AppMessage, GroupSet, MessageId, Payload, ProcessId};
 
     fn msg(seq: u64) -> AppMessage {
         AppMessage::new(
@@ -304,15 +116,5 @@ mod tests {
         for m in merge {
             assert_eq!(MergeMsg::from_wire(&m.to_wire()).unwrap(), m);
         }
-    }
-
-    #[test]
-    fn unknown_tags_rejected() {
-        assert!(SkeenMsg::from_wire(&[9]).is_err());
-        assert!(RingMsg::from_wire(&[9]).is_err());
-        assert!(RodriguesMsg::from_wire(&[9]).is_err());
-        assert!(SequencerMsg::from_wire(&[9]).is_err());
-        assert!(OptimisticMsg::from_wire(&[9]).is_err());
-        assert!(MergeMsg::from_wire(&[9]).is_err());
     }
 }

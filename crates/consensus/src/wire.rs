@@ -1,118 +1,30 @@
-//! Wire codec for the consensus engine's messages.
-//!
-//! See `wamcast_types::wire` for the format rules (fixed-width LE,
-//! length-prefixed sequences, leading tag bytes on enums). Tag values are
-//! part of the wire format: renumbering them is a protocol break and must
-//! bump `wamcast_types::wire::VERSION`.
+//! Wire layout of the consensus engine's messages, declared once: each
+//! line gives a variant's tag byte and its fields in wire order, and
+//! `wamcast_types::wire_enum!` / `wire_struct!` generate the codec and the
+//! fuzz generator from it. Format rules (fixed-width LE, length-prefixed
+//! sequences, a leading tag byte per enum) are in `wamcast_types::wire`.
+//! Tags and field order are part of the wire format: changing either is a
+//! protocol break and must bump `wamcast_types::wire::VERSION`.
 
 use crate::{Ballot, ConsensusMsg};
-use wamcast_types::wire::{Wire, WireError, WireReader, WireWriter};
-use wamcast_types::ProcessId;
+use wamcast_types::{wire_enum, wire_struct};
 
-impl Wire for Ballot {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.round);
-        self.owner.encode(w);
-    }
+wire_struct!(Ballot { round, owner });
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let round = r.u64()?;
-        let owner = ProcessId::decode(r)?;
-        Ok(Ballot { round, owner })
-    }
-}
-
-impl<V: Wire> Wire for ConsensusMsg<V> {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            ConsensusMsg::Forward { instance, value } => {
-                w.u8(0);
-                w.u64(*instance);
-                value.encode(w);
-            }
-            ConsensusMsg::Prepare { instance, ballot } => {
-                w.u8(1);
-                w.u64(*instance);
-                ballot.encode(w);
-            }
-            ConsensusMsg::Promise {
-                instance,
-                ballot,
-                accepted,
-            } => {
-                w.u8(2);
-                w.u64(*instance);
-                ballot.encode(w);
-                accepted.encode(w);
-            }
-            ConsensusMsg::Accept {
-                instance,
-                ballot,
-                value,
-            } => {
-                w.u8(3);
-                w.u64(*instance);
-                ballot.encode(w);
-                value.encode(w);
-            }
-            ConsensusMsg::Accepted {
-                instance,
-                ballot,
-                value,
-            } => {
-                w.u8(4);
-                w.u64(*instance);
-                ballot.encode(w);
-                value.encode(w);
-            }
-            ConsensusMsg::Decide { instance, value } => {
-                w.u8(5);
-                w.u64(*instance);
-                value.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(ConsensusMsg::Forward {
-                instance: r.u64()?,
-                value: V::decode(r)?,
-            }),
-            1 => Ok(ConsensusMsg::Prepare {
-                instance: r.u64()?,
-                ballot: Ballot::decode(r)?,
-            }),
-            2 => Ok(ConsensusMsg::Promise {
-                instance: r.u64()?,
-                ballot: Ballot::decode(r)?,
-                accepted: Option::<(Ballot, V)>::decode(r)?,
-            }),
-            3 => Ok(ConsensusMsg::Accept {
-                instance: r.u64()?,
-                ballot: Ballot::decode(r)?,
-                value: V::decode(r)?,
-            }),
-            4 => Ok(ConsensusMsg::Accepted {
-                instance: r.u64()?,
-                ballot: Ballot::decode(r)?,
-                value: V::decode(r)?,
-            }),
-            5 => Ok(ConsensusMsg::Decide {
-                instance: r.u64()?,
-                value: V::decode(r)?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                what: "ConsensusMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(ConsensusMsg<V> {
+    0 => Forward { instance, value },
+    1 => Prepare { instance, ballot },
+    2 => Promise { instance, ballot, accepted },
+    3 => Accept { instance, ballot, value },
+    4 => Accepted { instance, ballot, value },
+    5 => Decide { instance, value },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wamcast_types::wire::Wire;
+    use wamcast_types::ProcessId;
 
     #[test]
     fn all_variants_roundtrip() {
@@ -157,16 +69,5 @@ mod tests {
         for m in msgs {
             assert_eq!(ConsensusMsg::<u64>::from_wire(&m.to_wire()).unwrap(), m);
         }
-    }
-
-    #[test]
-    fn unknown_tag_rejected() {
-        assert_eq!(
-            ConsensusMsg::<u64>::from_wire(&[200]),
-            Err(WireError::UnknownTag {
-                what: "ConsensusMsg",
-                tag: 200
-            })
-        );
     }
 }

@@ -1,133 +1,47 @@
-//! Wire codecs for Algorithm A1 ([`MulticastMsg`]) and Algorithm A2
-//! ([`BroadcastMsg`]) messages. Tag values are part of the wire format;
-//! renumbering is a protocol break and must bump
+//! Wire layout of Algorithm A1 ([`MulticastMsg`]) and Algorithm A2
+//! ([`BroadcastMsg`]) messages, declared once with
+//! `wamcast_types::wire_enum!` / `wire_struct!`, which generate the codec
+//! and the fuzz generator. Tags and field order are part of the wire
+//! format: changing either is a protocol break and must bump
 //! `wamcast_types::wire::VERSION`.
 
-use crate::abcast::{BroadcastMsg, RoundBundle};
-use crate::amcast::{MsgBatch, MsgEntry, MulticastMsg, Stage};
-use wamcast_consensus::ConsensusMsg;
-use wamcast_rmcast::RmcastMsg;
-use wamcast_types::wire::{Wire, WireError, WireReader, WireWriter};
-use wamcast_types::AppMessage;
+use crate::abcast::BroadcastMsg;
+use crate::amcast::{MsgEntry, MulticastMsg, Stage};
+use wamcast_types::{wire_enum, wire_struct};
 
-impl Wire for Stage {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u8(match self {
-            Stage::S0 => 0,
-            Stage::S1 => 1,
-            Stage::S2 => 2,
-            Stage::S3 => 3,
-        });
-    }
+wire_enum!(Stage {
+    0 => S0,
+    1 => S1,
+    2 => S2,
+    3 => S3,
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Stage::S0),
-            1 => Ok(Stage::S1),
-            2 => Ok(Stage::S2),
-            3 => Ok(Stage::S3),
-            tag => Err(WireError::UnknownTag { what: "Stage", tag }),
-        }
-    }
-}
+wire_struct!(MsgEntry { msg, ts, stage });
 
-impl Wire for MsgEntry {
-    fn encode(&self, w: &mut WireWriter) {
-        self.msg.encode(w);
-        w.u64(self.ts);
-        self.stage.encode(w);
-    }
+wire_enum!(MulticastMsg {
+    0 => Rm(m),
+    1 => Cons(c),
+    2 => Ts(batch),
+    3 => TsNudge(batch),
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let msg = AppMessage::decode(r)?;
-        let ts = r.u64()?;
-        let stage = Stage::decode(r)?;
-        Ok(MsgEntry { msg, ts, stage })
-    }
-}
-
-impl Wire for MulticastMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            MulticastMsg::Rm(m) => {
-                w.u8(0);
-                m.encode(w);
-            }
-            MulticastMsg::Cons(c) => {
-                w.u8(1);
-                c.encode(w);
-            }
-            MulticastMsg::Ts(batch) => {
-                w.u8(2);
-                batch.encode(w);
-            }
-            MulticastMsg::TsNudge(batch) => {
-                w.u8(3);
-                batch.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(MulticastMsg::Rm(RmcastMsg::decode(r)?)),
-            1 => Ok(MulticastMsg::Cons(ConsensusMsg::<MsgBatch>::decode(r)?)),
-            2 => Ok(MulticastMsg::Ts(MsgBatch::decode(r)?)),
-            3 => Ok(MulticastMsg::TsNudge(MsgBatch::decode(r)?)),
-            tag => Err(WireError::UnknownTag {
-                what: "MulticastMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for BroadcastMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            BroadcastMsg::Rm(m) => {
-                w.u8(0);
-                m.encode(w);
-            }
-            BroadcastMsg::Cons(c) => {
-                w.u8(1);
-                c.encode(w);
-            }
-            BroadcastMsg::Bundle { round, msgs } => {
-                w.u8(2);
-                w.u64(*round);
-                msgs.encode(w);
-            }
-            BroadcastMsg::BundleAck { round } => {
-                w.u8(3);
-                w.u64(*round);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(BroadcastMsg::Rm(AppMessage::decode(r)?)),
-            1 => Ok(BroadcastMsg::Cons(ConsensusMsg::<RoundBundle>::decode(r)?)),
-            2 => Ok(BroadcastMsg::Bundle {
-                round: r.u64()?,
-                msgs: RoundBundle::decode(r)?,
-            }),
-            3 => Ok(BroadcastMsg::BundleAck { round: r.u64()? }),
-            tag => Err(WireError::UnknownTag {
-                what: "BroadcastMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(BroadcastMsg {
+    0 => Rm(m),
+    1 => Cons(c),
+    2 => Bundle { round, msgs },
+    3 => BundleAck { round },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abcast::RoundBundle;
+    use crate::amcast::MsgBatch;
     use std::sync::Arc;
-    use wamcast_consensus::Ballot;
-    use wamcast_types::{GroupSet, MessageId, Payload, ProcessId};
+    use wamcast_consensus::{Ballot, ConsensusMsg};
+    use wamcast_rmcast::RmcastMsg;
+    use wamcast_types::wire::Wire;
+    use wamcast_types::{AppMessage, GroupSet, MessageId, Payload, ProcessId};
 
     fn entry(seq: u64) -> MsgEntry {
         MsgEntry {
@@ -157,7 +71,6 @@ mod tests {
         for m in msgs {
             assert_eq!(MulticastMsg::from_wire(&m.to_wire()).unwrap(), m);
         }
-        assert!(MulticastMsg::from_wire(&[77]).is_err());
     }
 
     #[test]
@@ -178,7 +91,6 @@ mod tests {
         for m in msgs {
             assert_eq!(BroadcastMsg::from_wire(&m.to_wire()).unwrap(), m);
         }
-        assert!(BroadcastMsg::from_wire(&[77]).is_err());
     }
 
     #[test]
@@ -186,6 +98,5 @@ mod tests {
         for s in [Stage::S0, Stage::S1, Stage::S2, Stage::S3] {
             assert_eq!(Stage::from_wire(&s.to_wire()).unwrap(), s);
         }
-        assert!(Stage::from_wire(&[4]).is_err());
     }
 }

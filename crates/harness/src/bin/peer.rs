@@ -42,7 +42,7 @@ use wamcast_net::tcp::{SharedTrace, TcpNodeConfig};
 use wamcast_net::WallFaults;
 use wamcast_sim::FaultPlan;
 use wamcast_trace::TraceRing;
-use wamcast_types::{BatchConfig, ProcessId, Topology};
+use wamcast_types::{wire, BatchConfig, ProcessId, Topology};
 
 struct PeerArgs {
     arm: String,
@@ -118,6 +118,15 @@ fn parse_args() -> Result<(PeerArgs, Topology), String> {
             a.addrs.len(),
             a.groups,
             a.procs,
+        ));
+    }
+    // A group past the wire's limit could never be cast to.
+    if a.groups > wire::MAX_GROUPS {
+        return Err(format!(
+            "--groups {}: wire v{} addresses at most {} groups",
+            a.groups,
+            wire::VERSION,
+            wire::MAX_GROUPS,
         ));
     }
     // Past the count check `--groups` is at most the address count, so

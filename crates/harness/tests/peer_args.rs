@@ -30,11 +30,14 @@ fn run_peer(args: &[String]) -> (Option<i32>, String, String) {
     (out.status.code(), text(out.stdout), text(out.stderr))
 }
 
-fn assert_usage_error(args: &[String], flag: &str) {
+/// Asserts that `peer` refuses `args` as a usage error naming `flag`, and
+/// returns its stderr.
+fn assert_usage_error(args: &[String], flag: &str) -> String {
     let (code, out, err) = run_peer(args);
     assert_eq!(code, Some(2), "{flag}: stderr {err:?}");
     assert!(err.contains(flag), "{flag} not named in {err:?}");
     assert!(!out.contains("listening"), "{flag}: {out:?}");
+    err
 }
 
 fn strings(args: &[&str]) -> Vec<String> {
@@ -54,6 +57,18 @@ fn me_beyond_u32_is_refused_not_wrapped() {
         "127.0.0.1:0",
     ]);
     assert_usage_error(&args, "--me");
+}
+
+#[test]
+fn more_groups_than_the_wire_addresses_is_a_usage_error() {
+    let addrs = vec!["127.0.0.1:0"; 65].join(",");
+    let mut args = strings(&["--groups", "65", "--procs", "1", "--addrs"]);
+    args.push(addrs);
+    let err = assert_usage_error(&args, "--groups");
+    assert!(
+        err.contains("at most 64 groups"),
+        "wire limit not named: {err:?}"
+    );
 }
 
 #[test]

@@ -1,11 +1,15 @@
 //! Round-trip fuzz of every wire message type in the stack registry's
 //! arms, plus hostile-input hardening of the envelope.
 //!
-//! Three properties, per type, over seeded [`SplitMix64`] generators:
+//! Every value is drawn by the type's own [`Sample`] impl: the one its
+//! `wire_enum!` / `wire_struct!` declaration generates, or a leaf's
+//! hand-written one, so the fuzzer reaches every declared variant without
+//! spelling a layout a second time. Three properties, per type, over
+//! seeded [`SplitMix64`] streams:
 //!
-//! 1. **Round trip** — `open(seal(m)) == m` for ≥ 10 000 generated
-//!    values (through the versioned envelope, so magic/version/arm
-//!    stamping is exercised on every case, not just the body codec).
+//! 1. **Round trip** — `open(seal(m)) == m` for ≥ 10 000 drawn values
+//!    (through the versioned envelope, so magic/version/arm stamping is
+//!    exercised on every case, not just the body codec).
 //! 2. **Truncation is always an error** — the codec is strictly
 //!    sequential, so *every* strict prefix of a sealed frame must decode
 //!    to `Err`, never to `Ok` and never to a panic. Checked at every
@@ -16,10 +20,10 @@
 //!    are rejected before allocation).
 //!
 //! Wrong-version, wrong-magic and wrong-arm frames are additionally
-//! pinned to their exact error variants.
+//! pinned to their exact error variants, and every declared enum's first
+//! unused tag to `UnknownTag` naming the enum.
 
 use std::fmt::Debug;
-use std::sync::Arc;
 use wamcast_baselines::detmerge::MergeMsg;
 use wamcast_baselines::optimistic::OptimisticMsg;
 use wamcast_baselines::ring::{RingMsg, RingStep};
@@ -27,278 +31,15 @@ use wamcast_baselines::rodrigues::RodriguesMsg;
 use wamcast_baselines::sequencer::SequencerMsg;
 use wamcast_baselines::skeen::SkeenMsg;
 use wamcast_consensus::{Ballot, ConsensusMsg};
-use wamcast_core::{BroadcastMsg, MsgBatch, MsgEntry, MulticastMsg, RoundBundle, Stage};
-use wamcast_net::tcp::Frame;
+use wamcast_core::{BroadcastMsg, MsgBatch, MsgEntry, MulticastMsg, Stage};
+use wamcast_net::tcp::{Frame, NoMsg};
 use wamcast_rmcast::RmcastMsg;
 use wamcast_smr::{AppliedOp, ReplicaLog, Response};
-use wamcast_types::wire::{self, Wire, WireError};
+use wamcast_types::wire::{self, Sample, Wire, WireError};
 use wamcast_types::{AppMessage, GroupId, GroupSet, MessageId, Payload, ProcessId, SplitMix64};
 
 const CASES: usize = 10_000;
 const ARM: u8 = 0x2A;
-
-// ---- generators -------------------------------------------------------
-
-fn gen_pid(r: &mut SplitMix64) -> ProcessId {
-    ProcessId(r.next_below(1 << 20) as u32)
-}
-
-fn gen_gid(r: &mut SplitMix64) -> GroupId {
-    GroupId(r.next_below(1 << 12) as u16)
-}
-
-fn gen_gset(r: &mut SplitMix64) -> GroupSet {
-    // Wire v1 carries at most 64 groups (the u64 mask the golden corpus
-    // pins); the fuzzer stays inside that encodable range.
-    GroupSet::from_bits(r.next_u64() as u128)
-}
-
-fn gen_mid(r: &mut SplitMix64) -> MessageId {
-    MessageId::new(gen_pid(r), r.next_u64())
-}
-
-fn gen_payload(r: &mut SplitMix64) -> Payload {
-    let len = r.next_below(24) as usize;
-    Payload::from(
-        (0..len)
-            .map(|_| r.next_below(256) as u8)
-            .collect::<Vec<u8>>(),
-    )
-}
-
-fn gen_app(r: &mut SplitMix64) -> AppMessage {
-    AppMessage::new(gen_mid(r), gen_gset(r), gen_payload(r))
-}
-
-fn gen_ballot(r: &mut SplitMix64) -> Ballot {
-    Ballot {
-        round: r.next_u64(),
-        owner: gen_pid(r),
-    }
-}
-
-fn gen_cons<V>(r: &mut SplitMix64, mut v: impl FnMut(&mut SplitMix64) -> V) -> ConsensusMsg<V> {
-    match r.next_below(6) {
-        0 => ConsensusMsg::Forward {
-            instance: r.next_u64(),
-            value: v(r),
-        },
-        1 => ConsensusMsg::Prepare {
-            instance: r.next_u64(),
-            ballot: gen_ballot(r),
-        },
-        2 => ConsensusMsg::Promise {
-            instance: r.next_u64(),
-            ballot: gen_ballot(r),
-            accepted: (r.next_below(2) == 0).then(|| (gen_ballot(r), v(r))),
-        },
-        3 => ConsensusMsg::Accept {
-            instance: r.next_u64(),
-            ballot: gen_ballot(r),
-            value: v(r),
-        },
-        4 => ConsensusMsg::Accepted {
-            instance: r.next_u64(),
-            ballot: gen_ballot(r),
-            value: v(r),
-        },
-        _ => ConsensusMsg::Decide {
-            instance: r.next_u64(),
-            value: v(r),
-        },
-    }
-}
-
-fn gen_rmcast(r: &mut SplitMix64) -> RmcastMsg {
-    if r.next_below(2) == 0 {
-        RmcastMsg::Data(gen_app(r))
-    } else {
-        RmcastMsg::Ack(gen_mid(r))
-    }
-}
-
-fn gen_stage(r: &mut SplitMix64) -> Stage {
-    match r.next_below(4) {
-        0 => Stage::S0,
-        1 => Stage::S1,
-        2 => Stage::S2,
-        _ => Stage::S3,
-    }
-}
-
-fn gen_entry(r: &mut SplitMix64) -> MsgEntry {
-    MsgEntry {
-        msg: gen_app(r),
-        ts: r.next_u64(),
-        stage: gen_stage(r),
-    }
-}
-
-fn gen_batch(r: &mut SplitMix64) -> MsgBatch {
-    let len = r.next_below(4) as usize;
-    Arc::new((0..len).map(|_| gen_entry(r)).collect())
-}
-
-fn gen_bundle(r: &mut SplitMix64) -> RoundBundle {
-    let len = r.next_below(4) as usize;
-    Arc::new((0..len).map(|_| gen_app(r)).collect())
-}
-
-fn gen_mcast(r: &mut SplitMix64) -> MulticastMsg {
-    match r.next_below(4) {
-        0 => MulticastMsg::Rm(gen_rmcast(r)),
-        1 => MulticastMsg::Cons(gen_cons(r, gen_batch)),
-        2 => MulticastMsg::Ts(gen_batch(r)),
-        _ => MulticastMsg::TsNudge(gen_batch(r)),
-    }
-}
-
-fn gen_bcast(r: &mut SplitMix64) -> BroadcastMsg {
-    match r.next_below(4) {
-        0 => BroadcastMsg::Rm(gen_app(r)),
-        1 => BroadcastMsg::Cons(gen_cons(r, gen_bundle)),
-        2 => BroadcastMsg::Bundle {
-            round: r.next_u64(),
-            msgs: gen_bundle(r),
-        },
-        _ => BroadcastMsg::BundleAck {
-            round: r.next_u64(),
-        },
-    }
-}
-
-fn gen_skeen(r: &mut SplitMix64) -> SkeenMsg {
-    if r.next_below(2) == 0 {
-        SkeenMsg::Data(gen_app(r))
-    } else {
-        SkeenMsg::Propose {
-            id: gen_mid(r),
-            ts: r.next_u64(),
-        }
-    }
-}
-
-fn gen_ring(r: &mut SplitMix64) -> RingMsg {
-    match r.next_below(4) {
-        0 => RingMsg::Enter {
-            msg: gen_app(r),
-            ts: r.next_u64(),
-        },
-        1 => RingMsg::Cons(gen_cons(r, |r| RingStep {
-            msg: gen_app(r),
-            ts: r.next_u64(),
-        })),
-        2 => RingMsg::Final {
-            msg: gen_app(r),
-            ts: r.next_u64(),
-        },
-        _ => RingMsg::FinalAck { id: gen_mid(r) },
-    }
-}
-
-fn gen_rodrigues(r: &mut SplitMix64) -> RodriguesMsg {
-    match r.next_below(3) {
-        0 => RodriguesMsg::Data(gen_app(r)),
-        1 => RodriguesMsg::Ts {
-            id: gen_mid(r),
-            ts: r.next_u64(),
-        },
-        _ => RodriguesMsg::Cons {
-            id: gen_mid(r),
-            msg: gen_cons(r, |r| r.next_u64()),
-        },
-    }
-}
-
-fn gen_sequencer(r: &mut SplitMix64) -> SequencerMsg {
-    match r.next_below(3) {
-        0 => SequencerMsg::Data(gen_app(r)),
-        1 => SequencerMsg::Assign {
-            id: gen_mid(r),
-            n: r.next_u64(),
-        },
-        _ => SequencerMsg::Vote { id: gen_mid(r) },
-    }
-}
-
-fn gen_optimistic(r: &mut SplitMix64) -> OptimisticMsg {
-    if r.next_below(2) == 0 {
-        OptimisticMsg::Data(gen_app(r))
-    } else {
-        OptimisticMsg::Seq {
-            id: gen_mid(r),
-            n: r.next_u64(),
-        }
-    }
-}
-
-fn gen_merge(r: &mut SplitMix64) -> MergeMsg {
-    if r.next_below(2) == 0 {
-        MergeMsg::Pub {
-            msg: gen_app(r),
-            ts: r.next_u64(),
-        }
-    } else {
-        MergeMsg::Null { ts: r.next_u64() }
-    }
-}
-
-fn gen_response(r: &mut SplitMix64) -> Response {
-    match r.next_below(4) {
-        0 => Response::Value((r.next_below(2) == 0).then(|| r.next_u64() as i64)),
-        1 => Response::Prev((r.next_below(2) == 0).then(|| r.next_u64() as i64)),
-        2 => Response::NewValue(r.next_u64() as i64),
-        _ => Response::Done,
-    }
-}
-
-fn gen_applied(r: &mut SplitMix64) -> AppliedOp {
-    AppliedOp {
-        id: gen_mid(r),
-        dest: gen_gset(r),
-        response: gen_response(r),
-    }
-}
-
-fn gen_replica_log(r: &mut SplitMix64) -> ReplicaLog {
-    let len = r.next_below(5) as usize;
-    ReplicaLog {
-        process: gen_pid(r),
-        group: gen_gid(r),
-        applied: (0..len).map(|_| gen_applied(r)).collect(),
-        digest: r.next_u64(),
-        decode_errors: r.next_below(3),
-    }
-}
-
-fn gen_frame(r: &mut SplitMix64) -> Frame<MulticastMsg> {
-    match r.next_below(7) {
-        0 => Frame::Peer {
-            from: gen_pid(r),
-            msg: gen_mcast(r),
-        },
-        1 => Frame::Cast {
-            seq: r.next_u64(),
-            dest: gen_gset(r),
-            payload: gen_payload(r),
-        },
-        2 => Frame::CastAck { id: gen_mid(r) },
-        3 => Frame::Req {
-            body: (0..r.next_below(16))
-                .map(|_| r.next_below(256) as u8)
-                .collect(),
-        },
-        4 => Frame::Rep {
-            body: (0..r.next_below(16))
-                .map(|_| r.next_below(256) as u8)
-                .collect(),
-        },
-        5 => Frame::CrashNotify { of: gen_pid(r) },
-        _ => Frame::Shutdown,
-    }
-}
-
-// ---- the harness ------------------------------------------------------
 
 /// Seeds a per-type stream so types fuzz independently of one another.
 fn rng_for(name: &str) -> SplitMix64 {
@@ -312,9 +53,9 @@ fn rng_for(name: &str) -> SplitMix64 {
 /// Properties 1–4 for one type: round trip through the envelope,
 /// `seal_into` differential equality over a reused dirty buffer, strict
 /// truncation rejection on a sample, mutation panic-freedom.
-fn fuzz_type<T>(name: &str, mut gen: impl FnMut(&mut SplitMix64) -> T)
+fn fuzz_type<T>(name: &str)
 where
-    T: Wire + PartialEq + Debug,
+    T: Wire + Sample + PartialEq + Debug,
 {
     let mut rng = rng_for(name);
     // The pooled-buffer path's reuse buffer: deliberately *dirty* from the
@@ -322,7 +63,7 @@ where
     // on its buffer's prior contents or capacity shows up as a byte diff.
     let mut reused: Vec<u8> = vec![0xEE; 7];
     for case in 0..CASES {
-        let v = gen(&mut rng);
+        let v = T::sample(&mut rng);
         let sealed = wire::seal(ARM, &v);
         wire::seal_into(ARM, &v, &mut reused);
         assert_eq!(
@@ -354,7 +95,7 @@ where
     }
 
     // Envelope pinning on one canonical instance.
-    let v = gen(&mut rng);
+    let v = T::sample(&mut rng);
     let sealed = wire::seal(ARM, &v);
     let mut bad_magic = sealed.clone();
     bad_magic[0] ^= 0xFF;
@@ -376,67 +117,92 @@ where
 
 #[test]
 fn foundation_types_roundtrip() {
-    fuzz_type("ProcessId", gen_pid);
-    fuzz_type("GroupId", gen_gid);
-    fuzz_type("GroupSet", gen_gset);
-    fuzz_type("MessageId", gen_mid);
-    fuzz_type("Payload", gen_payload);
-    fuzz_type("AppMessage", gen_app);
+    fuzz_type::<ProcessId>("ProcessId");
+    fuzz_type::<GroupId>("GroupId");
+    fuzz_type::<GroupSet>("GroupSet");
+    fuzz_type::<MessageId>("MessageId");
+    fuzz_type::<Payload>("Payload");
+    fuzz_type::<AppMessage>("AppMessage");
 }
 
 #[test]
 fn consensus_messages_roundtrip() {
-    fuzz_type("Ballot", gen_ballot);
-    fuzz_type("ConsensusMsg<u64>", |r| gen_cons(r, |r| r.next_u64()));
+    fuzz_type::<Ballot>("Ballot");
+    fuzz_type::<ConsensusMsg<u64>>("ConsensusMsg<u64>");
     // The instantiation A1 actually puts on the wire: batch-valued Paxos.
-    fuzz_type("ConsensusMsg<MsgBatch>", |r| gen_cons(r, gen_batch));
+    fuzz_type::<ConsensusMsg<MsgBatch>>("ConsensusMsg<MsgBatch>");
 }
 
 #[test]
 fn rmcast_messages_roundtrip() {
-    fuzz_type("RmcastMsg", gen_rmcast);
+    fuzz_type::<RmcastMsg>("RmcastMsg");
 }
 
 #[test]
 fn paper_arm_messages_roundtrip() {
-    fuzz_type("MsgEntry", gen_entry);
-    fuzz_type("MulticastMsg", gen_mcast);
-    fuzz_type("BroadcastMsg", gen_bcast);
+    fuzz_type::<Stage>("Stage");
+    fuzz_type::<MsgEntry>("MsgEntry");
+    fuzz_type::<MulticastMsg>("MulticastMsg");
+    fuzz_type::<BroadcastMsg>("BroadcastMsg");
 }
 
 #[test]
 fn baseline_arm_messages_roundtrip() {
-    fuzz_type("SkeenMsg", gen_skeen);
-    fuzz_type("RingMsg", gen_ring);
-    fuzz_type("RodriguesMsg", gen_rodrigues);
-    fuzz_type("SequencerMsg", gen_sequencer);
-    fuzz_type("OptimisticMsg", gen_optimistic);
-    fuzz_type("MergeMsg", gen_merge);
+    fuzz_type::<SkeenMsg>("SkeenMsg");
+    fuzz_type::<RingStep>("RingStep");
+    fuzz_type::<RingMsg>("RingMsg");
+    fuzz_type::<RodriguesMsg>("RodriguesMsg");
+    fuzz_type::<SequencerMsg>("SequencerMsg");
+    fuzz_type::<OptimisticMsg>("OptimisticMsg");
+    fuzz_type::<MergeMsg>("MergeMsg");
 }
 
 #[test]
 fn smr_control_plane_roundtrips() {
-    fuzz_type("Response", gen_response);
-    fuzz_type("AppliedOp", gen_applied);
-    fuzz_type("ReplicaLog", gen_replica_log);
+    fuzz_type::<Response>("Response");
+    fuzz_type::<AppliedOp>("AppliedOp");
+    fuzz_type::<ReplicaLog>("ReplicaLog");
 }
 
 #[test]
 fn tcp_frames_roundtrip() {
-    fuzz_type("Frame<MulticastMsg>", gen_frame);
+    fuzz_type::<Frame<MulticastMsg>>("Frame<MulticastMsg>");
     // The broadcast arm's frame instantiation (A2 over TCP).
-    fuzz_type("Frame<BroadcastMsg>", |r| match r.next_below(3) {
-        0 => Frame::Peer {
-            from: gen_pid(r),
-            msg: gen_bcast(r),
-        },
-        1 => Frame::Cast {
-            seq: r.next_u64(),
-            dest: gen_gset(r),
-            payload: gen_payload(r),
-        },
-        _ => Frame::Shutdown,
-    });
+    fuzz_type::<Frame<BroadcastMsg>>("Frame<BroadcastMsg>");
+}
+
+/// One line per declared enum (and the uninhabited `NoMsg`): the first
+/// tag it leaves unused, which must decode to `UnknownTag` naming the
+/// enum — not to a variant, not to another error, not to a panic.
+#[test]
+fn first_unused_tag_is_an_unknown_tag_error() {
+    fn decode<T: Wire>(bytes: &[u8]) -> Result<(), WireError> {
+        T::from_wire(bytes).map(drop)
+    }
+    type Decode = fn(&[u8]) -> Result<(), WireError>;
+    let table: [(&str, u8, Decode); 14] = [
+        ("ConsensusMsg", 6, decode::<ConsensusMsg<u64>>),
+        ("RmcastMsg", 2, decode::<RmcastMsg>),
+        ("Stage", 4, decode::<Stage>),
+        ("MulticastMsg", 4, decode::<MulticastMsg>),
+        ("BroadcastMsg", 4, decode::<BroadcastMsg>),
+        ("SkeenMsg", 2, decode::<SkeenMsg>),
+        ("RingMsg", 4, decode::<RingMsg>),
+        ("RodriguesMsg", 3, decode::<RodriguesMsg>),
+        ("SequencerMsg", 3, decode::<SequencerMsg>),
+        ("OptimisticMsg", 2, decode::<OptimisticMsg>),
+        ("MergeMsg", 2, decode::<MergeMsg>),
+        ("Response", 4, decode::<Response>),
+        ("Frame", 7, decode::<Frame<MulticastMsg>>),
+        ("NoMsg", 0, decode::<NoMsg>),
+    ];
+    for (what, tag, decode) in table {
+        assert_eq!(
+            decode(&[tag]),
+            Err(WireError::UnknownTag { what, tag }),
+            "{what}"
+        );
+    }
 }
 
 #[test]

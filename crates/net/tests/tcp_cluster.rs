@@ -374,6 +374,29 @@ fn frames_naming_ids_outside_the_topology_are_refused_and_the_node_keeps_serving
 }
 
 #[test]
+fn cast_beyond_the_wire_group_limit_is_refused_and_the_client_keeps_working() {
+    let (node, addr) = serve_p0(Flood, &[], echo_service());
+    let mut client = TcpClient::new(addr, ARM, Duration::from_secs(5));
+    let unaddressable = GroupSet::singleton(GroupId(wire::MAX_GROUPS as u16));
+    let err = client
+        .cast(0, unaddressable, Payload::from_static(b"g64"))
+        .expect_err("wire v1 cannot carry g64");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+    let id = client
+        .cast(1, GroupSet::first_n(1), Payload::from_static(b"valid"))
+        .expect("the same client's next cast is acked");
+    await_that("the valid cast is delivered", || {
+        node.delivered().iter().any(|m| m.id == id)
+    });
+    assert_eq!(
+        node.stats().bad_frame(),
+        0,
+        "nothing was sent for the bad cast"
+    );
+    node.shutdown();
+}
+
+#[test]
 fn peer_that_never_reads_fills_the_capped_out_buffer_and_the_node_keeps_serving() {
     // Process 1 is a listener nobody accepts from: the kernel completes the
     // handshake and buffers what it is sent, up to its limits.

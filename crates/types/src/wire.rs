@@ -10,6 +10,14 @@
 //! that frames each datagram with `magic, version, arm-id` so peers reject
 //! cross-version and cross-stack traffic instead of misparsing it.
 //!
+//! Only the leaves are written by hand here: integers, ids, [`GroupSet`],
+//! [`Payload`], [`AppMessage`] and the `Vec` / `Arc` / `Option` / pair
+//! containers. Every message type is *declared* with
+//! [`wire_struct!`](crate::wire_struct) or [`wire_enum!`](crate::wire_enum):
+//! one line per variant, naming its tag byte and its fields in wire
+//! order. The declaration generates `encode`, `decode` and the fuzz
+//! suite's [`Sample`] generator, so a layout is written once.
+//!
 //! Design rules (see `DESIGN.md` §"Wire envelope"):
 //!
 //! * **Fixed-width little-endian integers.** No varints: messages are
@@ -46,7 +54,9 @@
 //! ));
 //! ```
 
-use crate::{AppMessage, FxBuildHasher, GroupId, GroupSet, MessageId, Payload, ProcessId};
+use crate::{
+    AppMessage, FxBuildHasher, GroupId, GroupSet, MessageId, Payload, ProcessId, SplitMix64,
+};
 use std::fmt;
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -490,32 +500,29 @@ impl<'a> WireReader<'a> {
 ///
 /// # Example
 ///
-/// Implementing `Wire` for a two-field struct: encode fields in order,
-/// decode them back in the same order (the `Vec`/`Option`/tuple impls
-/// below compose the same way).
+/// A message type is declared, not implemented: [`wire_struct!`] names the
+/// fields in wire order — which need not be the Rust order — and generates
+/// `Wire` and [`Sample`] from them. A declaration that misses or invents a
+/// field does not compile.
 ///
 /// ```
-/// use wamcast_types::wire::{Wire, WireError, WireReader, WireWriter};
+/// use wamcast_types::wire::{Sample, Wire};
+/// use wamcast_types::{wire_struct, ProcessId, SplitMix64};
 ///
 /// #[derive(Debug, PartialEq)]
-/// struct Ping { round: u64, urgent: bool }
+/// struct Ping { from: ProcessId, round: u64 }
 ///
-/// impl Wire for Ping {
-///     fn encode(&self, w: &mut WireWriter) {
-///         w.u64(self.round);
-///         w.bool(self.urgent);
-///     }
-///     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-///         let round = r.u64()?;
-///         let urgent = r.bool()?;
-///         Ok(Ping { round, urgent })
-///     }
-/// }
+/// wire_struct!(Ping { round, from });
 ///
-/// let p = Ping { round: 7, urgent: true };
+/// let p = Ping { from: ProcessId(2), round: 7 };
+/// assert_eq!(p.to_wire(), [7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0], "round first");
 /// assert_eq!(Ping::from_wire(&p.to_wire()).unwrap(), p);
 /// assert!(Ping::from_wire(&[0u8; 3]).is_err(), "truncated input is an Err");
+/// let q = Ping::sample(&mut SplitMix64::new(1));
+/// assert_eq!(Ping::from_wire(&q.to_wire()).unwrap(), q);
 /// ```
+///
+/// [`wire_struct!`]: crate::wire_struct
 pub trait Wire: Sized {
     /// Appends this value's encoding to `w`.
     fn encode(&self, w: &mut WireWriter);
@@ -537,6 +544,143 @@ pub trait Wire: Sized {
         r.finish()?;
         Ok(v)
     }
+}
+
+/// A value the codec fuzz suite can draw at random — every variant of a
+/// declared message, with every leaf inside the range the wire carries.
+/// Declarations generate it; the leaves below implement it by hand. Equal
+/// generator seeds draw equal values.
+pub trait Sample {
+    /// Draws one value from `r`.
+    fn sample(r: &mut SplitMix64) -> Self;
+}
+
+/// Declares the wire layout of a struct: its fields, in wire order.
+/// Generates [`Wire`] — each field encoded, then decoded, in the order
+/// listed, whatever the Rust declaration order — and [`Sample`]. Every
+/// field type must itself be `Wire + Sample`. A declaration that misses or
+/// invents a field is a compile error (the struct is destructured in
+/// `encode` and built in `decode`). See the [`Wire`] example.
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                let $name { $($field),+ } = self;
+                $($crate::wire::Wire::encode($field, w);)+
+            }
+
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok($name {
+                    $($field: $crate::wire::Wire::decode(r)?),+
+                })
+            }
+        }
+
+        impl $crate::wire::Sample for $name {
+            fn sample(r: &mut $crate::SplitMix64) -> Self {
+                $name { $($field: $crate::wire::Sample::sample(r)),+ }
+            }
+        }
+    };
+}
+
+/// Declares the wire layout of an enum: one `tag => Variant` line per
+/// variant, with its fields in wire order — `{ a, b }` for named fields,
+/// `(a, b)` for a tuple variant (the names are only binders), nothing for
+/// a unit variant. A variant is its tag byte followed by its fields.
+/// Generates [`Wire`] — decoding an undeclared tag is
+/// [`WireError::UnknownTag`] naming the enum — and [`Sample`], which
+/// draws every declared variant. Type parameters, if any, are listed after
+/// the name and bound by `Wire` (resp. `Sample`) in the generated impls.
+/// A missing variant or field is a compile error in both directions.
+///
+/// # Example
+///
+/// ```
+/// use wamcast_types::wire::{Wire, WireError};
+/// use wamcast_types::{wire_enum, MessageId, ProcessId};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Note<V> {
+///     Put { id: MessageId, value: V },
+///     Drop(MessageId),
+///     Flush,
+/// }
+///
+/// wire_enum!(Note<V> {
+///     0 => Put { id, value },
+///     1 => Drop(id),
+///     7 => Flush,
+/// });
+///
+/// let id = MessageId::new(ProcessId(1), 9);
+/// let put = Note::Put { id, value: 5u64 };
+/// assert_eq!(put.to_wire()[0], 0, "tag byte first");
+/// assert_eq!(Note::from_wire(&put.to_wire()).unwrap(), put);
+/// assert_eq!(Note::<u64>::Flush.to_wire(), [7]);
+/// assert_eq!(
+///     Note::<u64>::from_wire(&[2]),
+///     Err(WireError::UnknownTag { what: "Note", tag: 2 })
+/// );
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident $(<$($param:ident),+>)? {
+        $($tag:literal => $variant:ident
+            $(($($item:ident),+ $(,)?))?
+            $({ $($field:ident),+ $(,)? })?),+ $(,)?
+    }) => {
+        impl$(<$($param: $crate::wire::Wire),+>)? $crate::wire::Wire
+            for $name$(<$($param),+>)?
+        {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                match self {
+                    $(Self::$variant $(($($item),+))? $({ $($field),+ })? => {
+                        w.u8($tag);
+                        $($($crate::wire::Wire::encode($item, w);)+)?
+                        $($($crate::wire::Wire::encode($field, w);)+)?
+                    })+
+                }
+            }
+
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok(match r.u8()? {
+                    $($tag => Self::$variant
+                        $(($($crate::wire_enum!(@each $item $crate::wire::Wire::decode(r)?)),+))?
+                        $({ $($field: $crate::wire::Wire::decode(r)?),+ })?,)+
+                    tag => {
+                        return ::core::result::Result::Err($crate::wire::WireError::UnknownTag {
+                            what: ::core::stringify!($name),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+
+        impl$(<$($param: $crate::wire::Sample),+>)? $crate::wire::Sample
+            for $name$(<$($param),+>)?
+        {
+            fn sample(r: &mut $crate::SplitMix64) -> Self {
+                const TAGS: &[u8] = &[$($tag),+];
+                match TAGS[r.next_below(TAGS.len() as u64) as usize] {
+                    $($tag => Self::$variant
+                        $(($($crate::wire_enum!(@each $item $crate::wire::Sample::sample(r))),+))?
+                        $({ $($field: $crate::wire::Sample::sample(r)),+ })?,)+
+                    _ => ::core::unreachable!("TAGS lists every declared tag"),
+                }
+            }
+        }
+    };
+    // One tuple-variant field: the binder only drives the repetition.
+    (@each $item:ident $get:expr) => {
+        $get
+    };
 }
 
 /// Wraps a message in the versioned envelope: `magic, version, arm-id, body`.
@@ -619,83 +763,137 @@ pub fn open_sharing<M: Wire>(
     Ok(v)
 }
 
+impl Wire for u8 {
+    #[inline]
+    fn encode(&self, w: &mut WireWriter) {
+        w.u8(*self);
+    }
+
+    #[inline]
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.u8()
+    }
+}
+
+impl Sample for u8 {
+    fn sample(r: &mut SplitMix64) -> Self {
+        r.next_u64() as u8
+    }
+}
+
 impl Wire for u64 {
+    #[inline]
     fn encode(&self, w: &mut WireWriter) {
         w.u64(*self);
     }
 
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         r.u64()
     }
 }
 
+impl Sample for u64 {
+    fn sample(r: &mut SplitMix64) -> Self {
+        r.next_u64()
+    }
+}
+
 impl Wire for i64 {
+    #[inline]
     fn encode(&self, w: &mut WireWriter) {
         w.u64(*self as u64);
     }
 
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(r.u64()? as i64)
     }
 }
 
+impl Sample for i64 {
+    fn sample(r: &mut SplitMix64) -> Self {
+        r.next_u64() as i64
+    }
+}
+
 impl Wire for ProcessId {
+    #[inline]
     fn encode(&self, w: &mut WireWriter) {
         w.u32(self.0);
     }
 
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(ProcessId(r.u32()?))
     }
 }
 
+impl Sample for ProcessId {
+    fn sample(r: &mut SplitMix64) -> Self {
+        ProcessId(r.next_below(1 << 20) as u32)
+    }
+}
+
 impl Wire for GroupId {
+    #[inline]
     fn encode(&self, w: &mut WireWriter) {
         w.u16(self.0);
     }
 
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(GroupId(r.u16()?))
     }
 }
 
-/// Wire v1 carries destination sets as a `u64` mask: the format predates
-/// the 128-group in-memory mask, and the golden corpus pins the 8-byte
-/// layout. The TCP runtime therefore speaks ≤64-group topologies only —
+impl Sample for GroupId {
+    fn sample(r: &mut SplitMix64) -> Self {
+        GroupId(r.next_below(1 << 12) as u16)
+    }
+}
+
+/// Most groups a destination set on the wire can name: wire v1 carries
+/// it as a `u64` mask. The format predates the 128-group in-memory mask,
+/// and the golden corpus pins the 8-byte layout. The TCP runtime therefore
+/// speaks topologies of at most this many groups — `peer` refuses larger
+/// ones and `TcpClient::cast` refuses a destination beyond them — while
 /// the 65..128-group range is a simulator-scale feature (`scale_sweep`),
 /// which never serializes destination sets.
+pub const MAX_GROUPS: usize = 64;
+
 impl Wire for GroupSet {
+    #[inline]
     fn encode(&self, w: &mut WireWriter) {
         assert!(
-            self.bits() >> 64 == 0,
-            "wire v1 encodes at most 64 groups; {self} does not fit (bump VERSION to widen)"
+            self.bits() >> MAX_GROUPS == 0,
+            "wire v{VERSION} encodes at most {MAX_GROUPS} groups; {self} does not fit \
+             (bump VERSION to widen)"
         );
         w.u64(self.bits() as u64);
     }
 
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(GroupSet::from_bits(r.u64()? as u128))
     }
 }
 
-impl Wire for MessageId {
-    fn encode(&self, w: &mut WireWriter) {
-        self.origin.encode(w);
-        w.u64(self.seq);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let origin = ProcessId::decode(r)?;
-        let seq = r.u64()?;
-        Ok(MessageId { origin, seq })
+impl Sample for GroupSet {
+    fn sample(r: &mut SplitMix64) -> Self {
+        GroupSet::from_bits(u128::from(r.next_u64()))
     }
 }
 
+crate::wire_struct!(MessageId { origin, seq });
+
 impl Wire for Payload {
+    #[inline]
     fn encode(&self, w: &mut WireWriter) {
         w.bytes(self.as_slice());
     }
 
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         // One copy, borrowed slice straight into the refcounted buffer —
         // `from(to_vec())` would copy twice (slice → Vec → Arc<[u8]>).
@@ -703,6 +901,15 @@ impl Wire for Payload {
     }
 }
 
+impl Sample for Payload {
+    fn sample(r: &mut SplitMix64) -> Self {
+        let len = r.next_below(24);
+        Payload::from((0..len).map(|_| u8::sample(r)).collect::<Vec<u8>>())
+    }
+}
+
+/// Stays a leaf rather than a declaration: its body decodes through
+/// [`WireReader::body`], so a node's [`BodyCache`] shares the buffer.
 impl Wire for AppMessage {
     fn encode(&self, w: &mut WireWriter) {
         self.id.encode(w);
@@ -715,6 +922,16 @@ impl Wire for AppMessage {
         let dest = GroupSet::decode(r)?;
         let payload = r.body(id)?;
         Ok(AppMessage { id, dest, payload })
+    }
+}
+
+impl Sample for AppMessage {
+    fn sample(r: &mut SplitMix64) -> Self {
+        AppMessage::new(
+            MessageId::sample(r),
+            GroupSet::sample(r),
+            Payload::sample(r),
+        )
     }
 }
 
@@ -740,6 +957,13 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<T: Sample> Sample for Vec<T> {
+    fn sample(r: &mut SplitMix64) -> Self {
+        let len = r.next_below(4);
+        (0..len).map(|_| T::sample(r)).collect()
+    }
+}
+
 // Lives here rather than in downstream crates: `Arc` is not a fundamental
 // type, so the orphan rule forbids e.g. `wamcast-core` from implementing a
 // foreign trait for `Arc<Vec<MsgEntry>>`. Covers `SharedBatch<T>`.
@@ -750,6 +974,12 @@ impl<T: Wire> Wire for Arc<T> {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Arc::new(T::decode(r)?))
+    }
+}
+
+impl<T: Sample> Sample for Arc<T> {
+    fn sample(r: &mut SplitMix64) -> Self {
+        Arc::new(T::sample(r))
     }
 }
 
@@ -776,6 +1006,12 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+impl<T: Sample> Sample for Option<T> {
+    fn sample(r: &mut SplitMix64) -> Self {
+        (r.next_below(2) == 0).then(|| T::sample(r))
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, w: &mut WireWriter) {
         self.0.encode(w);
@@ -786,6 +1022,12 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
         let a = A::decode(r)?;
         let b = B::decode(r)?;
         Ok((a, b))
+    }
+}
+
+impl<A: Sample, B: Sample> Sample for (A, B) {
+    fn sample(r: &mut SplitMix64) -> Self {
+        (A::sample(r), B::sample(r))
     }
 }
 
