@@ -28,8 +28,8 @@
 //! (k = destination groups, d = processes per group, n = kd. \[1\] runs in
 //! a stronger never-quiescent streams model — standing heartbeats, phase
 //! offsets — that has no convergence point for the fuzz harness to check,
-//! so it stays out of the registry rotation; `figure1.rs` measures it with
-//! the marginal-cost method instead.)
+//! so it stays out of the registry rotation; `wamcast_harness::paper`
+//! measures it with the marginal-cost method instead.)
 //!
 //! [`Protocol`]: wamcast_types::Protocol
 

@@ -107,15 +107,17 @@ fn concurrent_overlapping_multicasts_are_totally_ordered() {
 fn stress_many_messages_with_jitter() {
     // 40 messages, jittered links (reorders consensus traffic), overlapping
     // destinations; all invariants must hold and all messages deliver.
-    let net = NetConfig::default()
-        .with_inter(LatencyModel::Uniform {
+    let net = NetConfig {
+        inter: LatencyModel::Uniform {
             min: Duration::from_millis(40),
             max: Duration::from_millis(160),
-        })
-        .with_intra(LatencyModel::Uniform {
+        },
+        intra: LatencyModel::Uniform {
             min: Duration::from_micros(50),
             max: Duration::from_micros(500),
-        });
+        },
+        ..NetConfig::default()
+    };
     let cfg = SimConfig::default().with_seed(7).with_net(net);
     let mut sim = Simulation::new(Topology::symmetric(3, 2), cfg, |p, topo| {
         GenuineMulticast::new(p, topo, MulticastConfig::default())

@@ -172,15 +172,17 @@ fn all_groups_deliver_same_total_order() {
 
 #[test]
 fn jittered_links_preserve_invariants() {
-    let net = NetConfig::default()
-        .with_inter(LatencyModel::Uniform {
+    let net = NetConfig {
+        inter: LatencyModel::Uniform {
             min: Duration::from_millis(60),
             max: Duration::from_millis(140),
-        })
-        .with_intra(LatencyModel::Uniform {
+        },
+        intra: LatencyModel::Uniform {
             min: Duration::from_micros(50),
             max: Duration::from_micros(400),
-        });
+        },
+        ..NetConfig::default()
+    };
     let cfg = SimConfig::default().with_seed(6).with_net(net);
     let mut sim = Simulation::new(Topology::symmetric(3, 3), cfg, |p, topo| {
         RoundBroadcast::new(p, topo)

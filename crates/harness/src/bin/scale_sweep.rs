@@ -26,7 +26,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 use wamcast_harness::cli::parse_u64;
-use wamcast_harness::scale::{render_table, run_cell, to_json, ScaleCell, ScaleConfig};
+use wamcast_harness::scale::{run_cell, table, to_json, ScaleCell, ScaleConfig};
 use wamcast_harness::StackRegistry;
 
 /// The default arm subset: the paper arms plus the two strongest genuine
@@ -135,7 +135,7 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("{}", render_table(&cells));
+    println!("{}", table(&cells).render());
     if let Some(path) = json_out {
         let json = to_json(&cfg, &cells);
         if let Err(e) = std::fs::write(&path, json) {

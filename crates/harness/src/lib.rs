@@ -1,46 +1,38 @@
 //! Experiment harness reproducing the evaluation artifacts of Schiper &
 //! Pedone (PODC 2007).
 //!
-//! The paper is a protocol paper; its quantitative artifacts are:
+//! The paper is a protocol paper; its checkable content is Figure 1(a)/(b)
+//! (latency degree and inter-group messages of each algorithm), Theorems
+//! 4.1/5.1/5.2, Propositions 3.1–3.3 and the §5.2/§5.3 remarks on
+//! quiescence and broadcast frequency. [`paper`] runs and judges all of
+//! them; the `paper` binary prints the result as the root `CLAIMS.md`, and
+//! a tier-1 test keeps that file in step with the code.
 //!
-//! * **Figure 1(a)** — atomic multicast comparison: latency degree and
-//!   inter-group message count for \[4\], \[10\], \[5\], A1 and \[1\];
-//! * **Figure 1(b)** — atomic broadcast comparison: \[12\], \[13\], A2, \[1\];
-//! * **Theorems 4.1 / 5.1 / 5.2** — witness runs with Δ = 2, 1, 2;
-//! * **Propositions 3.1–3.3** — lower bounds, corroborated empirically;
-//! * the **§5.3 remark** — broadcast frequency vs. round duration governs
-//!   when A2 stays in its optimal (all-rounds-useful, Δ=1) regime.
-//!
-//! Each artifact has a binary (see `src/bin/`) that prints a
-//! paper-vs-measured table; `EXPERIMENTS.md` records the outputs.
-//!
-//! The library part hosts the shared machinery: the stack registry
+//! The library also hosts the shared machinery: the stack registry
 //! ([`registry`] — the single protocol-arm dispatch site), scenario
-//! runners ([`measure`]), the Figure 1 row definitions ([`figure1`]) and
-//! their measured counterpart ([`figure1_measured`]), parameter sweeps
-//! ([`sweeps`]) and a plain-text table printer ([`table`]).
+//! runners ([`measure`]), the fault fuzzer ([`scenario`]), the SMR
+//! drivers ([`smr`], [`tcp_host`]), the throughput and scale sweeps
+//! ([`throughput`], [`scale`]) and a table printer ([`table`]). The other
+//! binaries in `src/bin/` are `peer` (one TCP-runtime process),
+//! `scenario_fuzz`, `smr_kv`, `scale_sweep` and `throughput_sweep`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod figure1;
-pub mod figure1_measured;
 pub mod forensics;
 pub mod measure;
+pub mod paper;
 pub mod parallel;
 pub mod registry;
 pub mod scale;
 pub mod scenario;
 pub mod smr;
-pub mod sweeps;
 pub mod table;
 pub mod tcp_host;
 pub mod throughput;
 pub mod workload;
 
-pub use figure1::{figure1a_rows, figure1b_rows, Figure1Row};
-pub use measure::{measure_broadcast_steady, measure_one_multicast, BroadcastSteady, OneShot};
 pub use registry::{ProtocolArm, StackRegistry};
 pub use scale::{latency_registry, run_cell, ScaleCell, ScaleConfig};
 pub use scenario::{run_scenario, run_scenario_full, RunSpec, ScenarioOutcome};

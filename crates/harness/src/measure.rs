@@ -1,70 +1,42 @@
-//! Generic scenario runners shared by the experiment binaries and benches.
+//! Generic scenario runners behind the registry probes and the claims
+//! file ([`crate::paper`]).
 //!
-//! Topologies come from [`shared_topology`]: sweeps and benches call these
-//! runners hundreds of times over the same handful of shapes, so each
+//! Topologies come from [`shared_topology`]: sweeps call these runners
+//! hundreds of times over the same handful of shapes, so each
 //! measurement borrows the process-wide immutable `Arc` instead of
 //! rebuilding the member tables.
 
+use crate::registry::ArmProbe;
 use crate::scenario::shared_topology;
 use std::time::Duration;
 use wamcast_sim::{invariants, NetConfig, SimConfig, Simulation};
 use wamcast_types::{GroupSet, Payload, ProcessId, Protocol, SimTime, Topology};
 
-/// Result of a single-message multicast measurement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OneShot {
-    /// Measured latency degree Δ(m, R) (§2.3).
-    pub degree: u64,
-    /// Inter-group message copies sent during the run.
-    pub inter_msgs: u64,
-    /// Intra-group message copies sent during the run.
-    pub intra_msgs: u64,
-    /// Virtual-time latency from cast to last delivery.
-    pub wall: Duration,
-}
-
-/// Casts one message and measures it. The caster is the first process of
-/// the **last** destination group (the placement under which the paper's
-/// Figure 1 worst-case accounting holds for every algorithm).
-///
-/// Quiescent protocols are run to quiescence so the message count is the
-/// complete per-cast cost; non-quiescent ones are cut off at `horizon`
-/// with the count restricted to `[cast, last delivery]`.
+/// Casts one message to all `k` groups over `net` at time zero and
+/// measures it, run to quiescence so the message count is the complete
+/// per-cast cost. The caster is the first process of the **last** group
+/// (the placement under which the paper's Figure 1 worst-case accounting
+/// holds for every algorithm).
 pub fn measure_one_multicast<P: Protocol>(
     k: usize,
     d: usize,
-    dest_groups: usize,
     factory: impl FnMut(ProcessId, &Topology) -> P,
-    quiescent: bool,
-    cast_at: SimTime,
-    horizon: SimTime,
-) -> OneShot {
-    let cfg = SimConfig::default().with_seed(0xF1A);
+    net: NetConfig,
+) -> ArmProbe {
+    let cfg = SimConfig::default().with_seed(0xF1A).with_net(net);
     let mut sim = Simulation::new_shared(shared_topology(k, d), cfg, factory);
-    let dest = GroupSet::first_n(dest_groups);
-    let caster = ProcessId(((dest_groups - 1) * d) as u32);
-    let id = sim.cast_at(cast_at, caster, dest, Payload::new());
-    let ok = sim.run_until_delivered(&[id], horizon);
-    assert!(ok, "message not delivered within horizon");
-    if quiescent {
-        sim.run_to_quiescence();
-    }
+    let caster = ProcessId(((k - 1) * d) as u32);
+    let id = sim.cast_at(SimTime::ZERO, caster, GroupSet::first_n(k), Payload::new());
+    let ok = sim.run_until_delivered(&[id], SimTime::from_millis(600_000));
+    assert!(ok, "message not delivered within 600 s");
+    sim.run_to_quiescence();
     let correct = sim.alive_processes();
     invariants::check_all(sim.topology(), sim.metrics(), &correct).assert_ok();
     let m = sim.metrics();
-    let degree = m.latency_degree(id).expect("delivered");
-    let wall = m.delivery_latency(id).expect("delivered");
-    let (inter, intra) = if quiescent {
-        (m.inter_sends, m.intra_sends)
-    } else {
-        let last = m.deliveries[&id].values().map(|d| d.time).max().unwrap();
-        (m.inter_sends_in_window(cast_at, last), m.intra_sends)
-    };
-    OneShot {
-        degree,
-        inter_msgs: inter,
-        intra_msgs: intra,
-        wall,
+    ArmProbe {
+        degree: m.latency_degree(id).expect("delivered"),
+        inter_msgs: m.inter_sends,
+        wall: m.delivery_latency(id).expect("delivered"),
     }
 }
 
@@ -84,14 +56,14 @@ pub struct BroadcastSteady {
 }
 
 /// Warms a broadcast protocol with a stream of `warm` messages (gap
-/// `gap`), then probes it with one more and measures the probe.
+/// `gap`), then probes it with one more, runs to quiescence and measures
+/// the probe.
 pub fn measure_broadcast_steady<P: Protocol>(
     k: usize,
     d: usize,
     factory: impl FnMut(ProcessId, &Topology) -> P,
     warm: u64,
     gap: Duration,
-    quiescent: bool,
     net: NetConfig,
 ) -> BroadcastSteady {
     let cfg = SimConfig::default().with_seed(0xF1B).with_net(net);
@@ -112,11 +84,7 @@ pub fn measure_broadcast_steady<P: Protocol>(
     let horizon = probe_at + Duration::from_secs(600);
     let ok = sim.run_until_delivered(&ids, horizon);
     assert!(ok, "broadcast stream not delivered");
-    if quiescent {
-        sim.run_to_quiescence();
-    } else {
-        sim.run_until(sim.now() + Duration::from_secs(5));
-    }
+    sim.run_to_quiescence();
     let correct = sim.alive_processes();
     invariants::check_all(sim.topology(), sim.metrics(), &correct).assert_ok();
     let m = sim.metrics();
@@ -143,11 +111,8 @@ mod tests {
         let r = measure_one_multicast(
             2,
             2,
-            2,
             |p, t| GenuineMulticast::new(p, t, MulticastConfig::default()),
-            true,
-            SimTime::ZERO,
-            SimTime::from_millis(600_000),
+            NetConfig::default(),
         );
         assert_eq!(r.degree, 2);
         assert!(r.inter_msgs > 0);
@@ -162,7 +127,6 @@ mod tests {
             |p, t| RoundBroadcast::with_pacing(p, t, Duration::from_millis(25)),
             8,
             Duration::from_millis(50),
-            true,
             NetConfig::default(),
         );
         assert_eq!(r.probe_degree, 1);

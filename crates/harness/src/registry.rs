@@ -21,9 +21,10 @@
 //! * [`run_scenario_full`](crate::scenario::run_scenario_full) calls the
 //!   arm's hosted runner;
 //! * `run_smr_scenario` reads the arm's SMR batch policy;
-//! * the measured Figure 1 path ([`crate::figure1_measured`]) calls the
-//!   arm's failure-free probe and compares it against the arm's analytic
-//!   row;
+//! * the claims file ([`crate::paper`]) calls the arm's failure-free
+//!   probe for every Figure 1 row, the Prop 3.1 / Theorem 4.1 / 5.1 rows
+//!   derived from them and the Δ·L shape sweep, and compares each against
+//!   the arm's analytic row;
 //! * the E9 throughput cells and the SMR service build the paper stack
 //!   through [`a1_stack_config`].
 //!
@@ -57,11 +58,6 @@ use wamcast_types::{BatchConfig, Protocol, SimTime};
 /// generated over. Appending arms after this prefix never perturbs the
 /// default rotation's seed → arm map.
 pub const DEFAULT_ROTATION_LEN: usize = 3;
-
-/// Virtual-time horizon for the failure-free one-shot probes.
-fn probe_horizon() -> SimTime {
-    SimTime::from_nanos(600_000_000_000)
-}
 
 /// What destination sets an arm's workload draws from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,7 +150,7 @@ pub struct ArmProbe {
 
 type ScenarioRunner =
     Box<dyn Fn(&RunSpec, Option<u64>) -> (ScenarioOutcome, RunMetrics) + Send + Sync>;
-type ProbeRunner = Box<dyn Fn(usize, usize) -> ArmProbe + Send + Sync>;
+type ProbeRunner = Box<dyn Fn(usize, usize, NetConfig) -> ArmProbe + Send + Sync>;
 type TcpRunner =
     Box<dyn Fn(TcpNodeConfig, SharedDeliveries, Service) -> io::Result<TcpNode> + Send + Sync>;
 type OpenLoopRunner = Box<
@@ -181,11 +177,12 @@ type OpenLoopRunner = Box<
 ///
 /// ```
 /// use wamcast_harness::registry::StackRegistry;
+/// use wamcast_sim::NetConfig;
 ///
 /// let reg = StackRegistry::standard();
 /// let a1 = reg.by_name("a1").expect("a1 is always registered");
 /// assert_eq!(a1.name(), "a1");
-/// let probe = a1.probe(3, 2); // 3 groups × 2 processes
+/// let probe = a1.probe(3, 2, NetConfig::default()); // 3 groups × 2 processes
 /// assert_eq!(probe.degree, a1.analytic_degree().eval(3));
 /// ```
 pub struct ProtocolArm {
@@ -270,9 +267,21 @@ impl ProtocolArm {
     }
 
     /// Runs the arm's failure-free Figure 1 probe (the paper-exact stack:
-    /// no retransmission layer) on the symmetric `k`×`d` topology.
-    pub fn probe(&self, k: usize, d: usize) -> ArmProbe {
-        (self.probe)(k, d)
+    /// no retransmission layer) on the symmetric `k`×`d` topology over
+    /// `net`:
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use wamcast_harness::StackRegistry;
+    /// use wamcast_sim::NetConfig;
+    ///
+    /// let a1 = StackRegistry::standard().by_name("a1").unwrap();
+    /// let probe = a1.probe(2, 2, NetConfig::wan(Duration::from_millis(50)));
+    /// assert_eq!(probe.degree, 2);
+    /// assert!(probe.wall < Duration::from_millis(101)); // two 50 ms hops
+    /// ```
+    pub fn probe(&self, k: usize, d: usize, net: NetConfig) -> ArmProbe {
+        (self.probe)(k, d, net)
     }
 
     /// Runs this arm's paper-exact stack under an open-loop planned
@@ -369,23 +378,8 @@ where
                 probe_open(p, t)
             })
         }),
-        probe: Box::new(move |k, d| match workload {
-            WorkloadShape::Multicast => {
-                let r = measure_one_multicast(
-                    k,
-                    d,
-                    k,
-                    |p, t| probe(p, t),
-                    true,
-                    SimTime::ZERO,
-                    probe_horizon(),
-                );
-                ArmProbe {
-                    degree: r.degree,
-                    inter_msgs: r.inter_msgs,
-                    wall: r.wall,
-                }
-            }
+        probe: Box::new(move |k, d, net| match workload {
+            WorkloadShape::Multicast => measure_one_multicast(k, d, |p, t| probe(p, t), net),
             WorkloadShape::Broadcast => {
                 let r = measure_broadcast_steady(
                     k,
@@ -393,8 +387,7 @@ where
                     |p, t| probe(p, t),
                     8,
                     Duration::from_millis(50),
-                    true,
-                    NetConfig::default(),
+                    net,
                 );
                 ArmProbe {
                     degree: r.probe_degree,

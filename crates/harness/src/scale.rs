@@ -265,8 +265,8 @@ pub fn run_cell(arm: &'static ProtocolArm, groups: usize, cfg: &ScaleConfig) -> 
     }
 }
 
-/// Renders the sweep as the E14 report table (latencies in milliseconds).
-pub fn render_table(cells: &[ScaleCell]) -> String {
+/// The sweep as the E14 report table (latencies in milliseconds).
+pub fn table(cells: &[ScaleCell]) -> Table {
     let mut t = Table::new(vec![
         "arm", "k", "n", "casts", "dlv p50", "dlv p99", "dlv p999", "cmt p50", "cmt p99",
         "cmt p999", "inter/op", "intra/op", "status",
@@ -285,7 +285,7 @@ pub fn render_table(cells: &[ScaleCell]) -> String {
         row.push(c.status());
         t.row(row);
     }
-    t.render()
+    t
 }
 
 /// Serializes the sweep as the `BENCH_scale.json` artifact: one flat
@@ -397,9 +397,9 @@ mod tests {
     fn table_and_json_round_out() {
         let arm = StackRegistry::standard().by_name("skeen").unwrap();
         let cell = run_cell(arm, 4, &tiny());
-        let table = render_table(std::slice::from_ref(&cell));
-        assert!(table.contains("skeen"));
-        assert!(table.contains("dlv p999"));
+        let text = table(std::slice::from_ref(&cell)).render();
+        assert!(text.contains("skeen"));
+        assert!(text.contains("dlv p999"));
         let json = to_json(&tiny(), std::slice::from_ref(&cell));
         assert!(json.contains("\"schema\": \"wamcast-scale-v1\""));
         assert!(json.contains("\"arm\": \"skeen\""));

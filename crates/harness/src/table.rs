@@ -1,6 +1,6 @@
-//! Plain-text aligned tables for experiment reports, plus the shared
-//! latency-percentile formatting every reporting bin uses (one path for
-//! `scale_sweep`, `throughput_sweep` and `figure1_measured`, so percentile
+//! Aligned text and Markdown tables for experiment reports, plus the
+//! shared latency-percentile formatting every report uses (one path for
+//! `scale_sweep`, `throughput_sweep` and `CLAIMS.md`, so percentile
 //! columns can never drift in units or precision between reports).
 
 use wamcast_metrics::Histogram;
@@ -122,6 +122,24 @@ impl Table {
         for r in &self.rows {
             out.push_str(&fmt_row(r, &widths));
             out.push('\n');
+        }
+        out
+    }
+
+    /// Renders the table as a Markdown pipe table (the layout of
+    /// `CLAIMS.md`):
+    ///
+    /// ```
+    /// let mut t = wamcast_harness::Table::new(vec!["a", "b"]);
+    /// t.row(vec!["1".into(), "2".into()]);
+    /// assert_eq!(t.markdown(), "| a | b |\n| --- | --- |\n| 1 | 2 |\n");
+    /// ```
+    pub fn markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = line(&self.headers);
+        out.push_str(&line(&vec!["---".to_string(); self.headers.len()]));
+        for r in &self.rows {
+            out.push_str(&line(r));
         }
         out
     }

@@ -74,8 +74,10 @@ impl LatencyModel {
 /// use wamcast_sim::{NetConfig, LatencyModel};
 /// use std::time::Duration;
 ///
-/// let cfg = NetConfig::default()
-///     .with_inter(LatencyModel::Constant(Duration::from_millis(50)));
+/// let cfg = NetConfig {
+///     inter: LatencyModel::Constant(Duration::from_millis(50)),
+///     ..NetConfig::default()
+/// };
 /// assert_eq!(cfg.inter.min_delay(), Duration::from_millis(50));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -112,27 +114,6 @@ impl NetConfig {
             inter: LatencyModel::Constant(inter_one_way),
             ..NetConfig::default()
         }
-    }
-
-    /// Replaces the intra-group model.
-    #[must_use]
-    pub fn with_intra(mut self, m: LatencyModel) -> Self {
-        self.intra = m;
-        self
-    }
-
-    /// Replaces the inter-group model.
-    #[must_use]
-    pub fn with_inter(mut self, m: LatencyModel) -> Self {
-        self.inter = m;
-        self
-    }
-
-    /// Replaces the failure-detection delay.
-    #[must_use]
-    pub fn with_detection_delay(mut self, d: Duration) -> Self {
-        self.detection_delay = d;
-        self
     }
 
     /// Overrides the latency of one ordered group pair. Set both directions
@@ -275,9 +256,11 @@ mod tests {
 
     #[test]
     fn builder_methods() {
-        let cfg = NetConfig::wan(Duration::from_millis(42))
-            .with_intra(LatencyModel::Constant(Duration::from_micros(10)))
-            .with_detection_delay(Duration::from_millis(5));
+        let cfg = NetConfig {
+            intra: LatencyModel::Constant(Duration::from_micros(10)),
+            detection_delay: Duration::from_millis(5),
+            ..NetConfig::wan(Duration::from_millis(42))
+        };
         assert_eq!(cfg.inter.min_delay(), Duration::from_millis(42));
         assert_eq!(cfg.intra.min_delay(), Duration::from_micros(10));
         assert_eq!(cfg.detection_delay, Duration::from_millis(5));

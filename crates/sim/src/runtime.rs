@@ -961,15 +961,13 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         let run = |seed: u64| {
-            let cfg =
-                SimConfig::default()
-                    .with_seed(seed)
-                    .with_net(
-                        NetConfig::default().with_inter(crate::LatencyModel::Uniform {
-                            min: Duration::from_millis(50),
-                            max: Duration::from_millis(150),
-                        }),
-                    );
+            let cfg = SimConfig::default().with_seed(seed).with_net(NetConfig {
+                inter: crate::LatencyModel::Uniform {
+                    min: Duration::from_millis(50),
+                    max: Duration::from_millis(150),
+                },
+                ..NetConfig::default()
+            });
             let mut sim = Simulation::new(Topology::symmetric(3, 2), cfg, |_, _| Flood);
             let dest = sim.topology().all_groups();
             let mut ids = Vec::new();
@@ -1043,10 +1041,13 @@ mod tests {
     #[test]
     fn delivery_cursor_stops_where_a_full_rescan_does() {
         let build = |crash: bool| {
-            let net = NetConfig::default().with_inter(crate::LatencyModel::Uniform {
-                min: Duration::from_millis(50),
-                max: Duration::from_millis(150),
-            });
+            let net = NetConfig {
+                inter: crate::LatencyModel::Uniform {
+                    min: Duration::from_millis(50),
+                    max: Duration::from_millis(150),
+                },
+                ..NetConfig::default()
+            };
             let cfg = SimConfig::default().with_seed(7).with_net(net);
             let mut sim = Simulation::new(Topology::symmetric(3, 3), cfg, |_, _| Flood);
             let all = sim.topology().all_groups();

@@ -40,10 +40,13 @@ impl Protocol for Flood {
 }
 
 fn jittery_net() -> NetConfig {
-    NetConfig::default().with_inter(LatencyModel::Uniform {
-        min: Duration::from_millis(40),
-        max: Duration::from_millis(160),
-    })
+    NetConfig {
+        inter: LatencyModel::Uniform {
+            min: Duration::from_millis(40),
+            max: Duration::from_millis(160),
+        },
+        ..NetConfig::default()
+    }
 }
 
 fn run_flood(cfg: SimConfig, casts: u64) -> RunMetrics {

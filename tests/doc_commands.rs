@@ -1,9 +1,12 @@
 //! Executable docs: every cargo target or package a document tells the
 //! reader to run must exist, so deleting a binary, example, test or crate
-//! cannot leave a stale command behind.
+//! cannot leave a stale command behind; and every link into `CLAIMS.md`
+//! must name one of its sections, so a renamed claim cannot leave a stale
+//! pointer.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use wamcast_harness::paper::anchor;
 
 const DOCS: [&str; 5] = [
     "README.md",
@@ -13,16 +16,16 @@ const DOCS: [&str; 5] = [
     ".claude/skills/verify/SKILL.md",
 ];
 
-/// Every `<flag> NAME` in `text` (`flag` spelled out: `--bin`, `-p`). A
-/// placeholder (`--bin <name>`) has no name characters after the flag and
-/// is skipped; so is a flag that is only the tail of a longer word.
-fn targets<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
-    let flag = format!("{flag} ");
+/// Every `<prefix>NAME` in `text` (`prefix`: `"--bin "`, `"-p "`,
+/// `"CLAIMS.md#"`). A placeholder (`--bin <name>`) has no name characters
+/// after the prefix and is skipped; so is a prefix that is only the tail of
+/// a longer word.
+fn targets<'a>(text: &'a str, prefix: &str) -> Vec<&'a str> {
     let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
-    text.match_indices(&flag)
+    text.match_indices(prefix)
         .filter(|&(i, _)| !text[..i].ends_with(is_name))
         .map(|(i, _)| {
-            let rest = text[i + flag.len()..].trim_start();
+            let rest = text[i + prefix.len()..].trim_start();
             &rest[..rest.find(|c| !is_name(c)).unwrap_or(rest.len())]
         })
         .filter(|name| !name.is_empty())
@@ -79,14 +82,14 @@ fn every_documented_cargo_target_exists() {
             continue;
         };
         for (flag, dirs) in &kinds {
-            for name in targets(&text, flag) {
+            for name in targets(&text, &format!("{flag} ")) {
                 checked += 1;
                 if !dirs.iter().any(|d| d.join(format!("{name}.rs")).is_file()) {
                     stale.push(format!("{doc}: {flag} {name}"));
                 }
             }
         }
-        for name in targets(&text, "-p") {
+        for name in targets(&text, "-p ") {
             checked += 1;
             if !packages.iter().any(|p| p == name) {
                 stale.push(format!("{doc}: -p {name}"));
@@ -99,11 +102,37 @@ fn every_documented_cargo_target_exists() {
 }
 
 #[test]
+fn every_claims_link_names_a_section() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let claims = fs::read_to_string(root.join("CLAIMS.md")).expect("CLAIMS.md");
+    let sections: Vec<String> = claims
+        .lines()
+        .filter_map(|l| l.strip_prefix("## "))
+        .map(anchor)
+        .collect();
+    let mut links = 0;
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).unwrap_or_default();
+        for link in targets(&text, "CLAIMS.md#") {
+            links += 1;
+            assert!(
+                sections.iter().any(|s| s == link),
+                "{doc}: no CLAIMS.md#{link}"
+            );
+        }
+    }
+    // EXPERIMENTS alone points E1–E8, E13 and three more rows at sections.
+    assert!(links > 10, "only {links} CLAIMS.md links found");
+}
+
+#[test]
 fn extraction_takes_names_and_skips_placeholders() {
     let text = "run `cargo bench --bench engine`: or --bin <name>`, then\n--test  socket_chaos, --bin a-b_c -p wamcast-sim --top-p 3.";
-    assert_eq!(targets(text, "--bench"), ["engine"]);
-    assert_eq!(targets(text, "--bin"), ["a-b_c"]);
-    assert_eq!(targets(text, "--test"), ["socket_chaos"]);
-    assert_eq!(targets(text, "-p"), ["wamcast-sim"]);
-    assert!(targets(text, "--example").is_empty());
+    assert_eq!(targets(text, "--bench "), ["engine"]);
+    assert_eq!(targets(text, "--bin "), ["a-b_c"]);
+    assert_eq!(targets(text, "--test "), ["socket_chaos"]);
+    assert_eq!(targets(text, "-p "), ["wamcast-sim"]);
+    assert!(targets(text, "--example ").is_empty());
+    let links = "see [E3](CLAIMS.md#theorem-41), or CLAIMS.md#figure-1a.";
+    assert_eq!(targets(links, "CLAIMS.md#"), ["theorem-41", "figure-1a"]);
 }

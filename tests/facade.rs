@@ -52,12 +52,13 @@ fn facade_reexports_work_together() {
         .group(1)
         .build()
         .unwrap();
-    let cfg = SimConfig::default().with_seed(7).with_net(
-        NetConfig::wan(Duration::from_millis(40)).with_intra(LatencyModel::Uniform {
+    let cfg = SimConfig::default().with_seed(7).with_net(NetConfig {
+        intra: LatencyModel::Uniform {
             min: Duration::from_micros(50),
             max: Duration::from_micros(200),
-        }),
-    );
+        },
+        ..NetConfig::wan(Duration::from_millis(40))
+    });
     let mut sim = Simulation::new(topo, cfg, |p, t| {
         GenuineMulticast::new(p, t, MulticastConfig::default())
     });

@@ -65,15 +65,17 @@ fn apply_plan<P: Protocol>(
 }
 
 fn jittery_net() -> NetConfig {
-    NetConfig::default()
-        .with_inter(LatencyModel::Uniform {
+    NetConfig {
+        inter: LatencyModel::Uniform {
             min: Duration::from_millis(50),
             max: Duration::from_millis(150),
-        })
-        .with_intra(LatencyModel::Uniform {
+        },
+        intra: LatencyModel::Uniform {
             min: Duration::from_micros(50),
             max: Duration::from_micros(500),
-        })
+        },
+        ..NetConfig::default()
+    }
 }
 
 /// A1 under random overlapping multicasts and jittered links: all §2.2
@@ -261,10 +263,13 @@ fn ring_random_workloads_satisfy_spec() {
         let mut rng = SplitMix64::new(0x4176 ^ (case << 8));
         let seed = rng.next_u64();
         let plan = random_plan(&mut rng, 3, 7);
-        let net = NetConfig::default().with_inter(LatencyModel::Uniform {
-            min: Duration::from_millis(80),
-            max: Duration::from_millis(120),
-        });
+        let net = NetConfig {
+            inter: LatencyModel::Uniform {
+                min: Duration::from_millis(80),
+                max: Duration::from_millis(120),
+            },
+            ..NetConfig::default()
+        };
         let cfg = SimConfig::default().with_seed(seed).with_net(net);
         let mut sim = Simulation::new(Topology::symmetric(3, 2), cfg, RingMulticast::new);
         let ids = apply_plan(&mut sim, &plan, 30);
