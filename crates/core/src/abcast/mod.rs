@@ -27,7 +27,9 @@
 //! raises `Barrier` at the other groups, waking them — at the cost of a
 //! second inter-group delay (Theorem 5.2, provably unavoidable).
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Duration;
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
 use wamcast_types::{
@@ -40,23 +42,72 @@ use wamcast_types::{
 /// intra-group `Accept`/`Accepted`/`Decide` fan-out and the inter-group
 /// bundle broadcast clone a refcount, never the messages, so a 64-message
 /// round costs one allocation however many processes it reaches.
+///
+/// Every bundle a process builds or holds is *normal*: strictly ascending
+/// by id, so sorted and duplicate-free. Proposals are sorted when built,
+/// [`merge_bundles`] keeps normal inputs normal, and a decided or received
+/// bundle that is not normal is normalized once before it is held.
 pub type RoundBundle = SharedBatch<AppMessage>;
+
+/// Whether `msgs` is strictly ascending by id.
+fn is_normal(msgs: &[AppMessage]) -> bool {
+    msgs.windows(2).all(|w| w[0].id < w[1].id)
+}
+
+/// Makes `bundle` normal: sorted by id, keeping the first copy of each id.
+/// Touches neither the allocator nor a shared copy when it already is.
+fn normalize(bundle: &mut RoundBundle) {
+    if !is_normal(bundle) {
+        let v = Arc::make_mut(bundle);
+        v.sort_by_key(|m| m.id);
+        v.dedup_by_key(|m| m.id);
+    }
+}
 
 /// Union-by-id combiner installed on the consensus engine: bundles
 /// forwarded by other members fold into the coordinator's round proposal,
 /// so one round carries every message any group member has R-Delivered.
-/// Copy-on-write: the accumulator's messages are copied only if another
-/// handle to the batch is still live.
+///
+/// A linear merge: on normal inputs the result is their normal union, the
+/// accumulator's copy winning a shared id. When `more` adds nothing — every
+/// forward after the first — `acc` is left as is, the allocator untouched.
+/// Inputs that are not normal still yield every message of both (possibly
+/// unsorted, possibly repeated), which the decided value's normalization
+/// in `advance` then fixes.
 pub fn merge_bundles(acc: &mut RoundBundle, more: RoundBundle) {
-    let mut have: BTreeSet<MessageId> = acc.iter().map(|m| m.id).collect();
-    let fresh: Vec<AppMessage> = more
-        .iter()
-        .filter(|m| have.insert(m.id)) // also dedups within `more`
-        .cloned()
-        .collect();
-    if !fresh.is_empty() {
-        std::sync::Arc::make_mut(acc).extend(fresh);
+    let mut i = 0;
+    let adds = more.iter().any(|m| {
+        while i < acc.len() && acc[i].id < m.id {
+            i += 1;
+        }
+        i == acc.len() || acc[i].id != m.id
+    });
+    if !adds {
+        return;
     }
+    let (a, b) = (&acc[..], &more[..]);
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].id.cmp(&b[j].id) {
+            Ordering::Less => {
+                merged.push(a[i].clone());
+                i += 1;
+            }
+            Ordering::Greater => {
+                merged.push(b[j].clone());
+                j += 1;
+            }
+            Ordering::Equal => {
+                merged.push(a[i].clone());
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    merged.extend_from_slice(&a[i..]);
+    merged.extend_from_slice(&b[j..]);
+    *acc = RoundBundle::new(merged);
 }
 
 /// Timer token of the round-pacing (batch window) timer.
@@ -127,16 +178,18 @@ pub struct RoundBroadcast {
     prop_k: u64,
     /// `Barrier`: the last round this process currently intends to execute.
     barrier: u64,
-    /// `RDELIVERED \ ADELIVERED`, with payloads.
-    rdelivered: BTreeMap<MessageId, AppMessage>,
+    /// `RDELIVERED \ ADELIVERED`, with payloads. Point queries, plus one
+    /// walk per proposal that sorts what it collects.
+    rdelivered: FxHashMap<MessageId, AppMessage>,
     /// Payload bytes pooled in `rdelivered` (incremental, so the byte
     /// trigger costs O(1) per arrival).
     rdelivered_bytes: usize,
     /// `ADELIVERED`: one id per cast, forever — hence ranges.
     adelivered: IdSet,
-    /// `Msgs`: received bundles, round → group → bundle. The outer map is
+    /// `Msgs`: received bundles, round → group → normal bundle, for rounds
+    /// `>= K` only (nothing reads an older one). The outer map is
     /// point-keyed by round; the inner stays ordered because
-    /// `finish_round` folds it.
+    /// `finish_round` merges it.
     bundles: FxHashMap<u64, BTreeMap<GroupId, RoundBundle>>,
     /// Round whose own bundle is decided and sent; waiting for the others.
     waiting_bundles: Option<u64>,
@@ -192,7 +245,7 @@ impl RoundBroadcast {
             k: 1,
             prop_k: 1,
             barrier: 0,
-            rdelivered: BTreeMap::new(),
+            rdelivered: FxHashMap::default(),
             rdelivered_bytes: 0,
             adelivered: IdSet::new(),
             bundles: FxHashMap::default(),
@@ -290,6 +343,14 @@ impl RoundBroadcast {
         self.waiting_bundles.is_none() && !(self.has_undelivered() || self.k <= self.barrier)
     }
 
+    /// Debug/inspection: rounds for which this process holds a bundle. A
+    /// round's bundles are dropped when it finishes, and a late or
+    /// duplicate copy for a finished round is never stored, so this is 0
+    /// whenever the process is idle.
+    pub fn rounds_held(&self) -> usize {
+        self.bundles.len()
+    }
+
     fn has_undelivered(&self) -> bool {
         !self.rdelivered.is_empty()
     }
@@ -329,7 +390,11 @@ impl RoundBroadcast {
         if !(self.has_undelivered() || self.k <= self.barrier) {
             return;
         }
-        let proposal: RoundBundle = RoundBundle::new(self.rdelivered.values().cloned().collect());
+        // Sort-at-use: ids are unique, so this is exactly the ascending
+        // list an ordered map would yield — a normal bundle.
+        let mut msgs: Vec<AppMessage> = self.rdelivered.values().cloned().collect();
+        msgs.sort_unstable_by_key(|m| m.id);
+        let proposal = RoundBundle::new(msgs);
         let mut sink = std::mem::take(&mut self.sink_buf);
         self.cons.propose(self.k, proposal, &mut sink);
         self.prop_k = self.k + 1;
@@ -422,16 +487,12 @@ impl RoundBroadcast {
                 let Some(mut decided) = self.buffered_decisions.remove(&self.k) else {
                     return;
                 };
-                // Copy-on-write normalization: the consensus engine keeps
-                // its own handle on the decided value (for Decide catch-up
-                // replies), so make_mut copies once — the same copy the
-                // pre-`Arc` representation paid — and every fan-out below
-                // shares the normalized batch for free.
-                {
-                    let v = std::sync::Arc::make_mut(&mut decided);
-                    v.sort_by_key(|m| m.id);
-                    v.dedup_by_key(|m| m.id);
-                }
+                // Merged proposals of normal bundles decide a normal
+                // value, shared as is with the consensus engine (which
+                // keeps a handle for Decide catch-up replies) and every
+                // fan-out below. Anything else is copied and normalized
+                // once here.
+                normalize(&mut decided);
                 // Line 15: send (K, msgSet′) to every process outside our
                 // group.
                 let remote: Vec<ProcessId> = ctx
@@ -486,23 +547,41 @@ impl RoundBroadcast {
     /// Lines 18–23: deliver the union of bundles in a deterministic order,
     /// advance `K`, and extend `Barrier` iff the round was useful.
     fn finish_round(&mut self, round: u64, ctx: &Context, out: &mut Outbox<BroadcastMsg>) {
-        let per_group = self.bundles.remove(&round).expect("round complete");
-        let mut to_deliver: Vec<AppMessage> = per_group
+        let bundles: Vec<RoundBundle> = self
+            .bundles
+            .remove(&round)
+            .expect("round complete")
             .into_values()
-            // Unique handles (typical for remote bundles) move their
-            // messages out; shared ones copy, as before the Arc.
-            .flat_map(|b| std::sync::Arc::try_unwrap(b).unwrap_or_else(|a| (*a).clone()))
-            .filter(|m| !self.adelivered.contains(m.id))
             .collect();
-        to_deliver.sort_by_key(|m| m.id);
-        to_deliver.dedup_by_key(|m| m.id);
-        let useful = !to_deliver.is_empty();
-        for m in to_deliver {
-            self.adelivered.insert(m.id);
-            if self.rdelivered.remove(&m.id).is_some() {
-                self.rdelivered_bytes -= m.payload.len();
+        // Every held bundle is normal, so ascending id order over their
+        // union is a merge of the per-group heads. A shared id is taken
+        // from the lowest group that has it, and only messages not yet
+        // A-Delivered are copied out.
+        let mut heads = vec![0; bundles.len()];
+        let mut useful = false;
+        loop {
+            let mut next: Option<&AppMessage> = None;
+            for (b, &h) in bundles.iter().zip(&heads) {
+                if let Some(m) = b.get(h) {
+                    if next.map_or(true, |n| m.id < n.id) {
+                        next = Some(m);
+                    }
+                }
             }
-            out.deliver(m);
+            let Some(m) = next else { break };
+            let id = m.id;
+            if self.adelivered.insert(id) {
+                if let Some(pooled) = self.rdelivered.remove(&id) {
+                    self.rdelivered_bytes -= pooled.payload.len();
+                }
+                out.deliver(m.clone());
+                useful = true;
+            }
+            for (b, h) in bundles.iter().zip(&mut heads) {
+                if b.get(*h).is_some_and(|m| m.id == id) {
+                    *h += 1;
+                }
+            }
         }
         self.waiting_bundles = None;
         self.k += 1; // line 21
@@ -551,20 +630,27 @@ impl Protocol for RoundBroadcast {
                 self.flush_cons(&mut sink, ctx, out);
                 self.sink_buf = sink;
             }
-            BroadcastMsg::Bundle { round, msgs } => {
+            BroadcastMsg::Bundle { round, mut msgs } => {
                 // Retry mode: ack every copy (the sender may have missed an
                 // earlier ack) before processing.
                 if self.retry.is_some() {
                     out.send(from, BroadcastMsg::BundleAck { round });
                 }
-                // Lines 8–10: store the bundle and raise the barrier — this
-                // is what wakes a quiescent group up.
-                let sender_group = ctx.topology().group_of(from);
-                self.bundles
-                    .entry(round)
-                    .or_default()
-                    .entry(sender_group)
-                    .or_insert(msgs);
+                // Lines 8–10: store the bundle, normalized, and raise the
+                // barrier — this is what wakes a quiescent group up. A
+                // copy for a round already finished (a retransmission or a
+                // duplicate) is not stored: nothing would ever read it.
+                if round >= self.k {
+                    let sender_group = ctx.topology().group_of(from);
+                    self.bundles
+                        .entry(round)
+                        .or_default()
+                        .entry(sender_group)
+                        .or_insert_with(|| {
+                            normalize(&mut msgs);
+                            msgs
+                        });
+                }
                 self.barrier = self.barrier.max(round);
                 self.schedule_round(ctx, out);
                 self.advance(ctx, out);
@@ -865,5 +951,202 @@ mod tests {
             delivered.extend(dels);
         }
         assert_eq!(delivered, vec![a.id, b.id], "deterministic (sorted) order");
+    }
+
+    /// Feeds `rb` (process `me`) its own self-addressed sends until none
+    /// are left, starting from what `out` holds; returns what it delivered.
+    /// Sends to other processes are dropped.
+    fn settle(
+        rb: &mut RoundBroadcast,
+        me: ProcessId,
+        topo: &Arc<Topology>,
+        out: &mut Outbox<BroadcastMsg>,
+    ) -> Vec<MessageId> {
+        let (mut queue, mut delivered) = actions(out);
+        while let Some((to, w)) = queue.pop() {
+            if to != me {
+                continue;
+            }
+            let mut out = Outbox::new();
+            rb.on_message(me, w, &ctx(me.0, topo), &mut out);
+            let (sends, dels) = actions(&mut out);
+            queue.extend(sends);
+            delivered.extend(dels);
+        }
+        delivered
+    }
+
+    #[test]
+    fn a_bundle_for_a_finished_round_is_acked_and_not_held() {
+        let topo = Arc::new(Topology::symmetric(2, 1));
+        let mut rb =
+            RoundBroadcast::new(ProcessId(0), &topo).with_retry(Duration::from_millis(250));
+        let bundle = || BroadcastMsg::Bundle {
+            round: 1,
+            msgs: RoundBundle::new(vec![]),
+        };
+        // Round 1: p1's (empty) bundle wakes p0, which runs its own round
+        // and finishes it.
+        let mut out = Outbox::new();
+        rb.on_message(ProcessId(1), bundle(), &ctx(0, &topo), &mut out);
+        settle(&mut rb, ProcessId(0), &topo, &mut out);
+        assert_eq!(rb.round(), 2, "round 1 finished");
+        assert!(rb.is_idle());
+        assert_eq!(rb.rounds_held(), 0);
+        // A retransmitted copy of p1's round-1 bundle: acked, not kept.
+        let mut out = Outbox::new();
+        rb.on_message(ProcessId(1), bundle(), &ctx(0, &topo), &mut out);
+        let (sends, delivers) = actions(&mut out);
+        assert!(delivers.is_empty());
+        assert!(sends
+            .iter()
+            .any(|(to, m)| *to == ProcessId(1) && *m == BroadcastMsg::BundleAck { round: 1 }));
+        assert_eq!(rb.rounds_held(), 0, "a finished round's copy is dropped");
+        assert!(rb.is_idle());
+    }
+
+    /// The reference bundle union: every message of the inputs in id
+    /// order, one per id, the earliest copy winning (stable sort, dedup).
+    fn reference_union<'a>(parts: impl IntoIterator<Item = &'a [AppMessage]>) -> Vec<AppMessage> {
+        let mut all: Vec<AppMessage> = parts.into_iter().flatten().cloned().collect();
+        all.sort_by_key(|m| m.id);
+        all.dedup_by_key(|m| m.id);
+        all
+    }
+
+    /// A message of `origin` whose payload tags which copy it is.
+    fn tagged(origin: u64, seq: u64, tag: u8, topo: &Topology) -> AppMessage {
+        AppMessage::new(
+            MessageId::new(ProcessId(origin as u32), seq),
+            topo.all_groups(),
+            Payload::from(vec![tag]),
+        )
+    }
+
+    /// Up to `max` messages drawn from a 4 × 8 id universe: random order,
+    /// repeats allowed.
+    fn draw(
+        rng: &mut wamcast_types::SplitMix64,
+        max: u64,
+        tag: u8,
+        topo: &Topology,
+    ) -> Vec<AppMessage> {
+        (0..rng.next_below(max + 1))
+            .map(|_| tagged(rng.next_below(4), rng.next_below(8), tag, topo))
+            .collect()
+    }
+
+    #[test]
+    fn merge_and_round_delivery_match_the_sort_and_dedup_definition() {
+        let mut rng = wamcast_types::SplitMix64::new(0xA2D1E7);
+        let topo4 = Topology::symmetric(4, 1);
+        for case in 0..1_000 {
+            // (1) merge_bundles on normal inputs: the normal union, the
+            // accumulator's copy winning, and no new batch if `more` adds
+            // nothing.
+            let acc_msgs = reference_union([&draw(&mut rng, 12, 0, &topo4)[..]]);
+            let more_msgs = if rng.next_below(4) == 0 {
+                acc_msgs
+                    .iter()
+                    .filter(|_| rng.next_below(2) == 0)
+                    .cloned()
+                    .collect()
+            } else {
+                reference_union([&draw(&mut rng, 12, 1, &topo4)[..]])
+            };
+            let mut acc = RoundBundle::new(acc_msgs.clone());
+            let before = Arc::clone(&acc);
+            merge_bundles(&mut acc, RoundBundle::new(more_msgs.clone()));
+            let want = reference_union([&acc_msgs[..], &more_msgs[..]]);
+            assert_eq!(*acc, want, "case {case}: merge");
+            let adds = more_msgs
+                .iter()
+                .any(|m| !acc_msgs.iter().any(|a| a.id == m.id));
+            assert_eq!(Arc::ptr_eq(&acc, &before), !adds, "case {case}: fast path");
+            // Inputs that are not normal lose no message.
+            let (raw_a, raw_b) = (draw(&mut rng, 8, 0, &topo4), draw(&mut rng, 8, 1, &topo4));
+            let mut acc = RoundBundle::new(raw_a.clone());
+            merge_bundles(&mut acc, RoundBundle::new(raw_b.clone()));
+            normalize(&mut acc);
+            let ids = |v: &[AppMessage]| v.iter().map(|m| m.id).collect::<Vec<_>>();
+            assert_eq!(
+                ids(&acc),
+                ids(&reference_union([&raw_a[..], &raw_b[..]])),
+                "case {case}: unsorted merge"
+            );
+
+            // (2) One round at p0 of k single-process groups: remote
+            // bundles (unsorted, repeated ids, duplicate copies) and p0's
+            // own proposal arrive in random order; p0 delivers the union
+            // of the bundles minus what it had A-Delivered, sorted and
+            // deduplicated.
+            let k = rng.next_range(2, 4) as usize;
+            let topo = Arc::new(Topology::symmetric(k, 1));
+            let me = ProcessId(0);
+            let mut rb = RoundBroadcast::with_pacing(me, &topo, Duration::from_millis(10));
+            let done = draw(&mut rng, 4, 9, &topo);
+            for m in &done {
+                rb.adelivered.insert(m.id);
+            }
+            let mut out = Outbox::new();
+            let own = draw(&mut rng, 6, 0, &topo);
+            for m in &own {
+                rb.on_rdeliver(m.clone(), &ctx(0, &topo), &mut out);
+            }
+            // Events: `None` fires p0's pacing timer, `Some(g)` delivers
+            // group g's bundle (sometimes twice).
+            let remote: Vec<Vec<AppMessage>> = (1..k)
+                .map(|g| {
+                    let mut b = draw(&mut rng, 6, g as u8, &topo);
+                    if rng.next_below(3) == 0 {
+                        b = reference_union([&b[..]]);
+                    }
+                    b
+                })
+                .collect();
+            let mut events: Vec<Option<usize>> = vec![None];
+            for g in 1..k {
+                events.push(Some(g));
+                if rng.next_below(3) == 0 {
+                    events.push(Some(g));
+                }
+            }
+            for i in (1..events.len()).rev() {
+                events.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let mut delivered = settle(&mut rb, me, &topo, &mut out);
+            for e in events.into_iter().map(Some).chain([None]) {
+                let mut out = Outbox::new();
+                match e {
+                    Some(Some(g)) => rb.on_message(
+                        ProcessId(g as u32),
+                        BroadcastMsg::Bundle {
+                            round: 1,
+                            msgs: RoundBundle::new(remote[g - 1].clone()),
+                        },
+                        &ctx(0, &topo),
+                        &mut out,
+                    ),
+                    // The trailing extra firing covers a timer that
+                    // fired before anything made round 1 due.
+                    Some(None) | None if rb.round() == 1 => {
+                        rb.on_timer(PACING_TIMER, &ctx(0, &topo), &mut out)
+                    }
+                    _ => {}
+                }
+                delivered.extend(settle(&mut rb, me, &topo, &mut out));
+            }
+            assert_eq!(rb.round(), 2, "case {case}: round 1 finished");
+            let want: Vec<MessageId> =
+                reference_union(std::iter::once(&own[..]).chain(remote.iter().map(|b| &b[..])))
+                    .iter()
+                    .map(|m| m.id)
+                    .filter(|id| !done.iter().any(|d| d.id == *id))
+                    .collect();
+            assert_eq!(delivered, want, "case {case}: round delivery");
+            assert!(rb.rdelivered.is_empty(), "case {case}: pool drained");
+            assert_eq!(rb.rdelivered_bytes, 0, "case {case}");
+            assert_eq!(rb.rounds_held(), 0, "case {case}: nothing held");
+        }
     }
 }

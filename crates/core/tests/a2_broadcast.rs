@@ -4,7 +4,7 @@
 use std::time::Duration;
 use wamcast_core::RoundBroadcast;
 use wamcast_sim::{invariants, LatencyModel, NetConfig, SimConfig, Simulation};
-use wamcast_types::{Payload, ProcessId, SimTime, Topology};
+use wamcast_types::{Payload, ProcessId, SimTime, SplitMix64, Topology};
 
 fn a2_sim(k: usize, d: usize, seed: u64) -> Simulation<RoundBroadcast> {
     let cfg = SimConfig::default().with_seed(seed);
@@ -277,6 +277,46 @@ fn deterministic_across_replays() {
         )
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn a2_holds_no_finished_rounds() {
+    // A growth guard, run in release by CI: the benchmark's `sim_a2` stack
+    // (3×3, 10 ms pacing, 250 ms retry) under Poisson load, all groups
+    // addressed. The retry timer re-sends bundles their receivers have
+    // already used; a process that kept those copies would end this run
+    // holding dozens of finished rounds.
+    let cfg = SimConfig::default().with_seed(0xA2).with_send_log(false);
+    let mut sim = Simulation::new(Topology::symmetric(3, 3), cfg, |p, topo| {
+        RoundBroadcast::with_pacing(p, topo, Duration::from_millis(10))
+            .with_retry(Duration::from_millis(250))
+    });
+    let dest = sim.topology().all_groups();
+    let mut rng = SplitMix64::new(0xA2);
+    let mut ids = Vec::new();
+    // 2 000 casts per virtual second for 3 s, exponential gaps.
+    let mut t_ns = 0.0;
+    loop {
+        t_ns += -rng.next_f64().max(1e-12).ln() * 5e5;
+        if t_ns >= 3e9 {
+            break;
+        }
+        let caster = ProcessId(rng.next_below(9) as u32);
+        ids.push(sim.cast_at(
+            SimTime::from_nanos(t_ns as u64),
+            caster,
+            dest,
+            Payload::new(),
+        ));
+    }
+    sim.run_to_quiescence();
+    assert!(sim.all_delivered(&ids));
+    check(&sim);
+    for p in sim.topology().processes() {
+        let rb = sim.protocol(p);
+        assert!(rb.is_idle(), "{p} not idle");
+        assert_eq!(rb.rounds_held(), 0, "{p} still holds bundles");
+    }
 }
 
 #[test]

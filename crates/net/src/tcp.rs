@@ -257,10 +257,11 @@ pub struct TcpNodeConfig {
     pub trace: Option<SharedTrace>,
 }
 
-/// What a node's socket path discarded, how often it woke, and how its
-/// body cache fared. The protocols recover every drop by retransmission;
-/// the counters exist so that no frame disappears without a trace. Read
-/// them through [`TcpNode::stats`] at any time.
+/// What a node's socket path discarded, how often it woke, what it asked
+/// of the kernel, and how its body cache fared. The protocols recover
+/// every drop by retransmission; the counters exist so that no frame
+/// disappears without a trace. Read them through [`TcpNode::stats`] at any
+/// time.
 #[derive(Debug, Default)]
 pub struct NetStats {
     link_down: AtomicU64,
@@ -268,6 +269,11 @@ pub struct NetStats {
     out_full: AtomicU64,
     bad_frame: AtomicU64,
     turns: AtomicU64,
+    reads: AtomicU64,
+    writes: AtomicU64,
+    bytes_written: AtomicU64,
+    frames_in: AtomicU64,
+    frames_out: AtomicU64,
     body_hits: AtomicU64,
     body_misses: AtomicU64,
 }
@@ -312,6 +318,32 @@ impl NetStats {
         self.turns.load(Ordering::Relaxed)
     }
 
+    /// `read` calls on the node's sockets, whatever they returned.
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
+    }
+
+    /// `write` calls on the node's sockets, whatever they returned.
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Relaxed)
+    }
+
+    /// Bytes the kernel took from those writes, length prefixes included.
+    pub fn bytes_written(&self) -> u64 {
+        self.bytes_written.load(Ordering::Relaxed)
+    }
+
+    /// Whole frames taken off inbound connections, decodable or not.
+    pub fn frames_in(&self) -> u64 {
+        self.frames_in.load(Ordering::Relaxed)
+    }
+
+    /// Frames queued for a socket: peer traffic (each copy counted) and
+    /// client replies. Frames dropped before queueing are not counted.
+    pub fn frames_out(&self) -> u64 {
+        self.frames_out.load(Ordering::Relaxed)
+    }
+
     /// Message bodies decoded as a handle to a copy the node already held
     /// (see [`BodyCache`]): allocations and retained bytes saved.
     pub fn body_hits(&self) -> u64 {
@@ -329,12 +361,18 @@ impl fmt::Display for NetStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "link_down={} reset={} out_full={} bad_frame={} turns={} body_hits={} body_misses={}",
+            "link_down={} reset={} out_full={} bad_frame={} turns={} reads={} writes={} \
+             bytes_written={} frames_in={} frames_out={} body_hits={} body_misses={}",
             self.link_down(),
             self.reset(),
             self.out_full(),
             self.bad_frame(),
             self.turns(),
+            self.reads(),
+            self.writes(),
+            self.bytes_written(),
+            self.frames_in(),
+            self.frames_out(),
             self.body_hits(),
             self.body_misses()
         )
@@ -370,7 +408,7 @@ impl TcpNode {
             .clone()
     }
 
-    /// The node's live drop and wake-up counters.
+    /// The node's live drop, wake-up and socket counters.
     pub fn stats(&self) -> Arc<NetStats> {
         Arc::clone(&self.stats)
     }
@@ -510,6 +548,7 @@ impl OutBuf {
             self.bytes
                 .extend_from_slice(&(body.len() as u32).to_le_bytes());
             self.bytes.extend_from_slice(body);
+            bump(&stats.frames_out);
         }
     }
 
@@ -530,15 +569,19 @@ impl OutBuf {
 
     /// Writes as much as the socket takes. What it does not take stays
     /// queued; an error means the socket is dead.
-    fn flush(&mut self, mut stream: &TcpStream) -> io::Result<()> {
+    fn flush(&mut self, mut stream: &TcpStream, stats: &NetStats) -> io::Result<()> {
         let mut done = 0;
         let result = loop {
             if done == self.bytes.len() {
                 break Ok(());
             }
+            bump(&stats.writes);
             match stream.write(&self.bytes[done..]) {
                 Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => done += n,
+                Ok(n) => {
+                    stats.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
+                    done += n;
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.blocked = true;
                     break Ok(());
@@ -946,6 +989,7 @@ where
 
     /// Reads connection `i` once and handles every frame that completed.
     fn read_conn(&mut self, i: usize) {
+        bump(&self.stats.reads);
         match self.conns[i].fill() {
             Ok(n) if n > 0 => {}
             Err(e)
@@ -958,7 +1002,10 @@ where
         }
         while !self.exit {
             let body = match self.conns[i].next_frame() {
-                Ok(Some(body)) => body,
+                Ok(Some(body)) => {
+                    bump(&self.stats.frames_in);
+                    body
+                }
                 Ok(None) => break,
                 Err(Oversize) => {
                     // Whatever follows an absurd length claim cannot be
@@ -1051,6 +1098,7 @@ where
                 if fd.readable() {
                     let mut probe = [0u8; 64];
                     let stream = link.stream.as_mut().expect("polled links are up");
+                    bump(&self.stats.reads);
                     match stream.read(&mut probe) {
                         Ok(n) if n > 0 => {} // peers send nothing here; ignore
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
@@ -1080,7 +1128,7 @@ where
     /// first message can reach another node.
     fn flush(&mut self) {
         for c in &mut self.conns {
-            if !c.closed && c.out.dirty() && c.out.flush(&c.stream).is_err() {
+            if !c.closed && c.out.dirty() && c.out.flush(&c.stream, &self.stats).is_err() {
                 c.closed = true;
             }
         }
@@ -1093,7 +1141,7 @@ where
                 .stream
                 .as_ref()
                 .expect("frames queue on live links only");
-            if link.out.flush(stream).is_err() {
+            if link.out.flush(stream, &self.stats).is_err() {
                 link.down(&self.stats);
             }
         }

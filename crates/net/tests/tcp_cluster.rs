@@ -296,6 +296,38 @@ fn frame_arriving_one_byte_at_a_time_reassembles() {
 }
 
 #[test]
+fn socket_counters_count_one_cast_exactly() {
+    let (node, addr) = serve_p0(Flood, &[], null_service());
+    let mut s = raw_client(addr);
+    let cast = Frame::Cast {
+        seq: 0,
+        dest: GroupSet::first_n(1),
+        payload: Payload::from_static(b"counted"),
+    };
+    s.write_all(&framed(&cast)).expect("write");
+    let id = MessageId::new(ProcessId(0), 0);
+    let ack = Frame::CastAck { id };
+    assert_eq!(read_reply(&mut s), ack);
+    let stats = node.stats();
+    let ack_len = framed(&ack).len() as u64;
+    // The counters are bumped after the syscall returns: the client may
+    // read the ack first.
+    await_that("the ack's write is counted", || {
+        stats.bytes_written() == ack_len
+    });
+    assert_eq!(stats.frames_in(), 1, "{stats}");
+    assert_eq!(
+        stats.frames_out(),
+        1,
+        "the ack only (1×1: no peer): {stats}"
+    );
+    assert!(stats.writes() >= 1, "{stats}");
+    assert!(stats.reads() >= 1, "{stats}");
+    assert_eq!(stats.dropped(), 0, "{stats}");
+    node.shutdown();
+}
+
+#[test]
 fn two_frames_in_one_segment_both_dispatch() {
     let (node, addr) = serve_p0(Flood, &[], echo_service());
     let mut s = raw_client(addr);
