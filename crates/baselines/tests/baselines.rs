@@ -389,3 +389,17 @@ fn detmerge_is_not_quiescent() {
     let r = invariants::check_quiescence(sim.metrics(), SimTime::from_millis(1_000));
     assert!(!r.is_ok(), "deterministic merge must keep heartbeating");
 }
+
+#[test]
+fn detmerge_is_not_quiescent_without_the_send_log() {
+    // The sweep drivers and the benchmark keep no send log; quiescence is
+    // judged by the last send, which every run records.
+    let cfg = SimConfig::default().with_seed(14).with_send_log(false);
+    let mut sim = Simulation::new(Topology::symmetric(2, 1), cfg, |p, _| {
+        DeterministicMerge::new(p, Duration::from_millis(100))
+    });
+    sim.run_until(SimTime::from_millis(5_000));
+    assert!(sim.metrics().send_log.is_empty());
+    let r = invariants::check_quiescence(sim.metrics(), SimTime::from_millis(1_000));
+    assert!(!r.is_ok(), "deterministic merge must keep heartbeating");
+}

@@ -151,7 +151,11 @@ fn horizon_cost_is_idle_round_traffic() {
         let dest = sim.topology().all_groups();
         let id = sim.cast_at(SimTime::ZERO, ProcessId(0), dest, Payload::new());
         sim.run_to_quiescence();
-        let last_delivery = sim.metrics().deliveries[&id]
+        let last_delivery = sim
+            .metrics()
+            .deliveries
+            .get(&id)
+            .unwrap()
             .values()
             .map(|d| d.time)
             .max()

@@ -88,7 +88,8 @@ pub fn measure_broadcast_steady<P: Protocol>(
     let correct = sim.alive_processes();
     invariants::check_all(sim.topology(), sim.metrics(), &correct).assert_ok();
     let m = sim.metrics();
-    let last = m.deliveries[&probe].values().map(|d| d.time).max().unwrap();
+    let probe_dels = m.deliveries.get(&probe).expect("probe delivered");
+    let last = probe_dels.values().map(|d| d.time).max().unwrap();
     BroadcastSteady {
         probe_degree: m.latency_degree(probe).expect("delivered"),
         first_degree: m.latency_degree(ids[0]).expect("delivered"),

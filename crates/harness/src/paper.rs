@@ -431,7 +431,8 @@ fn horizon_run(h: u64, probe_gap: Option<u64>) -> u64 {
     let probe = sim.cast_at(at, ProcessId(0), dest, Payload::new());
     sim.run_to_quiescence();
     let m = sim.metrics();
-    let delivered = m.deliveries[&probe].values().map(|d| d.time).max();
+    let delivered = m.deliveries.get(&probe).expect("probe delivered");
+    let delivered = delivered.values().map(|d| d.time).max();
     match probe_gap {
         Some(_) => m.latency_degree(probe).unwrap_or(99),
         None => m.sends_after(delivered.expect("delivered")),

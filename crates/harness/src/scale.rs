@@ -187,9 +187,8 @@ pub fn latency_registry(topo: &Topology, m: &RunMetrics) -> MetricsRegistry {
     let casts = reg.counter("casts");
     let deliveries = reg.counter("deliveries");
     let committed = reg.counter("committed_casts");
-    // Iterate the (ordered) cast table, not the hashed delivery map, so
-    // the derivation order is deterministic; the contents would be
-    // identical either way (histograms are order-independent).
+    // Every cast in id order, delivered or not (the contents would be
+    // identical in any order: histograms are order-independent).
     for (mid, cast) in &m.casts {
         reg.inc(casts, 1);
         let Some(dels) = m.deliveries.get(mid) else {

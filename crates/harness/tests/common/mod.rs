@@ -44,16 +44,10 @@ pub fn fingerprint(m: &RunMetrics) -> u64 {
         h.u64(c.time.as_nanos());
         h.u64(c.stamp);
     }
-    // The outer delivery map hashes; fingerprints must not depend on its
-    // iteration artifact, so walk it in id order (matching the pre-swap
-    // BTreeMap order the goldens were generated under).
-    let mut ids: Vec<_> = m.deliveries.keys().copied().collect();
-    ids.sort_unstable();
-    for id in ids {
-        let per_proc = &m.deliveries[&id];
+    for (id, per_proc) in m.deliveries.iter() {
         h.u64(id.origin.index() as u64);
         h.u64(id.seq);
-        for (p, d) in per_proc {
+        for (p, d) in per_proc.iter() {
             h.u64(p.index() as u64);
             h.u64(d.time.as_nanos());
             h.u64(d.stamp);

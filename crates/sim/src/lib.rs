@@ -74,7 +74,9 @@ mod runtime;
 
 pub use invariants::{InvariantProfile, InvariantReport};
 pub use latency::{LatencyModel, NetConfig};
-pub use metrics::{CastRecord, DeliveryRecord, RunMetrics, SendRecord};
+pub use metrics::{
+    ByProcess, CastRecord, DeliveryRecord, DeliveryTable, IdIter, IdTable, RunMetrics, SendRecord,
+};
 pub use queue::BucketQueue;
 pub use runtime::{LastEvent, RunError, SimConfig, Simulation};
 // The deterministic generator and the fault-injection adversary live in

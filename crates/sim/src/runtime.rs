@@ -227,6 +227,8 @@ pub struct Simulation<P: Protocol> {
     faults: Option<FaultInjector>,
     metrics: RunMetrics,
     next_app_seq: Vec<u64>,
+    /// Per group: the casts scheduled to it (sizes the run record).
+    casts_to: Vec<usize>,
     started: bool,
     /// Reused backing storage for per-step action buffers: one handler
     /// invocation swaps it into an [`Outbox`], drains it, and puts it
@@ -304,6 +306,7 @@ impl<P: Protocol> Simulation<P> {
             faults,
             metrics: RunMetrics::new(n),
             next_app_seq: vec![0; n],
+            casts_to: vec![0; topo.num_groups()],
             started: false,
             topo,
             cfg,
@@ -442,6 +445,11 @@ impl<P: Protocol> Simulation<P> {
         assert!(!dest.is_empty(), "destination set must be non-empty");
         let seq = self.next_app_seq[caster.index()];
         self.next_app_seq[caster.index()] += 1;
+        for g in dest.iter() {
+            if let Some(n) = self.casts_to.get_mut(g.index()) {
+                *n += 1;
+            }
+        }
         let id = MessageId::new(caster, seq);
         let msg = AppMessage::new(id, dest, payload);
         self.push(at, caster, EvKind::Cast(msg));
@@ -470,6 +478,15 @@ impl<P: Protocol> Simulation<P> {
             return;
         }
         self.started = true;
+        // The run record gets exactly the room the casts scheduled so far
+        // take when each is delivered once by every process it addresses.
+        let deliveries_at: Vec<usize> = self
+            .topo
+            .processes()
+            .map(|p| self.casts_to[self.topo.group_of(p).index()])
+            .collect();
+        self.metrics
+            .reserve_exact(&self.next_app_seq, &deliveries_at);
         for p in 0..self.procs.len() {
             let pid = ProcessId(p as u32);
             self.step(pid, |proto, ctx, out| proto.on_start(ctx, out));
@@ -732,13 +749,14 @@ impl<P: Protocol> Simulation<P> {
                 }
                 Action::Deliver(m) => {
                     self.record(p, Phase::Deliver, Some(m.id), None);
-                    self.metrics.deliveries.entry(m.id).or_default().insert(
-                        p,
-                        DeliveryRecord {
-                            time: self.now,
-                            stamp: deliver_stamp,
-                        },
-                    );
+                    let rec = DeliveryRecord {
+                        time: self.now,
+                        stamp: deliver_stamp,
+                    };
+                    let topo = &self.topo;
+                    self.metrics
+                        .deliveries
+                        .insert(m.id, p, rec, || topo.processes_in(m.dest).count());
                     self.metrics.delivered_seq[p.index()].push(m.id);
                 }
                 Action::Timer { after, kind } => {

@@ -32,6 +32,34 @@ fn targets<'a>(text: &'a str, prefix: &str) -> Vec<&'a str> {
         .collect()
 }
 
+/// Every `(NAME, --flag)` a document passes to a binary after `--`, as in
+/// `--bin NAME … -- --flag value`. `\`-continued lines are joined; a
+/// command ends at the end of its line or at a backtick.
+fn bin_flags(text: &str) -> Vec<(String, String)> {
+    let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    let joined = text.replace("\\\n", " ");
+    let mut out = Vec::new();
+    for cmd in joined.lines().flat_map(|line| line.split('`')) {
+        let Some(&bin) = targets(cmd, "--bin ").first() else {
+            continue;
+        };
+        let after_bin = &cmd[cmd.find(&format!("--bin {bin}")).expect("found above")..];
+        let Some(args) = after_bin.find(" -- ").map(|i| &after_bin[i + 4..]) else {
+            continue;
+        };
+        for word in args.split_whitespace() {
+            let Some(name) = word.strip_prefix("--") else {
+                continue;
+            };
+            let name = &name[..name.find(|c| !is_name(c)).unwrap_or(name.len())];
+            if !name.is_empty() {
+                out.push((bin.to_string(), format!("--{name}")));
+            }
+        }
+    }
+    out
+}
+
 /// The directories a `--test NAME` may resolve in: the facade's, each
 /// crate's, the benchmark package's.
 fn test_dirs(root: &Path) -> Vec<PathBuf> {
@@ -102,6 +130,32 @@ fn every_documented_cargo_target_exists() {
 }
 
 #[test]
+fn every_documented_flag_is_parsed_by_its_binary() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let bins = root.join("crates/harness/src/bin");
+    let cli = fs::read_to_string(root.join("crates/harness/src/cli.rs")).expect("cli.rs");
+    let mut checked = 0;
+    let mut stale = Vec::new();
+    for doc in DOCS {
+        let Ok(text) = fs::read_to_string(root.join(doc)) else {
+            continue;
+        };
+        for (bin, flag) in bin_flags(&text) {
+            checked += 1;
+            let source = fs::read_to_string(bins.join(format!("{bin}.rs"))).unwrap_or_default();
+            let literal = format!("\"{flag}\"");
+            if !source.contains(&literal) && !cli.contains(&literal) {
+                stale.push(format!("{doc}: --bin {bin} -- {flag}"));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "no such flag: {stale:#?}");
+    // The documents pass dozens of flags to scenario_fuzz, smr_kv and
+    // scale_sweep.
+    assert!(checked > 30, "only {checked} flags found");
+}
+
+#[test]
 fn every_claims_link_names_a_section() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let claims = fs::read_to_string(root.join("CLAIMS.md")).expect("CLAIMS.md");
@@ -133,6 +187,20 @@ fn extraction_takes_names_and_skips_placeholders() {
     assert_eq!(targets(text, "--test "), ["socket_chaos"]);
     assert_eq!(targets(text, "-p "), ["wamcast-sim"]);
     assert!(targets(text, "--example ").is_empty());
+    let cmds = "cargo run --bin scale_sweep -- \\\n    --arms a1,a2 --smoke\n\
+                `cargo run --bin smr_kv -- --faulty`, not -- --seed; --bin <name> -- --nope";
+    let flags: Vec<_> = bin_flags(cmds)
+        .into_iter()
+        .map(|(bin, flag)| format!("{bin} {flag}"))
+        .collect();
+    assert_eq!(
+        flags,
+        [
+            "scale_sweep --arms",
+            "scale_sweep --smoke",
+            "smr_kv --faulty"
+        ]
+    );
     let links = "see [E3](CLAIMS.md#theorem-41), or CLAIMS.md#figure-1a.";
     assert_eq!(targets(links, "CLAIMS.md#"), ["theorem-41", "figure-1a"]);
 }
