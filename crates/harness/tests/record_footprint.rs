@@ -3,7 +3,9 @@
 //! quiescence, and the bytes the returned [`RunMetrics`] keeps on the heap
 //! are divided by the casts it records. The ordered map of casts and the
 //! hashed map of per-cast delivery maps this record replaced read 605 B
-//! (`sim_a1`) and 506 B (`sim_a2`) per cast here, and fail.
+//! (`sim_a1`) and 506 B (`sim_a2`) per cast here, and fail. A third test
+//! guards the other end of a run: the heap a loaded plan holds before the
+//! first step.
 //!
 //! Run in release: `cargo test --release -p wamcast-harness --test
 //! record_footprint`.
@@ -88,20 +90,47 @@ fn bytes_per_cast<P: Protocol>(
     (with - without) as f64 / plan.len() as f64
 }
 
+/// `sim_a1`'s destinations: every pair of groups, and all groups.
+fn a1_dests(topo: &Topology) -> Vec<GroupSet> {
+    let mut dests = all_group_pairs(topo);
+    dests.push(topo.all_groups());
+    dests
+}
+
+/// `sim_a1`'s stack: batched A1 with retransmission.
+fn a1_stack(p: ProcessId, t: &Topology) -> GenuineMulticast {
+    let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(20));
+    GenuineMulticast::new(p, t, a1_stack_config(Some(batch), Some(RETRY_INTERVAL)))
+}
+
 #[test]
 fn sim_a1_record_keeps_at_most_400_bytes_per_cast() {
-    let per_cast = bytes_per_cast(
-        |topo| {
-            let mut dests = all_group_pairs(topo);
-            dests.push(topo.all_groups());
-            dests
-        },
-        |p, t| {
-            let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(20));
-            GenuineMulticast::new(p, t, a1_stack_config(Some(batch), Some(RETRY_INTERVAL)))
-        },
-    );
+    let per_cast = bytes_per_cast(a1_dests, a1_stack);
     assert!(per_cast <= 400.0, "sim_a1 record: {per_cast:.1} B per cast");
+}
+
+/// Growth guard for a loaded plan: the heap a [`Simulation`] gains while
+/// `sim_a1`'s plan is scheduled with `cast_at`, before its first step —
+/// one queued `Cast` event per cast, most alone at their instant, plus the
+/// queue's index over the instants. A bucket sized by `Vec`'s first
+/// growth (four events) and a 64-byte message read 579 B per cast here,
+/// and fail.
+#[test]
+fn sim_a1_scheduled_casts_take_at_most_256_bytes_each() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let topo = Arc::new(Topology::symmetric(3, 3));
+    let plan = poisson(&topo, 2000.0, HORIZON, &a1_dests(&topo), 7);
+    let cfg = SimConfig::default().with_seed(7).with_send_log(false);
+    let mut sim = Simulation::new_shared(Arc::clone(&topo), cfg, a1_stack);
+    let before = LIVE.load(Ordering::Relaxed);
+    for c in &plan {
+        sim.cast_at(c.at, c.caster, c.dest, Payload::new());
+    }
+    let per_cast = (LIVE.load(Ordering::Relaxed) - before) as f64 / plan.len() as f64;
+    assert!(
+        per_cast <= 256.0,
+        "sim_a1 plan: {per_cast:.1} B per scheduled cast"
+    );
 }
 
 #[test]

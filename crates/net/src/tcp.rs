@@ -67,7 +67,7 @@ use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::WallFaults;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::os::fd::AsRawFd;
@@ -1151,6 +1151,11 @@ where
 /// Synchronous client of a TCP-hosted cluster: casts payloads and queries
 /// node services, reconnecting lazily after resets.
 ///
+/// Each frame leaves in one `write` — length prefix and sealed body built
+/// in one buffer the client reuses — and replies are read through a
+/// buffer kept beside the stream, so a reply's prefix and body cost one
+/// `read` together.
+///
 /// One attempt per call — a failed [`cast`](Self::cast) is **not**
 /// retried internally, because the caller must account for the op id it
 /// may have committed before deciding to resend.
@@ -1159,7 +1164,29 @@ pub struct TcpClient {
     addr: SocketAddr,
     arm: u8,
     timeout: Duration,
-    stream: Option<TcpStream>,
+    /// The connection; writes go to the stream under the read buffer.
+    conn: Option<BufReader<TcpStream>>,
+    /// The last frame sent, prefix included; reused across calls.
+    wbuf: Vec<u8>,
+    /// The last reply body read; reused across calls.
+    rbuf: Vec<u8>,
+}
+
+/// Seals `frame` behind its length prefix into `buf` and writes it with
+/// one `write_all`, where [`write_frame`] writes prefix and body apart.
+fn send_frame(
+    w: &mut impl Write,
+    arm: u8,
+    frame: &Frame<NoMsg>,
+    buf: &mut Vec<u8>,
+) -> io::Result<()> {
+    wire::seal_into(arm, frame, buf);
+    let len = u32::try_from(buf.len())
+        .ok()
+        .filter(|&l| l <= MAX_FRAME)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    buf.splice(0..0, len.to_le_bytes());
+    w.write_all(buf)
 }
 
 impl TcpClient {
@@ -1170,38 +1197,48 @@ impl TcpClient {
             addr,
             arm,
             timeout,
-            stream: None,
+            conn: None,
+            wbuf: Vec::new(),
+            rbuf: Vec::new(),
         }
     }
 
     /// Drops the current connection; the next call redials.
     pub fn reset(&mut self) {
-        self.stream = None;
+        self.conn = None;
     }
 
-    fn ensure(&mut self) -> io::Result<&mut TcpStream> {
-        if self.stream.is_none() {
-            let s = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-            s.set_nodelay(true)?;
-            s.set_read_timeout(Some(self.timeout))?;
-            self.stream = Some(s);
+    /// Sends `frame`, dialling first if there is no connection; drops the
+    /// connection if either fails.
+    fn send(&mut self, frame: &Frame<NoMsg>) -> io::Result<()> {
+        let r = (|| {
+            if self.conn.is_none() {
+                let s = TcpStream::connect_timeout(&self.addr, self.timeout)?;
+                s.set_nodelay(true)?;
+                s.set_read_timeout(Some(self.timeout))?;
+                self.conn = Some(BufReader::new(s));
+            }
+            let conn = self.conn.as_mut().expect("just dialled");
+            send_frame(conn.get_mut(), self.arm, frame, &mut self.wbuf)
+        })();
+        if r.is_err() {
+            self.reset();
         }
-        Ok(self.stream.as_mut().expect("just ensured"))
+        r
     }
 
     fn roundtrip(&mut self, out: Frame<NoMsg>) -> io::Result<Frame<NoMsg>> {
         let arm = self.arm;
         let deadline = Instant::now() + self.timeout;
         let res = (|| {
-            let s = self.ensure()?;
-            write_frame(s, &wire::seal(arm, &out))?;
-            let mut rbuf = Vec::new();
+            self.send(&out)?;
+            let conn = self.conn.as_mut().expect("sent on a live connection");
             loop {
                 if Instant::now() > deadline {
                     return Err(io::Error::new(io::ErrorKind::TimedOut, "reply timeout"));
                 }
-                read_frame_into(s, &mut rbuf)?;
-                match wire::open::<Frame<NoMsg>>(arm, &rbuf) {
+                read_frame_into(conn, &mut self.rbuf)?;
+                match wire::open::<Frame<NoMsg>>(arm, &self.rbuf) {
                     Ok(f @ (Frame::CastAck { .. } | Frame::Rep { .. })) => return Ok(f),
                     Ok(_) | Err(_) => continue, // not for us; keep waiting
                 }
@@ -1260,16 +1297,7 @@ impl TcpClient {
     ///
     /// Any socket error.
     pub fn crash_notify(&mut self, of: ProcessId) -> io::Result<()> {
-        let arm = self.arm;
-        let frame: Frame<NoMsg> = Frame::CrashNotify { of };
-        let r = (|| {
-            let s = self.ensure()?;
-            write_frame(s, &wire::seal(arm, &frame))
-        })();
-        if r.is_err() {
-            self.reset();
-        }
-        r
+        self.send(&Frame::CrashNotify { of })
     }
 
     /// Asks the peer process to exit cleanly.
@@ -1278,12 +1306,7 @@ impl TcpClient {
     ///
     /// Any socket error.
     pub fn shutdown_peer(&mut self) -> io::Result<()> {
-        let arm = self.arm;
-        let frame: Frame<NoMsg> = Frame::Shutdown;
-        let r = (|| {
-            let s = self.ensure()?;
-            write_frame(s, &wire::seal(arm, &frame))
-        })();
+        let r = self.send(&Frame::Shutdown);
         self.reset();
         r
     }
@@ -1618,5 +1641,46 @@ mod tests {
         // Truncated body is an error, not a hang (reader sees EOF).
         let bad = [5u8, 0, 0, 0, b'x'];
         assert!(read_frame(&mut &bad[..]).is_err());
+    }
+
+    /// A sink that records each `write` call it gets.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_client_sends_a_frame_in_one_write() {
+        let frames: [Frame<NoMsg>; 3] = [
+            Frame::Cast {
+                seq: 3,
+                dest: GroupSet::first_n(2),
+                payload: Payload::from(vec![7; 200]),
+            },
+            Frame::Req { body: Vec::new() },
+            Frame::CrashNotify { of: ProcessId(2) },
+        ];
+        let mut buf = vec![0xAA; 8]; // stale bytes must not leak
+        for frame in &frames {
+            let mut client = CountingSink::default();
+            send_frame(&mut client, 5, frame, &mut buf).unwrap();
+            let mut two = CountingSink::default();
+            write_frame(&mut two, &wire::seal(5, frame)).unwrap();
+            assert_eq!((client.writes, two.writes), (1, 2), "{frame:?}");
+            assert_eq!(client.bytes, two.bytes, "{frame:?}");
+        }
     }
 }

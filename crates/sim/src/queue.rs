@@ -31,7 +31,9 @@
 //! A bucket's allocation leaves its slot when the bucket becomes the
 //! front, and drained fronts are recycled through a pool of at most
 //! `SPARE_CAP`: a plan of n instants holds n small buckets while it is
-//! queued, not n grown ones forever after.
+//! queued, not n grown ones forever after. A new instant takes a spare
+//! first; with none left it gets room for exactly one event, not the four
+//! `Vec`'s first growth reserves, and grows when a second event joins it.
 //!
 //! # Determinism
 //!
@@ -158,6 +160,14 @@ impl<T> BucketQueue<T> {
         self.len == 0
     }
 
+    /// An empty bucket for a new instant: a spare drained front if there
+    /// is one, else room for exactly one event. Most instants of a loaded
+    /// plan hold a single cast, and `Vec`'s first growth would size them
+    /// for four; a bucket that gains a second event grows on demand.
+    fn fresh(spare: &mut Vec<Bucket<T>>) -> Bucket<T> {
+        spare.pop().unwrap_or_else(|| Vec::with_capacity(1))
+    }
+
     /// Puts `bucket` into a free slot of `slots`, returning the slot.
     /// Takes the two fields rather than `&mut self` so that it can run
     /// while a `slot_of` entry is borrowed.
@@ -192,8 +202,7 @@ impl<T> BucketQueue<T> {
             // `at < cur_at`: an external push (cast_at / crash_at between
             // run calls) before the cached front. Re-file the front bucket
             // under its instant and start a fresh front here.
-            let fresh = self.spare.pop().unwrap_or_default();
-            let old = std::mem::replace(&mut self.cur, fresh);
+            let old = std::mem::replace(&mut self.cur, Self::fresh(&mut self.spare));
             let slot = Self::store(&mut self.slots, &mut self.free, old);
             self.slot_of.insert(self.cur_at, slot);
             self.order.push(Reverse(self.cur_at));
@@ -212,7 +221,7 @@ impl<T> BucketQueue<T> {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
                         self.order.push(Reverse(at));
-                        let fresh = self.spare.pop().unwrap_or_default();
+                        let fresh = Self::fresh(&mut self.spare);
                         *e.insert(Self::store(&mut self.slots, &mut self.free, fresh))
                     }
                 };

@@ -6,6 +6,12 @@ use std::ops::{BitAnd, BitOr, BitOrAssign, Sub};
 
 /// A set of groups, `m.dest ⊆ Γ`, stored as a 128-bit mask.
 ///
+/// The mask is 8-aligned (`packed(8)`), not 16 as a bare `u128` is on
+/// x86-64: every copy of a cast a process keeps or queues embeds one, and
+/// 16-byte alignment would pad [`AppMessage`](crate::AppMessage) from 48
+/// to 64 bytes. The field is only ever read and written by value, so the
+/// packing needs no `unsafe`.
+///
 /// Atomic multicast addresses messages to arbitrary subsets of the system's
 /// groups (§2.2). Destination sets are consulted on every protocol step, so
 /// they must be tiny and `Copy`; a bitmask over at most
@@ -25,6 +31,7 @@ use std::ops::{BitAnd, BitOr, BitOrAssign, Sub};
 /// assert_eq!(a.iter().collect::<Vec<_>>(), vec![GroupId(0), GroupId(1)]);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(Rust, packed(8))]
 pub struct GroupSet(u128);
 
 impl GroupSet {

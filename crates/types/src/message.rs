@@ -7,10 +7,13 @@ use std::sync::Arc;
 
 /// Opaque application payload carried by a cast message.
 ///
-/// A cheaply clonable, immutable byte buffer (reference-counted when owned),
-/// so fanning one message out to many processes never copies the bytes. The
-/// workspace builds offline with no external dependencies; this type covers
-/// the slice of the `bytes::Bytes` API the protocols need.
+/// A cheaply clonable, immutable byte buffer, so fanning one message out
+/// to many processes never copies the bytes. One representation: an
+/// `Option<Arc<[u8]>>`, 16 bytes, with `None` for the empty payload — so
+/// an empty body owns no buffer, and [`new`](Self::new) is `const` and
+/// allocation-free. The workspace builds offline with no external
+/// dependencies; this type covers the slice of the `bytes::Bytes` API the
+/// protocols need.
 ///
 /// # Example
 ///
@@ -23,45 +26,47 @@ use std::sync::Arc;
 /// assert_eq!(p.clone(), Payload::from(b"x=1".to_vec()));
 /// assert!(Payload::new().is_empty());
 /// ```
-#[derive(Clone)]
-pub struct Payload(Repr);
-
-#[derive(Clone)]
-enum Repr {
-    Static(&'static [u8]),
-    Owned(Arc<[u8]>),
-}
+#[derive(Clone, Default)]
+pub struct Payload(
+    /// `None` exactly when empty: no constructor wraps an empty buffer,
+    /// and `is_empty` relies on it.
+    Option<Arc<[u8]>>,
+);
 
 impl Payload {
     /// An empty payload.
     #[inline]
     pub const fn new() -> Self {
-        Payload(Repr::Static(&[]))
+        Payload(None)
     }
 
-    /// A payload borrowing a `'static` byte string — zero allocation.
+    /// A payload holding a copy of a `'static` byte string — one
+    /// allocation and one copy, as [`copy_from_slice`](Self::copy_from_slice)
+    /// (none for an empty string). Tests and examples use it for literals.
     #[inline]
-    pub const fn from_static(bytes: &'static [u8]) -> Self {
-        Payload(Repr::Static(bytes))
+    pub fn from_static(bytes: &'static [u8]) -> Self {
+        Payload::copy_from_slice(bytes)
     }
 
     /// A payload copying `bytes` straight into its reference-counted
-    /// buffer — exactly one allocation and one copy. `From<Vec<u8>>` on a
-    /// borrowed slice would cost two (slice → `Vec`, `Vec` → `Arc<[u8]>`,
-    /// whose lengths differ from the capacity in general); the wire
-    /// decoder reads borrowed frame bytes, so this is its decode path.
+    /// buffer — exactly one allocation and one copy (none for an empty
+    /// slice). `From<Vec<u8>>` on a borrowed slice would cost two (slice →
+    /// `Vec`, `Vec` → `Arc<[u8]>`, whose lengths differ from the capacity
+    /// in general); the wire decoder reads borrowed frame bytes, so this is
+    /// its decode path.
     #[inline]
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Payload(Repr::Owned(Arc::from(bytes)))
+        if bytes.is_empty() {
+            Payload::new()
+        } else {
+            Payload(Some(Arc::from(bytes)))
+        }
     }
 
     /// The payload bytes.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        match &self.0 {
-            Repr::Static(s) => s,
-            Repr::Owned(a) => a,
-        }
+        self.0.as_deref().unwrap_or_default()
     }
 
     /// Number of payload bytes.
@@ -73,13 +78,7 @@ impl Payload {
     /// Whether the payload is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-}
-
-impl Default for Payload {
-    fn default() -> Self {
-        Payload::new()
+        self.0.is_none()
     }
 }
 
@@ -93,7 +92,11 @@ impl Deref for Payload {
 
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Self {
-        Payload(Repr::Owned(v.into()))
+        if v.is_empty() {
+            Payload::new()
+        } else {
+            Payload(Some(v.into()))
+        }
     }
 }
 
