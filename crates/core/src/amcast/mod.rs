@@ -55,7 +55,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::time::Duration;
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
-use wamcast_rmcast::{RmcastEngine, RmcastMsg, RmcastOut, UniformRmcastEngine};
+use wamcast_rmcast::{RmcastEngine, RmcastMsg, RmcastOut};
 use wamcast_types::{
     AppMessage, BatchConfig, Context, FxHashMap, FxHashSet, GroupId, IdSet, MessageId, Outbox,
     ProcessId, Protocol,
@@ -131,13 +131,6 @@ pub struct MulticastConfig {
     /// whose proposal is the maximum skip s2). `false` — the Fritzke et
     /// al. \[5\] baseline: every message runs both consensus stages.
     pub skip_stages: bool,
-    /// `false` (the paper's A1) — disseminate with the **non-uniform**
-    /// reliable multicast (deliver on first receipt, latency degree 1).
-    /// `true` — use the uniform primitive instead (majority relay, latency
-    /// degree 2), as Fritzke et al. \[5\] originally did. §4.1 presents the
-    /// non-uniform choice as one of A1's optimizations; flipping this flag
-    /// measures its cost — the overall latency degree grows from 2 to 3.
-    pub uniform_dissemination: bool,
     /// Consensus-amortization policy: how many fresh messages may pool
     /// before a consensus instance is spent proposing them (see the
     /// module-level *Batching* section). [`BatchConfig::disabled`] (the
@@ -153,9 +146,6 @@ pub struct MulticastConfig {
     /// ([`RmcastEngine::tick`] — the engine runs in ack mode). Required for
     /// liveness under a fault-injection adversary that drops messages; the
     /// timer disarms when no work remains, preserving quiescence.
-    /// Incompatible with [`uniform_dissemination`](Self::uniform_dissemination)
-    /// (the uniform baseline has no retransmission support);
-    /// [`GenuineMulticast::new`] rejects that combination.
     pub retry: Option<Duration>,
 }
 
@@ -163,7 +153,6 @@ impl Default for MulticastConfig {
     fn default() -> Self {
         MulticastConfig {
             skip_stages: true,
-            uniform_dissemination: false,
             batch: BatchConfig::disabled(),
             retry: None,
         }
@@ -257,8 +246,6 @@ pub struct GenuineMulticast {
     /// `ADELIVERED`: one id per cast, forever — hence ranges.
     adelivered: IdSet,
     rmcast: RmcastEngine,
-    /// Used instead of `rmcast` when `cfg.uniform_dissemination` is set.
-    urmcast: UniformRmcastEngine,
     cons: GroupConsensus<MsgBatch>,
     /// Decisions whose instance number is ahead of `K` (link jitter can
     /// reorder consensus learning across instances).
@@ -332,19 +319,7 @@ pub fn merge_msg_sets(acc: &mut MsgBatch, more: MsgBatch) {
 
 impl GenuineMulticast {
     /// Creates the protocol instance for process `me` of `topo`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config combines `retry` with `uniform_dissemination`:
-    /// only the non-uniform engine implements ack-based retransmission, so
-    /// that combination would silently lose liveness under message loss
-    /// (the uniform baseline exists for clean-link cost comparisons only).
     pub fn new(me: ProcessId, topo: &wamcast_types::Topology, cfg: MulticastConfig) -> Self {
-        assert!(
-            !(cfg.retry.is_some() && cfg.uniform_dissemination),
-            "retry mode requires the non-uniform dissemination engine \
-             (UniformRmcastEngine has no retransmission support)"
-        );
         let group = topo.group_of(me);
         let members = topo.members(group).to_vec();
         let rmcast = if cfg.retry.is_some() {
@@ -365,7 +340,6 @@ impl GenuineMulticast {
             unproposed_bytes: 0,
             adelivered: IdSet::new(),
             rmcast,
-            urmcast: UniformRmcastEngine::new(me),
             cons: GroupConsensus::new(me, members).with_merge(merge_msg_sets),
             buffered_decisions: FxHashMap::default(),
             flush_armed: false,
@@ -649,11 +623,8 @@ impl GenuineMulticast {
             } else {
                 self.s1_waiting.remove(&id);
             }
-            // Mark as seen so a late R-MCast copy is not re-inserted at s0
-            // (the pending/adelivered checks cover the uniform engine).
-            if !self.cfg.uniform_dissemination {
-                self.rmcast.mark_seen(&entry.msg, ctx.topology());
-            }
+            // Mark as seen so a late R-MCast copy is not re-inserted at s0.
+            self.rmcast.mark_seen(&entry.msg, ctx.topology());
         }
         order.clear();
         self.order_buf = order;
@@ -910,11 +881,7 @@ impl Protocol for GenuineMulticast {
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<MulticastMsg>) {
         debug_assert_eq!(msg.id.origin, self.me);
         let mut rm_out = std::mem::take(&mut self.rm_buf);
-        if self.cfg.uniform_dissemination {
-            self.urmcast.rmcast(msg, ctx.topology(), &mut rm_out);
-        } else {
-            self.rmcast.rmcast(msg, ctx.topology(), &mut rm_out);
-        }
+        self.rmcast.rmcast(msg, ctx.topology(), &mut rm_out);
         self.flush_rmcast(&mut rm_out, ctx, out);
         self.rm_buf = rm_out;
         self.arm_retry(out);
@@ -930,13 +897,8 @@ impl Protocol for GenuineMulticast {
         match msg {
             MulticastMsg::Rm(rm) => {
                 let mut rm_out = std::mem::take(&mut self.rm_buf);
-                if self.cfg.uniform_dissemination {
-                    self.urmcast
-                        .on_message(from, rm, ctx.topology(), &mut rm_out);
-                } else {
-                    self.rmcast
-                        .on_message(from, rm, ctx.topology(), &mut rm_out);
-                }
+                self.rmcast
+                    .on_message(from, rm, ctx.topology(), &mut rm_out);
                 self.flush_rmcast(&mut rm_out, ctx, out);
                 self.rm_buf = rm_out;
             }
@@ -1175,18 +1137,6 @@ mod tests {
         let (pending, rm_outstanding, _) = p0.debug_retry_state();
         assert_eq!(pending, 1, "cast is pending");
         assert!(rm_outstanding, "ack mode: un-acked copies in flight");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-uniform dissemination")]
-    fn retry_with_uniform_dissemination_is_rejected() {
-        let topo = Arc::new(Topology::symmetric(2, 2));
-        let cfg = MulticastConfig {
-            uniform_dissemination: true,
-            ..MulticastConfig::default()
-        }
-        .with_retry(std::time::Duration::from_millis(100));
-        let _ = GenuineMulticast::new(ProcessId(0), &topo, cfg);
     }
 
     #[test]

@@ -1,79 +1,11 @@
-//! Tests for the configurable extensions beyond the paper's baseline
-//! algorithms: A1's dissemination-uniformity ablation (§4.1's stated
-//! optimization) and A2's quiescence-prediction horizon (§5.3's future-work
+//! Tests for the configurable extension beyond the paper's baseline
+//! algorithms: A2's quiescence-prediction horizon (§5.3's future-work
 //! suggestion).
 
 use std::time::Duration;
-use wamcast_core::{GenuineMulticast, MulticastConfig, RoundBroadcast};
+use wamcast_core::RoundBroadcast;
 use wamcast_sim::{invariants, SimConfig, Simulation};
-use wamcast_types::{GroupSet, Payload, ProcessId, SimTime, Topology};
-
-// ----------------------------------------------------------------------
-// A1: non-uniform vs uniform dissemination (§4.1).
-// ----------------------------------------------------------------------
-
-fn a1_degree(uniform: bool) -> (u64, u64) {
-    let cfg = SimConfig::default().with_seed(31);
-    let mut sim = Simulation::new(Topology::symmetric(2, 3), cfg, |p, t| {
-        GenuineMulticast::new(
-            p,
-            t,
-            MulticastConfig {
-                skip_stages: true,
-                uniform_dissemination: uniform,
-                ..MulticastConfig::default()
-            },
-        )
-    });
-    let dest = GroupSet::first_n(2);
-    let id = sim.cast_at(SimTime::ZERO, ProcessId(0), dest, Payload::new());
-    assert!(sim.run_until_delivered(&[id], SimTime::from_millis(600_000)));
-    sim.run_to_quiescence();
-    let correct = sim.alive_processes();
-    invariants::check_all(sim.topology(), sim.metrics(), &correct).assert_ok();
-    (
-        sim.metrics().latency_degree(id).unwrap(),
-        sim.metrics().inter_sends,
-    )
-}
-
-#[test]
-fn uniform_dissemination_costs_one_extra_delay() {
-    // §4.1: "instead of using a uniform reliable multicast primitive, we
-    // use a non-uniform version" — quantified: the uniform primitive's
-    // majority-relay wave pushes the overall latency degree from 2 to 3.
-    let (nonuniform_deg, nonuniform_msgs) = a1_degree(false);
-    let (uniform_deg, uniform_msgs) = a1_degree(true);
-    assert_eq!(nonuniform_deg, 2, "the paper's A1");
-    assert_eq!(uniform_deg, 3, "uniform dissemination adds a delay");
-    assert!(
-        uniform_msgs > nonuniform_msgs,
-        "uniform relay also costs messages: {nonuniform_msgs} vs {uniform_msgs}"
-    );
-}
-
-#[test]
-fn uniform_dissemination_still_satisfies_spec_under_crash() {
-    let cfg = SimConfig::default().with_seed(32);
-    let mut sim = Simulation::new(Topology::symmetric(2, 3), cfg, |p, t| {
-        GenuineMulticast::new(
-            p,
-            t,
-            MulticastConfig {
-                skip_stages: true,
-                uniform_dissemination: true,
-                ..MulticastConfig::default()
-            },
-        )
-    });
-    let dest = GroupSet::first_n(2);
-    let id = sim.cast_at(SimTime::ZERO, ProcessId(0), dest, Payload::new());
-    sim.crash_at(SimTime::from_micros(150), ProcessId(0));
-    assert!(sim.run_until_delivered(&[id], SimTime::from_millis(600_000)));
-    sim.run_until(sim.now() + Duration::from_secs(120));
-    let correct = sim.alive_processes();
-    invariants::check_all(sim.topology(), sim.metrics(), &correct).assert_ok();
-}
+use wamcast_types::{Payload, ProcessId, SimTime, Topology};
 
 // ----------------------------------------------------------------------
 // A2: quiescence-prediction horizon (§5.3).

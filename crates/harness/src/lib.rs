@@ -11,10 +11,10 @@
 //! The library also hosts the shared machinery: the stack registry
 //! ([`registry`] — the single protocol-arm dispatch site), scenario
 //! runners ([`measure`]), the fault fuzzer ([`scenario`]), the SMR
-//! drivers ([`smr`], [`tcp_host`]), the throughput and scale sweeps
-//! ([`throughput`], [`scale`]) and a table printer ([`table`]). The other
+//! runners ([`smr`], [`tcp_host`]), the open-loop cells the loaded claims
+//! are built from ([`scale`]) and a table printer ([`table`]). The other
 //! binaries in `src/bin/` are `peer` (one TCP-runtime process),
-//! `scenario_fuzz`, `smr_kv`, `scale_sweep` and `throughput_sweep`.
+//! `scenario_fuzz` and `smr_kv`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,16 +30,11 @@ pub mod scenario;
 pub mod smr;
 pub mod table;
 pub mod tcp_host;
-pub mod throughput;
 pub mod workload;
 
 pub use registry::{ProtocolArm, StackRegistry};
 pub use scale::{latency_registry, run_cell, ScaleCell, ScaleConfig};
 pub use scenario::{run_scenario, run_scenario_full, RunSpec, ScenarioOutcome};
-pub use smr::{
-    response_latency_histogram, run_smr_scenario, run_smr_sim, smr_throughput_once, InjectedBug,
-    SmrConfig, SmrOutcome, SmrThroughputCell,
-};
+pub use smr::{run_smr_scenario, run_smr_sim, InjectedBug, SmrConfig, SmrOutcome};
 pub use table::Table;
 pub use tcp_host::{run_smr_tcp, spawn_smr_peer, KvPeer, TcpRunConfig, SMR_ARM};
-pub use throughput::{throughput_once, throughput_sweep, ThroughputCell};

@@ -25,8 +25,8 @@
 //!   probe for every Figure 1 row, the Prop 3.1 / Theorem 4.1 / 5.1 rows
 //!   derived from them and the Δ·L shape sweep, and compares each against
 //!   the arm's analytic row;
-//! * the E9 throughput cells and the SMR service build the paper stack
-//!   through [`a1_stack_config`].
+//! * the claims file's batching rows and the SMR service build the paper
+//!   stack through [`a1_stack_config`].
 //!
 //! **Determinism contract:** the default fuzz rotation is the arm-table
 //! prefix [`DEFAULT_ROTATION_LEN`] (`a1`, `a1-batched`, `a2`), and
@@ -286,12 +286,15 @@ impl ProtocolArm {
 
     /// Runs this arm's paper-exact stack under an open-loop planned
     /// workload (arrivals do not wait for completions) and returns the raw
-    /// run metrics — the scale sweeps derive their latency histograms from
-    /// these after the fact, so recording never perturbs the schedule.
+    /// run metrics — the open-loop cells derive their latency histograms
+    /// from these after the fact, so recording never perturbs the schedule.
     ///
-    /// `Err` carries a liveness description (non-convergence by `deadline`,
-    /// or `max_steps` budget exhaustion); the partially-recorded metrics
-    /// are returned either way so a DNF cell can still be reported
+    /// A converged run is judged with
+    /// [`check_with_profile`](wamcast_sim::invariants::check_with_profile)
+    /// under the arm's [`profile`](Self::profile). `Err` carries either
+    /// those violations or a liveness description (non-convergence by
+    /// `deadline`, or `max_steps` budget exhaustion); the recorded metrics
+    /// are returned either way so a failed cell can still be reported
     /// honestly.
     pub fn run_open_loop(
         &self,
@@ -350,7 +353,7 @@ where
     FF: Fn(wamcast_types::ProcessId, &wamcast_types::Topology) -> P + Send + Sync + 'static,
     PF: Fn(wamcast_types::ProcessId, &wamcast_types::Topology) -> P + Send + Sync + 'static,
 {
-    let workload = meta.workload;
+    let (workload, profile) = (meta.workload, meta.profile);
     // The fuzz constructor is shared: the scenario runner and the TCP host
     // must build byte-identical stacks. The probe constructor is likewise
     // shared between the one-shot Figure 1 probe and the open-loop scale
@@ -374,7 +377,7 @@ where
             tcp::serve(cfg, proto, delivered, service)
         }),
         open_loop: Box::new(move |topo, plan, seed, max_steps, deadline| {
-            crate::scale::drive_open_loop(topo, plan, seed, max_steps, deadline, |p, t| {
+            crate::scale::drive_open_loop(topo, plan, seed, max_steps, deadline, profile, |p, t| {
                 probe_open(p, t)
             })
         }),
@@ -399,10 +402,10 @@ where
     }
 }
 
-/// One construction site for the paper's A1 stack. The E9 throughput
-/// cells, the SMR service and the registry's `a1`/`a1-batched` arms all
-/// build their [`MulticastConfig`] here, so policy knobs (batching,
-/// retransmission) cannot drift between hosts.
+/// One construction site for the paper's A1 stack. The claims file's
+/// batching rows, the SMR service and the registry's `a1`/`a1-batched`
+/// arms all build their [`MulticastConfig`] here, so policy knobs
+/// (batching, retransmission) cannot drift between hosts.
 pub fn a1_stack_config(batch: Option<BatchConfig>, retry: Option<Duration>) -> MulticastConfig {
     let mut cfg = MulticastConfig::default();
     if let Some(b) = batch {

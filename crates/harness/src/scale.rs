@@ -1,12 +1,13 @@
-//! E14 — open-loop scale sweeps: tail latency and message cost at
-//! 8→128 groups.
+//! Open-loop cells: every registry arm's paper-exact stack under a
+//! Poisson arrival process, judged by §2.2 and reduced to tail latency and
+//! message cost.
 //!
-//! Figure 1 compares *isolated* casts; this module measures the regime the
-//! paper argues about — many groups, skewed traffic — by driving every
-//! registry arm's paper-exact stack under an open-loop Poisson arrival
-//! process with Zipf-skewed destination popularity
-//! ([`poisson_zipf`]) and extracting p50/p99/p999 delivery and commit
-//! latency from a [`MetricsRegistry`].
+//! Figure 1 compares *isolated* casts; a cell measures the regime the
+//! paper argues about — many groups, skewed traffic — with Zipf-skewed
+//! destination popularity ([`poisson_zipf`]), and extracts p50/p99/p999
+//! delivery and commit latency into a [`MetricsRegistry`]. `CLAIMS.md`'s
+//! "Validity under load", "Batching amortisation" and "Genuineness at
+//! scale" sections are built from these cells.
 //!
 //! **Determinism contract.** Latency is *derived after the run* from the
 //! timestamps the simulator already records in
@@ -14,8 +15,8 @@
 //! the same events whether or not anyone builds histograms, so the golden
 //! fingerprint corpora of PR 4/PR 5 are untouched by observability. The
 //! registry dump itself is deterministic too (bucket counts are
-//! order-independent, names are sorted), which is what the CI scale-smoke
-//! job pins via [`ScaleCell::fingerprint`].
+//! order-independent, names are sorted), which `tests/scale_determinism.rs`
+//! pins via [`ScaleCell::fingerprint`].
 //!
 //! The expected headline: genuine arms (A1 and the multicast baselines)
 //! address two groups per operation, so their inter-group sends per
@@ -25,18 +26,18 @@
 
 use crate::registry::{ProtocolArm, WorkloadShape};
 use crate::scenario::shared_topology;
-use crate::table::{fmt_ms, percentile_cells, Table};
+use crate::table::{percentile_cells, Table};
 use crate::workload::{all_group_pairs, poisson, poisson_zipf, PlannedCast};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wamcast_metrics::{Histogram, MetricsRegistry};
-use wamcast_sim::{RunError, RunMetrics, SimConfig, Simulation};
+use wamcast_sim::{invariants, InvariantProfile, RunError, RunMetrics, SimConfig, Simulation};
 use wamcast_types::{Payload, ProcessId, Protocol, SimTime, Topology};
 
 /// Virtual-time convergence allowance beyond the arrival horizon.
 const GRACE: Duration = Duration::from_secs(600);
 
-/// Parameters of one scale sweep (shared by every cell).
+/// Parameters shared by a set of open-loop cells.
 #[derive(Clone, Debug)]
 pub struct ScaleConfig {
     /// Processes per group (`d`).
@@ -51,21 +52,8 @@ pub struct ScaleConfig {
     /// Workload/schedule seed.
     pub seed: u64,
     /// Handler-invocation budget per cell; exhausting it marks the cell
-    /// DNF instead of hanging the sweep.
+    /// DNF instead of hanging the run.
     pub max_steps: u64,
-}
-
-impl Default for ScaleConfig {
-    fn default() -> Self {
-        ScaleConfig {
-            per_group: 16,
-            rate_per_sec: 100.0,
-            horizon: Duration::from_secs(2),
-            theta: 0.99,
-            seed: 0xE14,
-            max_steps: 50_000_000,
-        }
-    }
 }
 
 /// One (arm × group-count) measurement.
@@ -79,34 +67,57 @@ pub struct ScaleCell {
     pub per_group: usize,
     /// Planned casts.
     pub casts: u64,
-    /// `None` = converged within budget; `Some(why)` = DNF (the metrics
-    /// below still describe the partial run, honestly labelled).
+    /// `None` = converged within budget with every §2.2 property of the
+    /// arm's profile intact; `Some(why)` = a DNF or a violation, as `why`
+    /// says (the metrics below still describe the run, honestly labelled).
     pub dnf: Option<String>,
     /// The derived metrics registry (histograms `deliver_ns`/`commit_ns`,
     /// counters for sends/steps/deliveries).
     pub registry: MetricsRegistry,
-    /// Wall-clock time of the run loop.
-    pub wall: Duration,
+    /// Processes no cast involves ([`invariants::bystanders`]).
+    pub bystanders: usize,
+    /// Bystanders that sent or received a protocol message — one
+    /// [`invariants::check_genuineness`] violation each; genuineness wants
+    /// none.
+    pub bystanders_active: usize,
 }
 
 impl ScaleCell {
+    /// The cell of a finished open-loop run of `casts` planned casts on
+    /// the symmetric `topo`.
+    pub(crate) fn from_run(
+        arm: &'static str,
+        topo: &Topology,
+        casts: usize,
+        status: Result<(), String>,
+        m: &RunMetrics,
+    ) -> ScaleCell {
+        ScaleCell {
+            arm,
+            groups: topo.num_groups(),
+            per_group: topo.num_processes() / topo.num_groups(),
+            casts: casts as u64,
+            dnf: status.err(),
+            registry: latency_registry(topo, m),
+            bystanders: invariants::bystanders(topo, m).len(),
+            bystanders_active: invariants::check_genuineness(topo, m).violations.len(),
+        }
+    }
+
     /// Total processes `k·d`.
     pub fn processes(&self) -> usize {
         self.groups * self.per_group
     }
 
     /// FNV-1a fingerprint of the derived registry — the stability token
-    /// the CI scale-smoke job asserts across repeated runs.
+    /// `tests/scale_determinism.rs` asserts across repeated runs.
     pub fn fingerprint(&self) -> u64 {
         self.registry.fingerprint()
     }
 
-    /// `"ok"` or `"DNF: <why>"`.
+    /// `"ok"`, or why not.
     pub fn status(&self) -> String {
-        match &self.dnf {
-            None => "ok".to_string(),
-            Some(why) => format!("DNF: {why}"),
-        }
+        self.dnf.clone().unwrap_or_else(|| "ok".to_string())
     }
 
     /// One of the cell's latency histograms (`"deliver_ns"` or
@@ -139,16 +150,19 @@ impl ScaleCell {
     }
 }
 
-/// Hosts one protocol stack under an open-loop planned workload: the
+/// Hosts one protocol stack under an open-loop planned workload and
+/// judges a converged run with the §2.2 checkers `profile` declares: the
 /// generic driver behind
 /// [`ProtocolArm::run_open_loop`](crate::registry::ProtocolArm::run_open_loop)
-/// (the registry table stays the only place constructors are enumerated).
+/// (the registry table stays the only place arm constructors are
+/// enumerated) and the batching claim's A1 stacks.
 pub(crate) fn drive_open_loop<P: Protocol>(
     topo: Arc<Topology>,
     plan: &[PlannedCast],
     seed: u64,
     max_steps: u64,
     deadline: SimTime,
+    profile: InvariantProfile,
     factory: impl FnMut(ProcessId, &Topology) -> P,
 ) -> (Result<(), String>, RunMetrics) {
     let cfg = SimConfig::default()
@@ -160,14 +174,28 @@ pub(crate) fn drive_open_loop<P: Protocol>(
         sim.cast_at(c.at, c.caster, c.dest, Payload::new());
     }
     let status = match sim.try_run_until(deadline) {
-        Ok(true) => Ok(()),
-        Ok(false) => Err(format!("did not converge by {deadline}")),
-        Err(RunError::StepBudgetExhausted { last_event }) => {
-            Err(format!("step budget exhausted; last event: {last_event}"))
+        Ok(true) => {
+            let correct = sim.alive_processes();
+            let report =
+                invariants::check_with_profile(sim.topology(), sim.metrics(), &correct, profile);
+            if report.is_ok() {
+                Ok(())
+            } else {
+                Err(format!("§2.2: {}", report.violations.join("; ")))
+            }
         }
-        Err(e) => Err(e.to_string()),
+        Ok(false) => Err(format!("DNF: did not converge by {deadline}")),
+        Err(RunError::StepBudgetExhausted { last_event }) => Err(format!(
+            "DNF: step budget exhausted; last event: {last_event}"
+        )),
+        Err(e) => Err(format!("DNF: {e}")),
     };
     (status, sim.into_metrics())
+}
+
+/// The deadline of an open-loop run whose arrivals end at `horizon`.
+pub(crate) fn deadline(horizon: Duration) -> SimTime {
+    SimTime::from_nanos(horizon.as_nanos() as u64) + GRACE
 }
 
 /// Derives the cell's metrics registry from a finished run — the
@@ -248,23 +276,13 @@ pub fn plan_for(arm: &ProtocolArm, topo: &Topology, cfg: &ScaleConfig) -> Vec<Pl
 pub fn run_cell(arm: &'static ProtocolArm, groups: usize, cfg: &ScaleConfig) -> ScaleCell {
     let topo = shared_topology(groups, cfg.per_group);
     let plan = plan_for(arm, &topo, cfg);
-    let deadline = SimTime::from_nanos(cfg.horizon.as_nanos() as u64) + GRACE;
-    let start = Instant::now();
+    let deadline = deadline(cfg.horizon);
     let (status, m) =
         arm.run_open_loop(Arc::clone(&topo), &plan, cfg.seed, cfg.max_steps, deadline);
-    let wall = start.elapsed();
-    ScaleCell {
-        arm: arm.name(),
-        groups,
-        per_group: cfg.per_group,
-        casts: plan.len() as u64,
-        dnf: status.err(),
-        registry: latency_registry(&topo, &m),
-        wall,
-    }
+    ScaleCell::from_run(arm.name(), &topo, plan.len(), status, &m)
 }
 
-/// The sweep as the E14 report table (latencies in milliseconds).
+/// The cells as a report table (latencies in milliseconds).
 pub fn table(cells: &[ScaleCell]) -> Table {
     let mut t = Table::new(vec![
         "arm", "k", "n", "casts", "dlv p50", "dlv p99", "dlv p999", "cmt p50", "cmt p99",
@@ -285,54 +303,6 @@ pub fn table(cells: &[ScaleCell]) -> Table {
         t.row(row);
     }
     t
-}
-
-/// Serializes the sweep as the `BENCH_scale.json` artifact: one flat
-/// object per cell under `"cells"`, sweep parameters at the top level.
-/// Dependency-free JSON, written by hand.
-pub fn to_json(cfg: &ScaleConfig, cells: &[ScaleCell]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"wamcast-scale-v1\",\n");
-    out.push_str(&format!("  \"per_group\": {},\n", cfg.per_group));
-    out.push_str(&format!("  \"rate_per_sec\": {:.3},\n", cfg.rate_per_sec));
-    out.push_str(&format!("  \"horizon_ms\": {},\n", cfg.horizon.as_millis()));
-    out.push_str(&format!("  \"theta\": {:.3},\n", cfg.theta));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"max_steps\": {},\n", cfg.max_steps));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let d = c.hist("deliver_ns");
-        let k = c.hist("commit_ns");
-        out.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"groups\": {}, \"processes\": {}, \"casts\": {}, \
-             \"status\": \"{}\", \
-             \"deliver_p50_ms\": {}, \"deliver_p99_ms\": {}, \"deliver_p999_ms\": {}, \
-             \"commit_p50_ms\": {}, \"commit_p99_ms\": {}, \"commit_p999_ms\": {}, \
-             \"committed_casts\": {}, \"inter_sends_per_op\": {:.2}, \
-             \"intra_sends_per_op\": {:.2}, \"steps\": {}, \"wall_s\": {:.3}, \
-             \"fingerprint\": \"{:#018x}\"}}{}\n",
-            c.arm,
-            c.groups,
-            c.processes(),
-            c.casts,
-            c.status().replace('"', "'"),
-            fmt_ms(d.p50()),
-            fmt_ms(d.p99()),
-            fmt_ms(d.p999()),
-            fmt_ms(k.p50()),
-            fmt_ms(k.p99()),
-            fmt_ms(k.p999()),
-            c.counter("committed_casts"),
-            c.inter_per_op(),
-            c.intra_per_op(),
-            c.counter("steps"),
-            c.wall.as_secs_f64(),
-            c.fingerprint(),
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -393,17 +363,11 @@ mod tests {
     }
 
     #[test]
-    fn table_and_json_round_out() {
+    fn table_rounds_out() {
         let arm = StackRegistry::standard().by_name("skeen").unwrap();
         let cell = run_cell(arm, 4, &tiny());
         let text = table(std::slice::from_ref(&cell)).render();
         assert!(text.contains("skeen"));
         assert!(text.contains("dlv p999"));
-        let json = to_json(&tiny(), std::slice::from_ref(&cell));
-        assert!(json.contains("\"schema\": \"wamcast-scale-v1\""));
-        assert!(json.contains("\"arm\": \"skeen\""));
-        assert!(json.contains("\"fingerprint\": \"0x"));
-        let p50 = fmt_ms(cell.hist("deliver_ns").p50());
-        assert!(json.contains(&format!("\"deliver_p50_ms\": {p50},")));
     }
 }

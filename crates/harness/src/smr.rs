@@ -29,9 +29,8 @@
 use crate::registry::a1_stack_config;
 use crate::scenario::{RunSpec, RETRY_INTERVAL};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wamcast_core::{GenuineMulticast, MulticastConfig, WithApply};
-use wamcast_metrics::Histogram;
 use wamcast_sim::{invariants, FaultPlan, SimConfig, Simulation};
 use wamcast_smr::{
     history, responder_shard, shared_replica, ApplyBug, BuggyKv, Command, History, OpRecord,
@@ -150,8 +149,6 @@ pub struct SmrOutcome {
     pub crashes: usize,
     /// Mean invocation→response latency over committed ops.
     pub mean_latency: Duration,
-    /// Host CPU time spent on the run.
-    pub cpu: Duration,
 }
 
 impl SmrOutcome {
@@ -266,7 +263,6 @@ pub fn run_smr_sim(
         .with_max_steps(20_000_000)
         .with_faults(plan.clone());
     let mcfg = multicast_config(cfg);
-    let started = Instant::now();
     let mut sim = Simulation::new_shared(topo, sim_cfg, |p, t| {
         let kv = shared_replica(t.group_of(p), shards);
         handles.push(Arc::clone(&kv));
@@ -401,7 +397,6 @@ pub fn run_smr_sim(
         duplicated: m.duplicated_sends,
         crashes: plan.crashes.len(),
         mean_latency,
-        cpu: started.elapsed(),
         history: hist,
     }
 }
@@ -439,22 +434,6 @@ fn multicast_config(cfg: &SmrConfig) -> MulticastConfig {
     a1_stack_config(cfg.batch, cfg.retry)
 }
 
-/// The invocation→response latency distribution of a history's committed
-/// ops (nanoseconds) — the commit-latency histogram both SMR drivers
-/// (sim and TCP) share, reported through the same
-/// [`percentile_cells`](crate::table::percentile_cells) path as every
-/// other harness bin. Unresponded ops contribute nothing (the checker
-/// already accounts for them as maybe-uncommitted).
-pub fn response_latency_histogram(hist: &History) -> Histogram {
-    let mut h = Histogram::new();
-    for op in &hist.ops {
-        if let Some(r) = op.responded_at {
-            h.record(r.saturating_since(op.invoked_at).as_nanos() as u64);
-        }
-    }
-    h
-}
-
 pub(crate) fn mean_response_latency(hist: &History) -> Duration {
     let mut total = Duration::ZERO;
     let mut n = 0u32;
@@ -468,79 +447,6 @@ pub(crate) fn mean_response_latency(hist: &History) -> Duration {
         Duration::ZERO
     } else {
         total / n
-    }
-}
-
-/// One cell of the end-to-end SMR throughput table (E11): committed
-/// ops/sec of *virtual* time under the closed-loop load, with the protocol
-/// cost per op alongside.
-#[derive(Clone, Debug)]
-pub struct SmrThroughputCell {
-    /// Batch size (1 = batching off).
-    pub batch_msgs: usize,
-    /// Cross-shard command percentage of the workload.
-    pub cross_shard_pct: u8,
-    /// Ops committed (all offered ops, in a clean run).
-    pub committed: usize,
-    /// Committed ops per second of virtual time.
-    pub ops_per_sec: f64,
-    /// Protocol copies per committed op.
-    pub sends_per_op: f64,
-    /// Mean invocation→response latency.
-    pub mean_latency: Duration,
-    /// Full invocation→response latency distribution (nanoseconds),
-    /// from [`response_latency_histogram`].
-    pub latency: Histogram,
-    /// Host CPU time spent simulating the cell.
-    pub cpu: Duration,
-}
-
-/// Measures one E11 cell: a fault-free closed-loop run on the symmetric
-/// `k`×`d` topology. Panics (via the embedded checks) if the run violates
-/// any delivery invariant or history property — throughput numbers can
-/// never come from a broken run.
-pub fn smr_throughput_once(
-    k: usize,
-    d: usize,
-    clients_per_group: usize,
-    ops_per_client: usize,
-    cross_shard_pct: u8,
-    batch_msgs: usize,
-    seed: u64,
-) -> SmrThroughputCell {
-    let cfg = SmrConfig {
-        clients_per_group,
-        ops_per_client,
-        cross_shard_pct,
-        key_space: 256,
-        batch: (batch_msgs > 1)
-            .then(|| BatchConfig::new(batch_msgs).with_max_delay(Duration::from_millis(10))),
-        retry: None, // clean links: paper-exact message counts
-        ..SmrConfig::default()
-    };
-    let out = run_smr_sim((k, d), &FaultPlan::none(), &cfg, seed, None);
-    assert!(
-        out.is_ok(),
-        "E11 throughput run must be violation-free: {:?}",
-        out.violations
-    );
-    let makespan = out
-        .history
-        .ops
-        .iter()
-        .filter_map(|o| o.responded_at)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let secs = makespan.as_nanos() as f64 / 1e9;
-    SmrThroughputCell {
-        batch_msgs,
-        cross_shard_pct,
-        committed: out.committed,
-        ops_per_sec: out.committed as f64 / secs.max(1e-9),
-        sends_per_op: out.sends_per_op(),
-        mean_latency: out.mean_latency,
-        latency: response_latency_histogram(&out.history),
-        cpu: out.cpu,
     }
 }
 

@@ -1,7 +1,7 @@
 //! Aligned text and Markdown tables for experiment reports, plus the
-//! shared latency-percentile formatting every report uses (one path for
-//! `scale_sweep`, `throughput_sweep` and `CLAIMS.md`, so percentile
-//! columns can never drift in units or precision between reports).
+//! shared latency-percentile formatting every `CLAIMS.md` latency column
+//! uses, so percentile columns can never drift in units or precision
+//! between sections.
 
 use wamcast_metrics::Histogram;
 

@@ -497,7 +497,6 @@ pub fn run_smr_tcp(rc: &TcpRunConfig) -> SmrOutcome {
         duplicated: 0,
         crashes: rc.exclude.len(),
         mean_latency,
-        cpu: started.elapsed(),
         history: hist,
     }
 }

@@ -44,11 +44,27 @@ pub fn poisson(
     dest_choices: &[GroupSet],
     seed: u64,
 ) -> Vec<PlannedCast> {
-    assert!(rate_per_sec > 0.0, "rate must be positive");
     assert!(
         !dest_choices.is_empty(),
         "need at least one destination choice"
     );
+    let choices = dest_choices.len() as u64;
+    arrivals(topo, rate_per_sec, horizon, seed, |rng| {
+        dest_choices[rng.next_below(choices) as usize]
+    })
+}
+
+/// The Poisson arrival loop both generators share: per cast it draws the
+/// exponential gap, then the caster (uniform), then the destination
+/// (`dest`), in that order, so a plan is a pure function of its seed.
+fn arrivals(
+    topo: &Topology,
+    rate_per_sec: f64,
+    horizon: Duration,
+    seed: u64,
+    mut dest: impl FnMut(&mut SplitMix64) -> GroupSet,
+) -> Vec<PlannedCast> {
+    assert!(rate_per_sec > 0.0, "rate must be positive");
     let mut rng = SplitMix64::new(seed);
     let mut plan = Vec::new();
     let mut t_ns = 0f64;
@@ -62,7 +78,7 @@ pub fn poisson(
             break;
         }
         let caster = ProcessId(rng.next_below(topo.num_processes() as u64) as u32);
-        let dest = dest_choices[rng.next_below(dest_choices.len() as u64) as usize];
+        let dest = dest(&mut rng);
         plan.push(PlannedCast {
             at: SimTime::from_nanos(t_ns as u64),
             caster,
@@ -168,28 +184,10 @@ pub fn poisson_zipf(
     theta: f64,
     seed: u64,
 ) -> Vec<PlannedCast> {
-    assert!(rate_per_sec > 0.0, "rate must be positive");
     let zipf = ZipfSampler::new(dest_choices.len(), theta);
-    let mut rng = SplitMix64::new(seed);
-    let mut plan = Vec::new();
-    let mut t_ns = 0f64;
-    let horizon_ns = horizon.as_nanos() as f64;
-    let mean_gap_ns = 1e9 / rate_per_sec;
-    loop {
-        let u = rng.next_f64().max(1e-12);
-        t_ns += -u.ln() * mean_gap_ns;
-        if t_ns >= horizon_ns {
-            break;
-        }
-        let caster = ProcessId(rng.next_below(topo.num_processes() as u64) as u32);
-        let dest = dest_choices[zipf.sample(&mut rng)];
-        plan.push(PlannedCast {
-            at: SimTime::from_nanos(t_ns as u64),
-            caster,
-            dest,
-        });
-    }
-    plan
+    arrivals(topo, rate_per_sec, horizon, seed, |rng| {
+        dest_choices[zipf.sample(rng)]
+    })
 }
 
 /// All pairs of distinct groups — a uniform partial-replication workload

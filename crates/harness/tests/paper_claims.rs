@@ -7,14 +7,20 @@
 //! `WAMCAST_BLESS=1 cargo test -p wamcast-harness --test paper_claims`.
 
 use std::process::Command;
-use wamcast_harness::paper;
+use std::sync::OnceLock;
+use wamcast_harness::paper::{self, Claim};
 
 const CLAIMS_MD: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../CLAIMS.md");
 
+/// The claims, run once per test process and shared by the tests below.
+fn claims() -> &'static [Claim] {
+    static CLAIMS: OnceLock<Vec<Claim>> = OnceLock::new();
+    CLAIMS.get_or_init(paper::claims)
+}
+
 #[test]
 fn every_claim_holds() {
-    let claims = paper::claims();
-    let failing: Vec<&str> = claims
+    let failing: Vec<&str> = claims()
         .iter()
         .filter(|c| !c.holds)
         .map(|c| c.title)
@@ -24,7 +30,7 @@ fn every_claim_holds() {
 
 #[test]
 fn claims_md_is_what_the_code_produces() {
-    let text = paper::render(&paper::claims());
+    let text = paper::render(claims());
     if std::env::var_os("WAMCAST_BLESS").is_some() {
         std::fs::write(CLAIMS_MD, &text).expect("write CLAIMS.md");
     }
@@ -49,6 +55,6 @@ fn the_paper_binary_prints_claims_md_and_exits_zero() {
     );
     assert_eq!(
         String::from_utf8(out.stdout).expect("UTF-8"),
-        paper::render(&paper::claims())
+        paper::render(claims())
     );
 }

@@ -1,7 +1,7 @@
-//! Deterministic, allocation-lean metrics for the scale experiments.
+//! Deterministic, allocation-lean metrics for the open-loop experiments.
 //!
-//! The paper's Figure 1 compares *isolated* casts; the scale sweeps
-//! (`scale_sweep`, E14) compare latency **distributions** under open load,
+//! The paper's Figure 1 compares *isolated* casts; the open-loop cells of
+//! `CLAIMS.md` (E9, E13, E14) compare latency **distributions** under open load,
 //! where the product metric is the tail — p99/p999 — not the mean. This
 //! crate provides the two primitives those experiments record into:
 //!
@@ -524,7 +524,7 @@ impl MetricsRegistry {
     }
 
     /// Renders every metric, sorted by name, one per line — the
-    /// deterministic artifact the scale-smoke CI job fingerprints.
+    /// deterministic artifact `scale_determinism` compares across runs.
     ///
     /// Counters render as `counter <name> <value>`; histograms as
     /// `hist <name> count=<n> min=<v> p50=<v> p99=<v> p999=<v> max=<v>

@@ -10,16 +10,17 @@
 //! * **A2** (atomic broadcast) R-MCasts `m` to the caster's *own group
 //!   only*; the round bundles spread it system-wide.
 //!
-//! This crate provides both engines as sans-io components in the same style
-//! as `wamcast_consensus::GroupConsensus`: the embedding protocol passes
-//! incoming messages in and drains `(destination, message)` pairs plus
-//! R-Deliver events out.
+//! Both use the one non-uniform engine, [`RmcastEngine`], a sans-io
+//! component in the same style as `wamcast_consensus::GroupConsensus`: the
+//! embedding protocol passes incoming messages in and drains
+//! `(destination, message)` pairs plus R-Deliver events out.
 //!
 //! # Latency degree
 //!
-//! [`RmcastEngine`] (non-uniform) delivers on first receipt: latency degree
-//! 1 (0 intra-group). [`UniformRmcastEngine`] delivers after a majority of
-//! the destination processes are known to hold the message: latency degree 2.
+//! [`RmcastEngine`] delivers on first receipt: latency degree 1 (0
+//! intra-group). A uniform primitive would deliver only once a majority of
+//! the destination processes hold the message, one delay more; §4.1 uses
+//! the non-uniform one for A1 for that reason.
 //!
 //! # Lossy links
 //!
@@ -36,15 +37,13 @@
 #![warn(missing_docs)]
 
 mod nonuniform;
-mod uniform;
 mod wire;
 
 pub use nonuniform::RmcastEngine;
-pub use uniform::UniformRmcastEngine;
 
 use wamcast_types::{AppMessage, ProcessId};
 
-/// Wire messages of the reliable multicast engines.
+/// Wire messages of the reliable multicast engine.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RmcastMsg {
     /// A copy of the multicast message (initial dissemination or relay).

@@ -372,11 +372,10 @@ pub fn check_prefix_order_among(
     r
 }
 
-/// Genuineness (§2.2, from [Guerraoui & Schiper 2001]): a process sends or
-/// receives protocol messages only if some cast message involves it (it is
-/// the caster or is addressed). Checked against the run's workload.
-pub fn check_genuineness(topo: &Topology, m: &RunMetrics) -> InvariantReport {
-    let mut r = InvariantReport::default();
+/// The processes no cast of the run involves: neither the caster of any
+/// message nor a member of any addressed group. Genuineness (§2.2) says
+/// exactly these stay silent, so a run without any judges it vacuously.
+pub fn bystanders(topo: &Topology, m: &RunMetrics) -> Vec<ProcessId> {
     // One pass over the casts up front (instead of one pass per process):
     // a process is involved iff it cast something or its group is in some
     // destination set — both are O(1) lookups after this fold.
@@ -388,8 +387,17 @@ pub fn check_genuineness(topo: &Topology, m: &RunMetrics) -> InvariantReport {
     }
     let involved =
         |p: ProcessId| cast_something[p.index()] || addressed_groups.contains(topo.group_of(p));
-    for p in topo.processes() {
-        if (m.sent_any[p.index()] || m.received_any[p.index()]) && !involved(p) {
+    topo.processes().filter(|&p| !involved(p)).collect()
+}
+
+/// Genuineness (§2.2, from [Guerraoui & Schiper 2001]): a process sends or
+/// receives protocol messages only if some cast message involves it (it is
+/// the caster or is addressed). Checked against the run's workload: every
+/// one of its [`bystanders`] must have sent and received nothing.
+pub fn check_genuineness(topo: &Topology, m: &RunMetrics) -> InvariantReport {
+    let mut r = InvariantReport::default();
+    for p in bystanders(topo, m) {
+        if m.sent_any[p.index()] || m.received_any[p.index()] {
             let what = if m.sent_any[p.index()] {
                 "sent"
             } else {
@@ -596,6 +604,23 @@ mod tests {
         assert!(!r.is_ok());
         assert!(r.violations[0].contains("genuineness"));
         let _ = topo;
+    }
+
+    #[test]
+    fn bystanders_are_the_processes_no_cast_involves() {
+        let topo = Topology::symmetric(4, 2);
+        let cast = |dest| CastRecord {
+            caster: ProcessId(0),
+            dest,
+            time: SimTime::ZERO,
+            stamp: 0,
+        };
+        let mut m = RunMetrics::new(8);
+        m.casts.insert(mid(0, 0), cast(GroupSet::first_n(2)));
+        let idle: Vec<_> = (4..8).map(ProcessId).collect();
+        assert_eq!(bystanders(&topo, &m), idle, "groups 2 and 3 are idle");
+        m.casts.insert(mid(0, 1), cast(topo.all_groups()));
+        assert!(bystanders(&topo, &m).is_empty(), "every group addressed");
     }
 
     #[test]

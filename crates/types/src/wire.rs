@@ -858,8 +858,9 @@ impl Sample for GroupId {
 /// and the golden corpus pins the 8-byte layout. The TCP runtime therefore
 /// speaks topologies of at most this many groups — `peer` refuses larger
 /// ones and `TcpClient::cast` refuses a destination beyond them — while
-/// the 65..128-group range is a simulator-scale feature (`scale_sweep`),
-/// which never serializes destination sets.
+/// the 65..128-group range is a simulator-scale feature (`CLAIMS.md`'s
+/// genuineness-at-scale rows run at 128 groups), which never serializes
+/// destination sets.
 pub const MAX_GROUPS: usize = 64;
 
 impl Wire for GroupSet {

@@ -39,8 +39,9 @@
 //! under any batch policy (the specific order among concurrent messages
 //! may differ from the eager schedule's, as with any scheduling change) —
 //! only wall-clock queueing delay (bounded by the window) trades against
-//! throughput. `cargo run --release --bin throughput_sweep` prints the
-//! msgs/sec vs. batch-size table; see `DESIGN.md` and `EXPERIMENTS.md` §E9.
+//! throughput. `CLAIMS.md`'s "Batching amortisation" section is the
+//! per-message cost vs. batch-size table; see `DESIGN.md` and
+//! `EXPERIMENTS.md` §E9.
 //!
 //! # Quickstart
 //!

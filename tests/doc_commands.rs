@@ -150,8 +150,7 @@ fn every_documented_flag_is_parsed_by_its_binary() {
         }
     }
     assert!(stale.is_empty(), "no such flag: {stale:#?}");
-    // The documents pass dozens of flags to scenario_fuzz, smr_kv and
-    // scale_sweep.
+    // The documents pass dozens of flags to scenario_fuzz and smr_kv.
     assert!(checked > 30, "only {checked} flags found");
 }
 
