@@ -14,7 +14,10 @@
 //!   ballot 0 and may skip the prepare phase, deciding in two intra-group
 //!   delays in the common case. Instance numbers are arbitrary `u64`s
 //!   because A1 uses its group clock as the instance counter and that clock
-//!   *skips* values (line 31 of Algorithm A1). The engine is *batch-aware*:
+//!   *skips* values (line 31 of Algorithm A1). The engine forgets: each
+//!   embedder reports the instance it has consumed up to
+//!   ([`GroupConsensus::advance_floor`]), `Accepted` carries it, and an
+//!   instance every member is past is dropped. The engine is *batch-aware*:
 //!   [`GroupConsensus::with_merge`] installs a [`MergeFn`] that folds
 //!   proposals forwarded by other members into the coordinator's ballot-0
 //!   `Accept`, so one instance decides the union of everything the group

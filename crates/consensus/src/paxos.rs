@@ -23,6 +23,15 @@
 //!   adopting the highest accepted value among a majority of promises.
 //! * **Catch-up.** A process receiving traffic for an instance it already
 //!   decided replies `Decide`.
+//! * **Forgetting.** The embedder calls
+//!   [`advance_floor`](GroupConsensus::advance_floor) with the lowest
+//!   instance it may still propose or need, and every `Accepted` carries
+//!   the sender's floor. The group floor is the lowest floor heard from
+//!   any member, this one included. Below it every member has consumed
+//!   every decision, so the engine drops all it holds there and discards
+//!   any later traffic there without acting on it. A member that never
+//!   reports (an embedder that never calls `advance_floor`, or a crashed
+//!   member) holds the group floor where it is.
 //!
 //! Uniform agreement holds by the standard Paxos invariant (a chosen value
 //! is the only value acceptable at higher ballots); termination holds with a
@@ -120,6 +129,10 @@ pub enum ConsensusMsg<V> {
         ballot: Ballot,
         /// The accepted value (carried so learners need no extra round).
         value: V,
+        /// The sender's floor when it sent this: it will never propose or
+        /// need an instance below it again (see
+        /// [`GroupConsensus::advance_floor`]).
+        floor: u64,
     },
     /// Catch-up: the sender has decided `value` in `instance`.
     Decide {
@@ -131,6 +144,17 @@ pub enum ConsensusMsg<V> {
 }
 
 impl<V> ConsensusMsg<V> {
+    fn instance(&self) -> u64 {
+        match self {
+            ConsensusMsg::Forward { instance, .. }
+            | ConsensusMsg::Prepare { instance, .. }
+            | ConsensusMsg::Promise { instance, .. }
+            | ConsensusMsg::Accept { instance, .. }
+            | ConsensusMsg::Accepted { instance, .. }
+            | ConsensusMsg::Decide { instance, .. } => *instance,
+        }
+    }
+
     /// Classifies this message for the trace layer and exposes the value
     /// it carries, if any: phase-1 and forwarding traffic is
     /// [`wamcast_types::MsgClass::Propose`], phase-2a is
@@ -208,8 +232,8 @@ struct PrepareState<V> {
 type Votes = Vec<(Ballot, u64)>;
 
 /// The mask of `ballot` in `votes`, created (empty) on first use. Grows by
-/// exactly one entry: these lists outlive their instance (see [`Decided`]),
-/// one per instance ever decided.
+/// exactly one entry: these lists outlive their instance (see [`Decided`])
+/// until the group floor passes it.
 fn tally(votes: &mut Votes, ballot: Ballot) -> &mut u64 {
     let i = match votes.iter().position(|(b, _)| *b == ballot) {
         Some(i) => i,
@@ -228,7 +252,8 @@ fn tally(votes: &mut Votes, ballot: Ballot) -> &mut u64 {
 /// The vote tallies must survive, because the decided-instance branch of
 /// `Accepted` tells a duplicate announcement (a retransmitting peer that
 /// missed the decision, owed a `Decide` reply) from a routine first-time
-/// late arrival by the votes recorded so far.
+/// late arrival by the votes recorded so far. Dropped, tallies included,
+/// once the group floor passes the instance.
 #[derive(Clone, Debug)]
 struct Decided<V> {
     value: V,
@@ -334,8 +359,18 @@ pub struct GroupConsensus<V> {
     /// O(in-flight), not O(every instance ever decided).
     active: BTreeSet<u64>,
     /// Point-query only (see `instances`). An instance moves here from
-    /// `instances` when it decides and stays forever.
+    /// `instances` when it decides and stays until the group floor passes
+    /// it.
     decisions: FxHashMap<u64, Decided<V>>,
+    /// Every key of `instances` and `decisions`, in instance order: what
+    /// forgetting below the group floor walks, so it costs O(dropped).
+    held: BTreeSet<u64>,
+    /// Per member (indexed like `members`), the highest floor it has
+    /// reported; this member's own comes from `advance_floor`.
+    floors: Vec<u64>,
+    /// The group floor: the minimum of `floors`. Nothing below it is kept,
+    /// and traffic below it is discarded.
+    floor: u64,
     undrained: Vec<(u64, V)>,
     /// Batch combiner for forwarded proposals; see [`MergeFn`].
     merge: Option<MergeFn<V>>,
@@ -358,12 +393,15 @@ impl<V: Value> GroupConsensus<V> {
         let majority = members.len() / 2 + 1;
         GroupConsensus {
             me,
+            floors: vec![0; members.len()],
             members: members.into(),
             majority,
             suspected: BTreeSet::new(),
             instances: FxHashMap::default(),
             active: BTreeSet::new(),
             decisions: FxHashMap::default(),
+            held: BTreeSet::new(),
+            floor: 0,
             undrained: Vec::new(),
             merge: None,
         }
@@ -428,9 +466,62 @@ impl<V: Value> GroupConsensus<V> {
         self.decisions.contains_key(&instance)
     }
 
-    /// The decided value of `instance`, if known locally.
+    /// The decided value of `instance`, if known locally and not yet
+    /// forgotten (below the [`group_floor`](Self::group_floor) it is
+    /// `None`).
     pub fn decision(&self, instance: u64) -> Option<&V> {
         self.decisions.get(&instance).map(|d| &d.value)
+    }
+
+    /// How many decided instances this engine still holds: those at or
+    /// above the group floor.
+    pub fn decisions_held(&self) -> usize {
+        self.decisions.len()
+    }
+
+    /// The group floor: the lowest floor any member has reported. Every
+    /// member has consumed every instance below it.
+    pub fn group_floor(&self) -> u64 {
+        self.floor
+    }
+
+    /// The embedder's promise never to propose, or need the decision of,
+    /// any instance below `floor` again. Floors only rise: a lower value
+    /// than the last is ignored. The next `Accepted` this member sends
+    /// carries it, and once every member has reported a floor above an
+    /// instance, every member forgets it.
+    pub fn advance_floor(&mut self, floor: u64) {
+        let i = self.index_of(self.me).expect("the owner is a member");
+        self.hear_floor(i, floor);
+    }
+
+    /// Records `floor` for `members[i]` and forgets what falls below the
+    /// group floor if it rose.
+    fn hear_floor(&mut self, i: usize, floor: u64) {
+        if floor <= self.floors[i] {
+            return;
+        }
+        self.floors[i] = floor;
+        let w = *self.floors.iter().min().expect("non-empty group");
+        if w <= self.floor {
+            return;
+        }
+        self.floor = w;
+        while let Some(k) = self.held.first().copied().filter(|&k| k < w) {
+            self.held.pop_first();
+            self.decisions.remove(&k);
+            self.instances.remove(&k);
+            self.active.remove(&k);
+        }
+    }
+
+    fn own_floor(&self) -> u64 {
+        let i = self.index_of(self.me).expect("the owner is a member");
+        self.floors[i]
+    }
+
+    fn index_of(&self, p: ProcessId) -> Option<usize> {
+        self.members.iter().position(|&m| m == p)
     }
 
     /// Drains decisions reached since the previous call, in instance order.
@@ -452,9 +543,10 @@ impl<V: Value> GroupConsensus<V> {
     }
 
     /// Proposes `value` for `instance` (the paper's `Propose(k, msgSet)`).
-    /// No-op if the instance already decided locally.
+    /// No-op if the instance already decided locally or lies below the
+    /// group floor.
     pub fn propose(&mut self, instance: u64, value: V, sink: &mut MsgSink<V>) {
-        if self.decisions.contains_key(&instance) {
+        if instance < self.floor || self.decisions.contains_key(&instance) {
             return;
         }
         let inst = self.instance_mut(instance);
@@ -505,8 +597,20 @@ impl<V: Value> GroupConsensus<V> {
         }
     }
 
-    /// Handles an incoming consensus message.
+    /// Handles an incoming consensus message. Consensus traffic is
+    /// intra-group: a message from outside the group is ignored, and so
+    /// is one for an instance below the group floor, which every member
+    /// has consumed (its floor still counts if it is an `Accepted`).
     pub fn on_message(&mut self, from: ProcessId, msg: ConsensusMsg<V>, sink: &mut MsgSink<V>) {
+        let Some(i) = self.index_of(from) else {
+            return;
+        };
+        if let ConsensusMsg::Accepted { floor, .. } = msg {
+            self.hear_floor(i, floor);
+        }
+        if msg.instance() < self.floor {
+            return;
+        }
         match msg {
             ConsensusMsg::Forward { instance, value } => {
                 if let Some(d) = self.decisions.get(&instance) {
@@ -640,12 +744,14 @@ impl<V: Value> GroupConsensus<V> {
                     inst.promised = ballot;
                     inst.accepted = Some((ballot, value.clone()));
                     self.active.insert(instance);
+                    let floor = self.own_floor();
                     sink.push_all(
                         &self.members,
                         ConsensusMsg::Accepted {
                             instance,
                             ballot,
                             value,
+                            floor,
                         },
                     );
                 }
@@ -654,12 +760,8 @@ impl<V: Value> GroupConsensus<V> {
                 instance,
                 ballot,
                 value,
+                ..
             } => {
-                // Consensus traffic is intra-group; a vote from outside
-                // the group counts for nothing.
-                let Some(i) = self.members.iter().position(|&m| m == from) else {
-                    return;
-                };
                 let bit = 1u64 << i;
                 if let Some(d) = self.decisions.get_mut(&instance) {
                     // Keep counting votes after deciding; a *duplicate*
@@ -817,6 +919,7 @@ impl<V: Value> GroupConsensus<V> {
     pub fn tick(&mut self, sink: &mut MsgSink<V>) {
         let members = Arc::clone(&self.members);
         let coord = self.coordinator();
+        let floor = self.own_floor();
         let undecided: Vec<u64> = self.active.iter().copied().collect();
         for instance in undecided {
             if coord == self.me {
@@ -875,6 +978,7 @@ impl<V: Value> GroupConsensus<V> {
                             instance,
                             ballot,
                             value,
+                            floor,
                         },
                     );
                 }
@@ -886,11 +990,13 @@ impl<V: Value> GroupConsensus<V> {
         if self.decisions.contains_key(&instance) {
             return;
         }
-        let votes = self
-            .instances
-            .remove(&instance)
-            .map(|inst| inst.accepted_votes)
-            .unwrap_or_default();
+        let votes = match self.instances.remove(&instance) {
+            Some(inst) => inst.accepted_votes,
+            None => {
+                self.held.insert(instance);
+                Votes::new()
+            }
+        };
         self.active.remove(&instance);
         self.decisions.insert(
             instance,
@@ -904,7 +1010,11 @@ impl<V: Value> GroupConsensus<V> {
 
     fn instance_mut(&mut self, k: u64) -> &mut Instance<V> {
         let b0 = self.members[0];
-        self.instances.entry(k).or_insert_with(|| Instance::new(b0))
+        let held = &mut self.held;
+        self.instances.entry(k).or_insert_with(|| {
+            held.insert(k);
+            Instance::new(b0)
+        })
     }
 }
 
@@ -1298,6 +1408,7 @@ mod tests {
             instance: 1,
             ballot,
             value: 5,
+            floor: 0,
         };
         let mut s = MsgSink::new();
         e.on_message(ProcessId(0), accepted(b0), &mut s);
@@ -1328,6 +1439,159 @@ mod tests {
         e.on_message(ProcessId(1), accepted(b0), &mut s);
         assert_eq!(s.msgs.len(), 1);
         assert!(e.instances.is_empty(), "late traffic re-creates nothing");
+    }
+
+    /// Delivers every queued message; an engine not in `silent` reports
+    /// `floor` as soon as it drains instance `floor - 1`.
+    fn run_reporting(net: &mut Net, floor: u64, silent: &[ProcessId], dead: &[ProcessId]) {
+        while let Some((from, to, m)) = net.queue.pop_front() {
+            if dead.contains(&to) || dead.contains(&from) {
+                continue;
+            }
+            let mut sink = MsgSink::new();
+            let e = &mut net.engines[to.index()];
+            e.on_message(from, m, &mut sink);
+            let drained = e.take_decisions();
+            if !silent.contains(&to) && drained.iter().any(|&(k, _)| k == floor - 1) {
+                e.advance_floor(floor);
+            }
+            net.absorb(to, sink);
+        }
+    }
+
+    #[test]
+    fn a_decision_is_forgotten_once_every_member_is_past_it() {
+        let mut net = Net::new(3);
+        net.propose(ProcessId(0), 1, 10);
+        run_reporting(&mut net, 2, &[], &[]);
+        // Every member is past instance 1, but has said so to no one yet.
+        for e in &net.engines {
+            assert_eq!(e.group_floor(), 0);
+            assert_eq!(e.decisions_held(), 1);
+        }
+        // Instance 2's `Accepted`s carry floor 2 from every member.
+        net.propose(ProcessId(0), 2, 20);
+        run_reporting(&mut net, 3, &[], &[]);
+        for e in &net.engines {
+            assert_eq!(e.group_floor(), 2);
+            assert_eq!(e.decision(1), None, "forgotten");
+            assert_eq!(e.decision(2), Some(&20));
+            assert_eq!(e.decisions_held(), 1);
+            assert!(e.instances.is_empty() && e.held.len() == 1);
+        }
+    }
+
+    #[test]
+    fn a_silent_or_crashed_member_holds_the_floor() {
+        for crashed in [false, true] {
+            let mut net = Net::new(3);
+            let p2 = [ProcessId(2)];
+            let dead: &[ProcessId] = if crashed { &p2 } else { &[] };
+            if crashed {
+                net.suspect_everywhere(ProcessId(2));
+            }
+            for k in 1..=3 {
+                net.propose(ProcessId(0), k, k as u32);
+                run_reporting(&mut net, k + 1, &p2, dead);
+            }
+            for p in [0, 1] {
+                let e = &net.engines[p];
+                assert_eq!(e.group_floor(), 0, "crashed={crashed}: p2 reported nothing");
+                assert_eq!(e.decisions_held(), 3, "crashed={crashed}");
+                assert!(e.floors[..2].iter().all(|&f| f >= 3), "crashed={crashed}");
+            }
+        }
+    }
+
+    #[test]
+    fn traffic_below_the_floor_creates_no_state() {
+        let members: Vec<_> = (0..2).map(ProcessId).collect();
+        let mut e: GroupConsensus<u32> = GroupConsensus::new(ProcessId(0), members);
+        let b0 = Ballot::zero(ProcessId(0));
+        let mut s = MsgSink::new();
+        e.advance_floor(5);
+        e.on_message(
+            ProcessId(1),
+            ConsensusMsg::Accepted {
+                instance: 5,
+                ballot: b0,
+                value: 1,
+                floor: 5,
+            },
+            &mut s,
+        );
+        assert_eq!(e.group_floor(), 5);
+        let stale = [
+            ConsensusMsg::Accept {
+                instance: 2,
+                ballot: b0,
+                value: 7,
+            },
+            ConsensusMsg::Forward {
+                instance: 2,
+                value: 7,
+            },
+            ConsensusMsg::Prepare {
+                instance: 2,
+                ballot: Ballot {
+                    round: 1,
+                    owner: ProcessId(1),
+                },
+            },
+            ConsensusMsg::Decide {
+                instance: 2,
+                value: 7,
+            },
+        ];
+        for m in stale {
+            e.on_message(ProcessId(1), m.clone(), &mut s);
+            assert!(s.msgs.is_empty(), "{m:?} drew a reply");
+            assert!(e.take_decisions().is_empty(), "{m:?} decided");
+            assert!(!e.has_unfinished(), "{m:?} left work");
+            assert!(!e.held.contains(&2), "{m:?} made state");
+        }
+        e.propose(2, 7, &mut s);
+        assert!(s.msgs.is_empty() && !e.has_unfinished());
+    }
+
+    #[test]
+    fn traffic_from_outside_the_group_is_ignored() {
+        let members: Vec<_> = (0..2).map(ProcessId).collect();
+        let mut e: GroupConsensus<u32> = GroupConsensus::new(ProcessId(0), members);
+        let b0 = Ballot::zero(ProcessId(0));
+        let stranger = ProcessId(9);
+        let mut s = MsgSink::new();
+        e.on_message(
+            stranger,
+            ConsensusMsg::Decide {
+                instance: 1,
+                value: 5,
+            },
+            &mut s,
+        );
+        assert_eq!(e.decision(1), None);
+        assert!(e.take_decisions().is_empty());
+        e.on_message(
+            stranger,
+            ConsensusMsg::Accept {
+                instance: 2,
+                ballot: b0,
+                value: 6,
+            },
+            &mut s,
+        );
+        assert!(s.msgs.is_empty(), "a stranger's Accept drew {:?}", s.msgs);
+        e.advance_floor(4);
+        let accepted = ConsensusMsg::Accepted {
+            instance: 4,
+            ballot: b0,
+            value: 7,
+            floor: 4,
+        };
+        e.on_message(stranger, accepted.clone(), &mut s);
+        assert_eq!(e.group_floor(), 0, "a stranger's floor counts for nothing");
+        e.on_message(ProcessId(1), accepted, &mut s);
+        assert_eq!(e.group_floor(), 4, "a member's does");
     }
 
     #[test]

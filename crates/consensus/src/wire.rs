@@ -16,7 +16,7 @@ wire_enum!(ConsensusMsg<V> {
     1 => Prepare { instance, ballot },
     2 => Promise { instance, ballot, accepted },
     3 => Accept { instance, ballot, value },
-    4 => Accepted { instance, ballot, value },
+    4 => Accepted { instance, ballot, value, floor },
     5 => Decide { instance, value },
 });
 
@@ -60,6 +60,7 @@ mod tests {
                 instance: 5,
                 ballot: b,
                 value: 9,
+                floor: 4,
             },
             ConsensusMsg::Decide {
                 instance: 6,

@@ -351,6 +351,13 @@ impl RoundBroadcast {
         self.bundles.len()
     }
 
+    /// Debug/inspection: decided consensus instances this process still
+    /// holds. A round's instance is forgotten once every group member has
+    /// finished the round, so this stays small however many rounds ran.
+    pub fn decisions_held(&self) -> usize {
+        self.cons.decisions_held()
+    }
+
     fn has_undelivered(&self) -> bool {
         !self.rdelivered.is_empty()
     }
@@ -585,6 +592,7 @@ impl RoundBroadcast {
         }
         self.waiting_bundles = None;
         self.k += 1; // line 21
+        self.cons.advance_floor(self.k);
         if useful {
             // Lines 22–23: keep executing rounds. With a prediction horizon
             // of h, allow h trailing empty rounds before quiescing.

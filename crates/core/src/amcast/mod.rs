@@ -378,6 +378,13 @@ impl GenuineMulticast {
         self.pending.len()
     }
 
+    /// Debug/inspection: decided consensus instances this process still
+    /// holds. An instance is forgotten once every group member's clock has
+    /// passed it, so this stays small however many casts went by.
+    pub fn decisions_held(&self) -> usize {
+        self.cons.decisions_held()
+    }
+
     // ------------------------------------------------------------------
     // Plumbing: route sub-engine output into the host outbox.
     // ------------------------------------------------------------------
@@ -641,8 +648,11 @@ impl GenuineMulticast {
             );
         }
         self.ts_batches_buf = ts_batches;
-        // Line 31: K ← max(max decided ts, K) + 1.
+        // Line 31: K ← max(max decided ts, K) + 1. Every instance below
+        // the new K is consumed: this process never proposes or needs one
+        // again, so consensus may forget it once the whole group is past.
         self.k = self.k.max(max_ts) + 1;
+        self.cons.advance_floor(self.k);
         // Freshly-s1 messages whose remote proposals already all arrived
         // can be resolved at once (the TS messages may have beaten our
         // decision, parking their proposals in `remote_proposals`).

@@ -4,7 +4,9 @@
 use std::time::Duration;
 use wamcast_core::{GenuineMulticast, MulticastConfig};
 use wamcast_sim::{invariants, LatencyModel, NetConfig, SimConfig, Simulation};
-use wamcast_types::{GroupId, GroupSet, MessageId, Payload, ProcessId, SimTime, Topology};
+use wamcast_types::{
+    BatchConfig, GroupId, GroupSet, MessageId, Payload, ProcessId, SimTime, SplitMix64, Topology,
+};
 
 fn a1_sim(k: usize, d: usize, seed: u64) -> Simulation<GenuineMulticast> {
     let cfg = SimConfig::default().with_seed(seed);
@@ -266,5 +268,53 @@ fn delivery_order_respects_timestamp_then_id() {
     for p in sim.topology().processes() {
         let seq: Vec<MessageId> = sim.metrics().delivered_seq[p.index()].clone();
         assert_eq!(seq, vec![a, b], "{p}");
+    }
+}
+
+#[test]
+fn a1_forgets_decided_instances() {
+    // A growth guard, run in release by CI: the benchmark's `sim_a1` stack
+    // (3×3, batch 8 / 20 ms, 250 ms retry) under 3 virtual s of Poisson
+    // load, 2 000 casts/s over every pair of groups and all three, run to
+    // quiescence. A decided consensus instance is forgotten once every
+    // member of the group has reported a clock past it on an `Accepted`.
+    // The last instance or so stays, because a floor travels on the next
+    // `Accepted`: 1 per process here. At the parent every process ended
+    // this run holding every instance its group ever decided, 936 to 942.
+    let cfg = SimConfig::default().with_seed(0xA1).with_send_log(false);
+    let mc = MulticastConfig::default()
+        .with_batch(BatchConfig::new(8).with_max_delay(Duration::from_millis(20)))
+        .with_retry(Duration::from_millis(250));
+    let mut sim = Simulation::new(Topology::symmetric(3, 3), cfg, |p, topo| {
+        GenuineMulticast::new(p, topo, mc)
+    });
+    let mut dests: Vec<GroupSet> = (0..3u16)
+        .flat_map(|a| (a + 1..3).map(move |b| GroupSet::from_iter([GroupId(a), GroupId(b)])))
+        .collect();
+    dests.push(GroupSet::first_n(3));
+    let mut rng = SplitMix64::new(0xA1);
+    let mut ids = Vec::new();
+    // 2 000 casts per virtual second for 3 s, exponential gaps.
+    let mut t_ns = 0.0;
+    loop {
+        t_ns += -rng.next_f64().max(1e-12).ln() * 5e5;
+        if t_ns >= 3e9 {
+            break;
+        }
+        let caster = ProcessId(rng.next_below(9) as u32);
+        let dest = dests[rng.next_below(dests.len() as u64) as usize];
+        ids.push(sim.cast_at(
+            SimTime::from_nanos(t_ns as u64),
+            caster,
+            dest,
+            Payload::new(),
+        ));
+    }
+    sim.run_to_quiescence();
+    assert!(sim.all_delivered(&ids));
+    check(&sim);
+    for p in sim.topology().processes() {
+        let held = sim.protocol(p).decisions_held();
+        assert!(held <= 4, "{p} still holds {held} decided instances");
     }
 }

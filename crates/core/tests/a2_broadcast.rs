@@ -279,13 +279,10 @@ fn deterministic_across_replays() {
     assert_eq!(run(), run());
 }
 
-#[test]
-fn a2_holds_no_finished_rounds() {
-    // A growth guard, run in release by CI: the benchmark's `sim_a2` stack
-    // (3×3, 10 ms pacing, 250 ms retry) under Poisson load, all groups
-    // addressed. The retry timer re-sends bundles their receivers have
-    // already used; a process that kept those copies would end this run
-    // holding dozens of finished rounds.
+/// The benchmark's `sim_a2` stack (3×3, 10 ms pacing, 250 ms retry)
+/// under 3 virtual s of Poisson load, 2 000 casts/s to all groups, run to
+/// quiescence and checked.
+fn loaded_sim_a2() -> Simulation<RoundBroadcast> {
     let cfg = SimConfig::default().with_seed(0xA2).with_send_log(false);
     let mut sim = Simulation::new(Topology::symmetric(3, 3), cfg, |p, topo| {
         RoundBroadcast::with_pacing(p, topo, Duration::from_millis(10))
@@ -312,10 +309,33 @@ fn a2_holds_no_finished_rounds() {
     sim.run_to_quiescence();
     assert!(sim.all_delivered(&ids));
     check(&sim);
+    sim
+}
+
+#[test]
+fn a2_holds_no_finished_rounds() {
+    // A growth guard, run in release by CI. The retry timer re-sends
+    // bundles their receivers have already used; a process that kept
+    // those copies would end this run holding dozens of finished rounds.
+    let sim = loaded_sim_a2();
     for p in sim.topology().processes() {
         let rb = sim.protocol(p);
         assert!(rb.is_idle(), "{p} not idle");
         assert_eq!(rb.rounds_held(), 0, "{p} still holds bundles");
+    }
+}
+
+#[test]
+fn a2_forgets_decided_instances() {
+    // A growth guard, run in release by CI. A round's consensus instance
+    // is forgotten once every member of the group has reported, on an
+    // `Accepted`, that it finished the round; the last round or so stays,
+    // 1 per process here. At the parent every process ended this run
+    // holding every round its group ever decided, 30.
+    let sim = loaded_sim_a2();
+    for p in sim.topology().processes() {
+        let held = sim.protocol(p).decisions_held();
+        assert!(held <= 4, "{p} still holds {held} decided instances");
     }
 }
 

@@ -201,6 +201,7 @@ fn corpus() -> Vec<Golden> {
                 instance: 4,
                 ballot: ballot(),
                 value: 18u64,
+                floor: 3,
             },
         ),
         golden(
@@ -253,6 +254,7 @@ fn corpus() -> Vec<Golden> {
                     instance: 5,
                     ballot: ballot(),
                     value: 21,
+                    floor: 0,
                 },
             },
         ),

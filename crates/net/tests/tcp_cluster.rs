@@ -406,13 +406,55 @@ fn frames_naming_ids_outside_the_topology_are_refused_and_the_node_keeps_serving
 }
 
 #[test]
+fn a_version_1_peer_frame_is_refused_and_counted_and_the_node_keeps_serving() {
+    // Wire v2 added the sender's floor to consensus `Accepted`, so a v1
+    // body cannot be read as v2: the node drops the whole frame, counts
+    // it, and keeps both the connection and the node serving.
+    let (node, addr) = serve_p0(Flood, &free_addrs(1).expect("ports"), echo_service());
+    let msg = AppMessage::new(
+        MessageId::new(ProcessId(1), 0),
+        GroupSet::first_n(1),
+        Payload::from_static(b"v1"),
+    );
+    let mut sealed = wire::seal(
+        ARM,
+        &Frame::Peer {
+            from: ProcessId(1),
+            msg,
+        },
+    );
+    assert_eq!(sealed[2], wire::VERSION, "byte 2 of the envelope");
+    sealed[2] = 1;
+    let mut peer = raw_client(addr);
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &sealed).expect("frame fits");
+    bytes.extend(framed(&Frame::Req { body: vec![1] }));
+    peer.write_all(&bytes).expect("write");
+    // Frames of one connection are handled in order: the echo says the v1
+    // frame was.
+    assert_eq!(read_reply(&mut peer), Frame::Rep { body: vec![1] });
+    assert!(node.delivered().is_empty(), "the v1 frame takes no step");
+    assert_eq!(node.stats().bad_frame(), 1);
+
+    let mut client = TcpClient::new(addr, ARM, Duration::from_secs(5));
+    let id = client
+        .cast(0, GroupSet::first_n(1), Payload::from_static(b"v2"))
+        .expect("a v2 client's cast is acked");
+    await_that("the v2 cast is delivered", || {
+        node.delivered().iter().any(|m| m.id == id)
+    });
+    assert_eq!(node.stats().bad_frame(), 1);
+    node.shutdown();
+}
+
+#[test]
 fn cast_beyond_the_wire_group_limit_is_refused_and_the_client_keeps_working() {
     let (node, addr) = serve_p0(Flood, &[], echo_service());
     let mut client = TcpClient::new(addr, ARM, Duration::from_secs(5));
     let unaddressable = GroupSet::singleton(GroupId(wire::MAX_GROUPS as u16));
     let err = client
         .cast(0, unaddressable, Payload::from_static(b"g64"))
-        .expect_err("wire v1 cannot carry g64");
+        .expect_err("wire v2 cannot carry g64");
     assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
     let id = client
         .cast(1, GroupSet::first_n(1), Payload::from_static(b"valid"))

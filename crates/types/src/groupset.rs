@@ -161,8 +161,8 @@ impl GroupSet {
     /// The raw bitmask. Exposed for hashing/serialization in traces.
     ///
     /// Note the wire format still carries destination sets as a `u64`
-    /// (wire v1 predates the 128-group mask); see the `Wire` impl for the
-    /// ≤64-group encoding guard.
+    /// (wire v1 predated the 128-group mask and v2 kept it); see the
+    /// `Wire` impl for the ≤64-group encoding guard.
     #[inline]
     pub fn bits(self) -> u128 {
         self.0

@@ -65,8 +65,9 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 2] = *b"WM";
 
 /// Current wire-format version. Bump on any incompatible layout change;
-/// the golden corpus test exists to make such changes loud.
-pub const VERSION: u8 = 1;
+/// the golden corpus test exists to make such changes loud. Version 2
+/// added the sender's floor to consensus `Accepted`.
+pub const VERSION: u8 = 2;
 
 /// Envelope length: magic (2) + version (1) + arm id (1).
 pub const ENVELOPE_LEN: usize = 4;
@@ -853,8 +854,8 @@ impl Sample for GroupId {
     }
 }
 
-/// Most groups a destination set on the wire can name: wire v1 carries
-/// it as a `u64` mask. The format predates the 128-group in-memory mask,
+/// Most groups a destination set on the wire can name: wire v2, like v1,
+/// carries it as a `u64` mask. The format predates the 128-group in-memory mask,
 /// and the golden corpus pins the 8-byte layout. The TCP runtime therefore
 /// speaks topologies of at most this many groups — `peer` refuses larger
 /// ones and `TcpClient::cast` refuses a destination beyond them — while
