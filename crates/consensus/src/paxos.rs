@@ -479,6 +479,13 @@ impl<V: Value> GroupConsensus<V> {
         self.decisions.len()
     }
 
+    /// The decided values this engine still holds, in no particular
+    /// order. A member may not yet have learned these; every member has
+    /// learned every decision below the group floor.
+    pub fn held_decisions(&self) -> impl Iterator<Item = &V> + '_ {
+        self.decisions.values().map(|d| &d.value)
+    }
+
     /// The group floor: the lowest floor any member has reported. Every
     /// member has consumed every instance below it.
     pub fn group_floor(&self) -> u64 {

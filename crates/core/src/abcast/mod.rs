@@ -195,8 +195,7 @@ pub struct RoundBroadcast {
     waiting_bundles: Option<u64>,
     cons: GroupConsensus<RoundBundle>,
     buffered_decisions: FxHashMap<u64, RoundBundle>,
-    /// R-Delivered messages by origin, for crash-triggered intra-group relay.
-    by_origin: FxHashMap<ProcessId, Vec<AppMessage>>,
+    /// Ids already relayed after their caster's crash.
     relayed: IdSet,
     /// Batch policy gating round starts (see type docs); `max_delay` is the
     /// pacing window, `max_msgs`/`max_bytes` flush a backlog early.
@@ -252,7 +251,6 @@ impl RoundBroadcast {
             waiting_bundles: None,
             cons: GroupConsensus::new(me, members).with_merge(merge_bundles),
             buffered_decisions: FxHashMap::default(),
-            by_origin: FxHashMap::default(),
             relayed: IdSet::new(),
             batch: BatchConfig::disabled(),
             timer_armed: false,
@@ -379,10 +377,6 @@ impl RoundBroadcast {
         if self.adelivered.contains(m.id) || self.rdelivered.contains_key(&m.id) {
             return;
         }
-        self.by_origin
-            .entry(m.id.origin)
-            .or_default()
-            .push(m.clone());
         self.rdelivered_bytes += m.payload.len();
         self.rdelivered.insert(m.id, m);
         self.schedule_round(ctx, out);
@@ -721,9 +715,21 @@ impl Protocol for RoundBroadcast {
                 }
             }
         }
-        // Intra-group relay of messages whose caster crashed (reliable
-        // multicast agreement).
-        if let Some(msgs) = self.by_origin.get(&crashed) {
+        // Intra-group relay of the crashed caster's messages that this
+        // process still holds, once each in ascending id order: those
+        // R-Delivered and not yet A-Delivered here, and those in a round
+        // bundle its group's consensus still holds (reliable multicast
+        // agreement). Any other was A-Delivered in a round below the group
+        // floor, which every member of the group has finished.
+        let mut held: Vec<&AppMessage> = self
+            .rdelivered
+            .values()
+            .chain(self.cons.held_decisions().flat_map(|bundle| bundle.iter()))
+            .filter(|m| m.id.origin == crashed && !self.relayed.contains(m.id))
+            .collect();
+        if !held.is_empty() {
+            held.sort_unstable_by_key(|m| m.id);
+            held.dedup_by_key(|m| m.id);
             let peers: Vec<ProcessId> = ctx
                 .topology()
                 .members(self.group)
@@ -731,10 +737,9 @@ impl Protocol for RoundBroadcast {
                 .copied()
                 .filter(|&q| q != self.me && q != crashed)
                 .collect();
-            for m in msgs {
-                if self.relayed.insert(m.id) {
-                    out.send_many(peers.iter().copied(), BroadcastMsg::Rm(m.clone()));
-                }
+            for m in held {
+                self.relayed.insert(m.id);
+                out.send_many(peers.iter().copied(), BroadcastMsg::Rm(m.clone()));
             }
         }
         if ctx.topology().group_of(crashed) == self.group {

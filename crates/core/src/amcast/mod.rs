@@ -952,11 +952,29 @@ impl Protocol for GenuineMulticast {
         ctx: &Context,
         out: &mut Outbox<MulticastMsg>,
     ) {
-        // Reliable multicast relays messages whose origin crashed (and, in
-        // ack mode, stops retransmitting to the crashed process).
+        // Reliable multicast relays the crashed process's casts that this
+        // process still holds, once each in ascending id order: those
+        // pending here and those in a decision its group's consensus still
+        // holds (and, in ack mode, stops retransmitting to the crashed
+        // process). Any other cast was A-Delivered under a decision below
+        // the group floor, which every member of the group has learned,
+        // and line 30 put the cast in each member's `pending`.
+        let mut held: Vec<&AppMessage> = self
+            .pending
+            .values()
+            .map(|p| &p.msg)
+            .chain(
+                self.cons
+                    .held_decisions()
+                    .flat_map(|batch| batch.iter().map(|e| &e.msg)),
+            )
+            .filter(|m| m.id.origin == crashed)
+            .collect();
+        held.sort_unstable_by_key(|m| m.id);
+        held.dedup_by_key(|m| m.id);
         let mut rm_out = std::mem::take(&mut self.rm_buf);
         self.rmcast
-            .on_crash_notification(crashed, ctx.topology(), &mut rm_out);
+            .on_crash_notification(crashed, held, ctx.topology(), &mut rm_out);
         self.flush_rmcast(&mut rm_out, ctx, out);
         self.rm_buf = rm_out;
         // Consensus re-coordinates if the crashed process led our group.

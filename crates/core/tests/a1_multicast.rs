@@ -3,7 +3,8 @@
 
 use std::time::Duration;
 use wamcast_core::{GenuineMulticast, MulticastConfig};
-use wamcast_sim::{invariants, LatencyModel, NetConfig, SimConfig, Simulation};
+use wamcast_sim::{invariants, FaultPlan, LatencyModel, NetConfig, SimConfig, Simulation};
+use wamcast_trace::{CastKey, Phase};
 use wamcast_types::{
     BatchConfig, GroupId, GroupSet, MessageId, Payload, ProcessId, SimTime, SplitMix64, Topology,
 };
@@ -178,6 +179,109 @@ fn group_coordinator_crash_is_tolerated() {
     assert!(done, "multicast blocked by coordinator crash");
     let correct = sim.alive_processes();
     invariants::check_all(sim.topology(), sim.metrics(), &correct).assert_ok();
+}
+
+/// `(sender, recipient, cast)` of every reliable-multicast copy sent at or
+/// after `t`: in a run without retransmission, the relays after a crash.
+fn rm_sends_since(sim: &Simulation<GenuineMulticast>, t: SimTime) -> Vec<(u32, u32, CastKey)> {
+    sim.trace()
+        .expect("tracing on")
+        .iter()
+        .filter(|e| e.phase == Phase::RmcastSend && e.at_us >= t.as_micros())
+        .map(|e| {
+            (
+                e.node,
+                e.peer.expect("a recipient"),
+                e.cast.expect("a cast"),
+            )
+        })
+        .collect()
+}
+
+fn key(m: MessageId) -> CastKey {
+    CastKey::new(m.origin.0, m.seq)
+}
+
+#[test]
+fn a1_relays_nothing_it_has_delivered() {
+    // p0 casts to both groups of a 2×2 system and every process delivers.
+    // p1's later cast carries every member's floor past the first cast's
+    // instances, so both groups forget those decisions. p0's crash then
+    // leaves no cast of p0's to relay: every process delivered it.
+    let mut sim = a1_sim(2, 2, 1);
+    sim.enable_trace(1 << 16);
+    let both = GroupSet::first_n(2);
+    let m = sim.cast_at(SimTime::ZERO, ProcessId(0), both, Payload::new());
+    let later = SimTime::from_millis(1_000);
+    let m2 = sim.cast_at(later, ProcessId(1), both, Payload::new());
+    let crash = SimTime::from_millis(2_000);
+    sim.crash_at(crash, ProcessId(0));
+    sim.run_to_quiescence();
+    assert!(sim.all_delivered(&[m, m2]));
+    assert_eq!(sim.metrics().delivered_by(m).len(), 4);
+    check(&sim);
+    assert_eq!(rm_sends_since(&sim, crash), vec![]);
+}
+
+#[test]
+fn a1_relays_a_pending_cast_once_to_every_other_addressee() {
+    // p0 casts to both groups of a 2×3 system, but only p1 gets a copy of
+    // anything p0 sends, and p0 crashes before group 0 decides. At the
+    // crash notice p1 still has the cast pending: it relays it once to each
+    // other addressee, and everyone left delivers it.
+    let mut plan = FaultPlan::none();
+    for q in 2..6 {
+        plan = plan.with_drop(ProcessId(0), ProcessId(q), 1.0);
+    }
+    let cfg = SimConfig::default().with_seed(2).with_faults(plan);
+    let mut sim = Simulation::new(Topology::symmetric(2, 3), cfg, |p, topo| {
+        GenuineMulticast::new(p, topo, MulticastConfig::default())
+    });
+    sim.enable_trace(1 << 16);
+    let m = sim.cast_at(
+        SimTime::ZERO,
+        ProcessId(0),
+        GroupSet::first_n(2),
+        Payload::new(),
+    );
+    let crash = SimTime::from_micros(50);
+    sim.crash_at(crash, ProcessId(0));
+    assert!(sim.run_until_delivered(&[m], SimTime::from_millis(60_000)));
+    sim.run_to_quiescence();
+    check(&sim);
+    assert_eq!(sim.metrics().delivered_by(m).len(), 5);
+    let relays: Vec<_> = (2..6).map(|q| (1, q, key(m))).collect();
+    assert_eq!(rm_sends_since(&sim, crash), relays);
+}
+
+#[test]
+fn a1_lagging_member_learns_a_decided_cast_after_its_caster_crashes() {
+    // Group 0 is {p0, p1, p2}; nothing p0 sends reaches p2. p0 casts to
+    // group 0 alone, and p0 and p1 decide it without p2, so p2 neither has
+    // the cast nor knows the decision, and has nothing to propose. Then p0
+    // crashes. p1 still holds the decision (p2 has not reported a floor
+    // past it), so p1 relays the cast from it: p2 proposes it and learns
+    // the decision, and every correct addressee delivers.
+    let plan = FaultPlan::none().with_drop(ProcessId(0), ProcessId(2), 1.0);
+    let cfg = SimConfig::default().with_seed(3).with_faults(plan);
+    let mc = MulticastConfig::default().with_retry(Duration::from_millis(250));
+    let mut sim = Simulation::new(Topology::symmetric(2, 3), cfg, |p, topo| {
+        GenuineMulticast::new(p, topo, mc)
+    });
+    let m = sim.cast_at(
+        SimTime::ZERO,
+        ProcessId(0),
+        GroupSet::first_n(1),
+        Payload::new(),
+    );
+    let crash = SimTime::from_millis(10);
+    sim.crash_at(crash, ProcessId(0));
+    sim.run_until(crash);
+    assert!(sim.metrics().has_delivered(ProcessId(1), m));
+    assert!(!sim.metrics().has_delivered(ProcessId(2), m));
+    assert!(sim.run_until_delivered(&[m], SimTime::from_millis(60_000)));
+    sim.run_to_quiescence();
+    check(&sim);
 }
 
 #[test]

@@ -3,7 +3,8 @@
 
 use std::time::Duration;
 use wamcast_core::RoundBroadcast;
-use wamcast_sim::{invariants, LatencyModel, NetConfig, SimConfig, Simulation};
+use wamcast_sim::{invariants, FaultPlan, LatencyModel, NetConfig, SimConfig, Simulation};
+use wamcast_trace::{CastKey, Phase};
 use wamcast_types::{Payload, ProcessId, SimTime, SplitMix64, Topology};
 
 fn a2_sim(k: usize, d: usize, seed: u64) -> Simulation<RoundBroadcast> {
@@ -227,6 +228,102 @@ fn coordinator_crash_mid_round_recovers() {
     assert!(ok, "round blocked by coordinator crash");
     let correct = sim.alive_processes();
     invariants::check_all(sim.topology(), sim.metrics(), &correct).assert_ok();
+}
+
+/// `(sender, recipient, cast)` of every reliable-multicast copy sent at or
+/// after `t`: in a run without retransmission, the relays after a crash.
+fn rm_sends_since(sim: &Simulation<RoundBroadcast>, t: SimTime) -> Vec<(u32, u32, CastKey)> {
+    sim.trace()
+        .expect("tracing on")
+        .iter()
+        .filter(|e| e.phase == Phase::RmcastSend && e.at_us >= t.as_micros())
+        .map(|e| {
+            (
+                e.node,
+                e.peer.expect("a recipient"),
+                e.cast.expect("a cast"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a2_relays_nothing_it_has_delivered() {
+    // p0 broadcasts in a 2×3 system and every process delivers. p1's later
+    // broadcast carries every member's floor past the first one's round,
+    // so group 0 forgets that round's bundle. p0's crash then leaves no
+    // cast of p0's to relay: every process delivered it.
+    let mut sim = a2_sim(2, 3, 10);
+    sim.enable_trace(1 << 16);
+    let all = sim.topology().all_groups();
+    let m = sim.cast_at(SimTime::ZERO, ProcessId(0), all, Payload::new());
+    let m2 = sim.cast_at(
+        SimTime::from_millis(5_000),
+        ProcessId(1),
+        all,
+        Payload::new(),
+    );
+    let crash = SimTime::from_millis(10_000);
+    sim.crash_at(crash, ProcessId(0));
+    sim.run_to_quiescence();
+    assert!(sim.all_delivered(&[m, m2]));
+    assert_eq!(sim.metrics().delivered_by(m).len(), 6);
+    check(&sim);
+    assert_eq!(rm_sends_since(&sim, crash), vec![]);
+}
+
+#[test]
+fn a2_relays_a_pending_cast_once_to_every_other_group_member() {
+    // Only p1 gets a copy of anything p0 sends, and p0 crashes before its
+    // group decides a round. At the crash notice p1 has the cast
+    // R-Delivered and not A-Delivered: it relays it once to p2, the other
+    // member of the caster's group, and everyone left delivers it.
+    let mut plan = FaultPlan::none();
+    for q in 2..6 {
+        plan = plan.with_drop(ProcessId(0), ProcessId(q), 1.0);
+    }
+    let cfg = SimConfig::default().with_seed(11).with_faults(plan);
+    let mut sim = Simulation::new(Topology::symmetric(2, 3), cfg, |p, topo| {
+        RoundBroadcast::new(p, topo)
+    });
+    sim.enable_trace(1 << 16);
+    let all = sim.topology().all_groups();
+    let m = sim.cast_at(SimTime::ZERO, ProcessId(0), all, Payload::new());
+    let crash = SimTime::from_micros(50);
+    sim.crash_at(crash, ProcessId(0));
+    assert!(sim.run_until_delivered(&[m], SimTime::from_millis(60_000)));
+    sim.run_to_quiescence();
+    check(&sim);
+    assert_eq!(sim.metrics().delivered_by(m).len(), 5);
+    assert_eq!(
+        rm_sends_since(&sim, crash),
+        vec![(1, 2, CastKey::new(0, 0))]
+    );
+}
+
+#[test]
+fn a2_lagging_member_learns_a_decided_cast_after_its_caster_crashes() {
+    // One group, {p0, p1, p2}; nothing p0 sends reaches p2. p0 broadcasts,
+    // and p0 and p1 decide its round without p2, so p2 neither has the
+    // cast nor knows the decision, and has no round to run. Then p0
+    // crashes. p1 still holds the round's bundle (p2 has not reported a
+    // floor past it), so p1 relays the cast from it: p2 runs the round,
+    // learns the decision, and delivers.
+    let plan = FaultPlan::none().with_drop(ProcessId(0), ProcessId(2), 1.0);
+    let cfg = SimConfig::default().with_seed(12).with_faults(plan);
+    let mut sim = Simulation::new(Topology::symmetric(1, 3), cfg, |p, topo| {
+        RoundBroadcast::new(p, topo).with_retry(Duration::from_millis(250))
+    });
+    let all = sim.topology().all_groups();
+    let m = sim.cast_at(SimTime::ZERO, ProcessId(0), all, Payload::new());
+    let crash = SimTime::from_millis(10);
+    sim.crash_at(crash, ProcessId(0));
+    sim.run_until(crash);
+    assert!(sim.metrics().has_delivered(ProcessId(1), m));
+    assert!(!sim.metrics().has_delivered(ProcessId(2), m));
+    assert!(sim.run_until_delivered(&[m], SimTime::from_millis(60_000)));
+    sim.run_to_quiescence();
+    check(&sim);
 }
 
 #[test]

@@ -16,8 +16,9 @@ fn per_cast_types_keep_their_sizes() {
     // and pad the message by 16 bytes.
     assert_eq!(align_of::<GroupSet>(), 8);
     assert_eq!(size_of::<GroupSet>(), 16);
-    // rmcast's `by_origin`, A1's `pending`, every `Deliver` action and
-    // every simulator `Cast` event keep one per cast.
+    // A1's `pending` and A2's `rdelivered` keep one per cast until it is
+    // A-Delivered; every `Deliver` action and every simulator `Cast`
+    // event carries one.
     assert_eq!(size_of::<AppMessage>(), 48);
     // Paxos `decisions` batches and every `(TS, batch)` keep one per cast
     // per deciding instance.

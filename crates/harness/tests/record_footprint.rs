@@ -5,7 +5,8 @@
 //! hashed map of per-cast delivery maps this record replaced read 605 B
 //! (`sim_a1`) and 506 B (`sim_a2`) per cast here, and fail. A third test
 //! guards the other end of a run: the heap a loaded plan holds before the
-//! first step.
+//! first step. The last two guard the processes themselves: what the
+//! protocols keep at quiescence must not grow with the plan.
 //!
 //! Run in release: `cargo test --release -p wamcast-harness --test
 //! record_footprint`.
@@ -17,9 +18,9 @@ use std::time::Duration;
 use wamcast_core::{GenuineMulticast, RoundBroadcast};
 use wamcast_harness::registry::a1_stack_config;
 use wamcast_harness::scenario::RETRY_INTERVAL;
-use wamcast_harness::workload::{all_group_pairs, poisson};
+use wamcast_harness::workload::{all_group_pairs, poisson, PlannedCast};
 use wamcast_sim::{RunMetrics, SimConfig, Simulation};
-use wamcast_types::{BatchConfig, GroupSet, Payload, ProcessId, Protocol, Topology};
+use wamcast_types::{BatchConfig, GroupSet, Payload, ProcessId, Protocol, SimTime, Topology};
 
 /// Heap bytes currently allocated by the whole process.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -66,6 +67,19 @@ static GLOBAL: Counting = Counting;
 /// Arrival horizon of the plan (virtual time): a few seconds, ~6 000 casts.
 const HORIZON: Duration = Duration::from_secs(3);
 
+/// `dests`' Poisson plan over `horizon` on a 3×3 topology, and a
+/// simulation of the stack `factory` builds with nothing scheduled yet.
+fn sim_and_plan<P: Protocol>(
+    horizon: Duration,
+    dests: impl Fn(&Topology) -> Vec<GroupSet>,
+    factory: impl FnMut(ProcessId, &Topology) -> P,
+) -> (Simulation<P>, Vec<PlannedCast>) {
+    let topo = Arc::new(Topology::symmetric(3, 3));
+    let plan = poisson(&topo, 2000.0, horizon, &dests(&topo), 7);
+    let cfg = SimConfig::default().with_seed(7).with_send_log(false);
+    (Simulation::new_shared(topo, cfg, factory), plan)
+}
+
 /// Runs `dests`' Poisson plan on the stack `factory` builds, to
 /// quiescence, and returns the record's heap bytes per cast.
 fn bytes_per_cast<P: Protocol>(
@@ -73,10 +87,7 @@ fn bytes_per_cast<P: Protocol>(
     factory: impl FnMut(ProcessId, &Topology) -> P,
 ) -> f64 {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let topo = Arc::new(Topology::symmetric(3, 3));
-    let plan = poisson(&topo, 2000.0, HORIZON, &dests(&topo), 7);
-    let cfg = SimConfig::default().with_seed(7).with_send_log(false);
-    let mut sim = Simulation::new_shared(Arc::clone(&topo), cfg, factory);
+    let (mut sim, plan) = sim_and_plan(HORIZON, dests, factory);
     for c in &plan {
         sim.cast_at(c.at, c.caster, c.dest, Payload::new());
     }
@@ -88,6 +99,54 @@ fn bytes_per_cast<P: Protocol>(
     drop(m);
     let without = LIVE.load(Ordering::Relaxed);
     (with - without) as f64 / plan.len() as f64
+}
+
+/// Runs `dests`' Poisson plan over `horizon` on the stack `factory`
+/// builds, to quiescence, and returns the heap bytes the simulation keeps
+/// beside its run record — the nine processes' protocol state, with the
+/// drained event queue — read just before and just after `into_metrics`
+/// drops it. The plan is scheduled a [`SLICE`] ahead of the run, not all
+/// at once, so the queue's spare capacity is set by the load and not by
+/// the plan's length.
+fn held_at_quiescence<P: Protocol>(
+    horizon: Duration,
+    dests: impl Fn(&Topology) -> Vec<GroupSet>,
+    factory: impl FnMut(ProcessId, &Topology) -> P,
+) -> usize {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut sim, plan) = sim_and_plan(horizon, dests, factory);
+    let mut slice_end = SimTime::ZERO;
+    for c in &plan {
+        if c.at >= slice_end {
+            // Everything before this slice has run; `now` stays below it.
+            sim.run_until(SimTime::from_nanos(slice_end.as_nanos().saturating_sub(1)));
+            slice_end = c.at + SLICE;
+        }
+        sim.cast_at(c.at, c.caster, c.dest, Payload::new());
+    }
+    sim.run_to_quiescence();
+    let with = LIVE.load(Ordering::Relaxed);
+    let m: RunMetrics = sim.into_metrics();
+    let without = LIVE.load(Ordering::Relaxed);
+    assert_eq!(m.deliveries.len(), plan.len(), "every cast delivered");
+    with - without
+}
+
+/// How far ahead of the run [`held_at_quiescence`] schedules casts.
+const SLICE: Duration = Duration::from_millis(100);
+
+/// Heap the nine processes may gain when the plan doubles from 3 s to
+/// 6 s, about 6 000 casts more: under 2.5 B per added cast per process.
+/// It covers the buffers and table capacities a longer run happens to
+/// leave larger; anything a process keeps per cast exceeds it.
+const RETAINED_SLACK: usize = 128 << 10;
+
+/// Doubling the plan may add at most [`RETAINED_SLACK`].
+fn assert_retains_nothing_per_cast(stack: &str, short: usize, long: usize) {
+    assert!(
+        long <= short + RETAINED_SLACK,
+        "{stack}: processes hold {short} B after a 3 s plan and {long} B after a 6 s plan"
+    );
 }
 
 /// `sim_a1`'s destinations: every pair of groups, and all groups.
@@ -118,10 +177,7 @@ fn sim_a1_record_keeps_at_most_400_bytes_per_cast() {
 #[test]
 fn sim_a1_scheduled_casts_take_at_most_256_bytes_each() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let topo = Arc::new(Topology::symmetric(3, 3));
-    let plan = poisson(&topo, 2000.0, HORIZON, &a1_dests(&topo), 7);
-    let cfg = SimConfig::default().with_seed(7).with_send_log(false);
-    let mut sim = Simulation::new_shared(Arc::clone(&topo), cfg, a1_stack);
+    let (mut sim, plan) = sim_and_plan(HORIZON, a1_dests, a1_stack);
     let before = LIVE.load(Ordering::Relaxed);
     for c in &plan {
         sim.cast_at(c.at, c.caster, c.dest, Payload::new());
@@ -133,13 +189,45 @@ fn sim_a1_scheduled_casts_take_at_most_256_bytes_each() {
     );
 }
 
+/// `sim_a2`'s destinations: all groups.
+fn all_groups(topo: &Topology) -> Vec<GroupSet> {
+    vec![topo.all_groups()]
+}
+
+/// `sim_a2`'s stack: A2 paced at 10 ms, with retransmission.
+fn a2_stack(p: ProcessId, t: &Topology) -> RoundBroadcast {
+    RoundBroadcast::with_pacing(p, t, Duration::from_millis(10)).with_retry(RETRY_INTERVAL)
+}
+
 #[test]
 fn sim_a2_record_keeps_at_most_480_bytes_per_cast() {
-    let per_cast = bytes_per_cast(
-        |topo| vec![topo.all_groups()],
-        |p, t| {
-            RoundBroadcast::with_pacing(p, t, Duration::from_millis(10)).with_retry(RETRY_INTERVAL)
-        },
-    );
+    let per_cast = bytes_per_cast(all_groups, a2_stack);
     assert!(per_cast <= 480.0, "sim_a2 record: {per_cast:.1} B per cast");
+}
+
+/// Growth guard for what `sim_a1`'s nine processes keep once every cast
+/// is delivered, after a 3 s and a 6 s plan, with every cast addressed to
+/// all three groups. A process relays a crashed caster's casts from those
+/// it has not yet A-Delivered and those in a decision Paxos still holds,
+/// so nothing it keeps grows per cast. (With `sim_a1`'s own destinations
+/// the id sets also gain a range per skipped cast, about 0.4 MB per 3 s
+/// here.) Reads 5 001 425 B and 5 044 689 B here. Keeping a copy of every
+/// R-Delivered cast for the relay read 8 987 921 B and 13 012 497 B, and
+/// fails.
+#[test]
+fn sim_a1_processes_retain_nothing_per_cast() {
+    let short = held_at_quiescence(HORIZON, all_groups, a1_stack);
+    let long = held_at_quiescence(2 * HORIZON, all_groups, a1_stack);
+    assert_retains_nothing_per_cast("sim_a1", short, long);
+}
+
+/// [`sim_a1_processes_retain_nothing_per_cast`] for `sim_a2`'s stack.
+/// Reads 319 357 B and 323 933 B here. Keeping a copy of every
+/// R-Delivered cast for the relay read 1 648 081 B and 2 979 761 B, and
+/// fails.
+#[test]
+fn sim_a2_processes_retain_nothing_per_cast() {
+    let short = held_at_quiescence(HORIZON, all_groups, a2_stack);
+    let long = held_at_quiescence(2 * HORIZON, all_groups, a2_stack);
+    assert_retains_nothing_per_cast("sim_a2", short, long);
 }

@@ -941,11 +941,13 @@ where
     /// Acts on one decoded inbound frame of connection `i`. The ids a frame
     /// names came off a socket: one the topology does not have is refused
     /// here (no step, no reply), because the protocol cores index by them.
+    /// So is a notice that this node itself crashed: a running node is
+    /// not crashed, and believing it would make its protocol relay its own
+    /// casts and step down as its group's coordinator.
     fn dispatch(&mut self, i: usize, frame: Frame<P::Msg>) {
         let known = match &frame {
-            Frame::Peer { from: p, .. } | Frame::CrashNotify { of: p } => {
-                p.index() < self.topo.num_processes()
-            }
+            Frame::Peer { from: p, .. } => p.index() < self.topo.num_processes(),
+            Frame::CrashNotify { of } => *of != self.me && of.index() < self.topo.num_processes(),
             Frame::Cast { dest, .. } => !dest.is_empty() && dest.is_subset(self.topo.all_groups()),
             _ => true,
         };

@@ -130,6 +130,40 @@ fn bodies_are_shared_per_node_and_delivered_intact_on_a_batched_a1_run() {
     cluster.shutdown();
 }
 
+/// A node told that it crashed itself refuses the notice: were it to
+/// believe it, A1 would relay the node's own pending casts and its Paxos
+/// engine would suspect itself and stop coordinating group 0 while its
+/// peers still forward to it.
+#[test]
+fn a_crash_notice_naming_the_receiver_is_refused_and_counted() {
+    let mut cluster = LocalCluster::serve(Topology::symmetric(2, 2), 5, None, |p, t| {
+        GenuineMulticast::new(p, t, MulticastConfig::default().with_retry(RETRY))
+    })
+    .expect("serve");
+    // p0 coordinates group 0 at ballot 0.
+    let mut liar = TcpClient::new(cluster.addrs()[0], 5, Duration::from_secs(5));
+    liar.crash_notify(ProcessId(0)).expect("notice sent");
+    // Frames of one connection are handled in order: once the reply is
+    // back, the notice was.
+    liar.request(Vec::new()).expect("request answered");
+    let both = GroupSet::first_n(2);
+    let ids: Vec<MessageId> = (0..10u8)
+        .map(|i| {
+            let caster = ProcessId(if i % 2 == 0 { 0 } else { 2 });
+            cluster
+                .cast(caster, both, Payload::from(vec![i]))
+                .expect("cast")
+        })
+        .collect();
+    for id in ids {
+        cluster
+            .await_delivery_everywhere(id, Duration::from_secs(10))
+            .expect("committed everywhere");
+    }
+    assert_eq!(cluster.stats(ProcessId(0)).bad_frame(), 1);
+    cluster.shutdown();
+}
+
 #[test]
 fn service_requests_answered_on_node_thread() {
     let topo = Arc::new(Topology::symmetric(1, 1));

@@ -13,9 +13,16 @@ use wamcast_types::{AppMessage, FxHashMap, FxHashSet, IdSet, MessageId, ProcessI
 /// * **validity** — a *correct* R-MCaster's message is R-Delivered by all
 ///   correct addressed processes (immediate: the initial send reaches them);
 /// * **agreement** (non-uniform) — if a *correct* process R-Delivers `m`,
-///   all correct addressed processes eventually R-Deliver `m`. Ensured by
-///   relaying `m` once the origin is reported crashed; while the origin is
-///   alive its own sends suffice.
+///   all correct addressed processes eventually R-Deliver `m`. While the
+///   origin is alive its own sends suffice; once it is reported crashed,
+///   [`on_crash_notification`](Self::on_crash_notification) relays the
+///   messages the *embedder* still holds from it. The engine keeps no copy
+///   of its own, so agreement holds for what the embedder passes in: a
+///   message it has released must already be known to reach every correct
+///   addressee another way (A1 and A2 release a cast once they have
+///   A-Delivered it and their group's consensus has forgotten the
+///   decision that carried it, which happens only after every member of
+///   the group has learned that decision).
 ///
 /// Latency degree 1: delivery happens on the first received copy.
 ///
@@ -50,9 +57,8 @@ pub struct RmcastEngine {
     /// R-MCast integrity's dedup set (the hot path): grows by one id per
     /// cast heard of, forever, so it is stored as ranges.
     seen: IdSet,
-    /// Delivered messages kept by origin for crash-triggered relay
-    /// (point-keyed; the per-origin `Vec` preserves delivery order).
-    by_origin: FxHashMap<ProcessId, Vec<AppMessage>>,
+    /// Ids already relayed after their origin's crash: a second
+    /// notification of the same crash relays nothing twice.
     relayed: IdSet,
     /// Retransmission mode (see [`with_acks`](Self::with_acks)).
     ack_mode: bool,
@@ -84,7 +90,6 @@ impl RmcastEngine {
         RmcastEngine {
             me,
             seen: IdSet::new(),
-            by_origin: FxHashMap::default(),
             relayed: IdSet::new(),
             ack_mode: false,
             outstanding: FxHashMap::default(),
@@ -191,7 +196,6 @@ impl RmcastEngine {
         recipients.clear();
         self.recips_buf = recipients;
         if topo.addresses(m.dest, self.me) {
-            self.record_delivery(&m);
             out.delivered.push(m);
         }
     }
@@ -238,43 +242,37 @@ impl RmcastEngine {
         if !topo.addresses(m.dest, self.me) || !self.seen.insert(m.id) {
             return;
         }
-        self.record_delivery(&m);
         out.delivered.push(m);
     }
 
-    /// [`accept`](Self::accept) minus the output: records `m` as
-    /// seen/delivered without emitting the R-Deliver. For callers that
-    /// learned `m` through a channel that already delivered it (A1's
-    /// decision values) and only need the duplicate-suppression state —
-    /// equivalent to `accept` with the out-parameter discarded, without
-    /// allocating one.
+    /// [`accept`](Self::accept) minus the output: records `m` as seen
+    /// without emitting the R-Deliver. For callers that learned `m` through
+    /// a channel that already delivered it (A1's decision values) and only
+    /// need the duplicate-suppression state.
     pub fn mark_seen(&mut self, m: &AppMessage, topo: &Topology) {
-        if !topo.addresses(m.dest, self.me) || !self.seen.insert(m.id) {
-            return;
+        if topo.addresses(m.dest, self.me) {
+            self.seen.insert(m.id);
         }
-        self.record_delivery(m);
     }
 
-    /// Failure-detector notification: the origin of previously delivered
-    /// messages crashed, so relay them once to the remaining addressed
-    /// processes (agreement despite an origin that crashed mid-send).
-    pub fn on_crash_notification(
+    /// Failure-detector notification: `crashed` is reported crashed. Each
+    /// message of `held` — the messages from `crashed` that the embedder
+    /// still holds, in the order to relay them — goes once to the remaining
+    /// addressed processes (agreement despite an origin that crashed
+    /// mid-send; see the type docs for what the embedder must hold).
+    pub fn on_crash_notification<'a>(
         &mut self,
         crashed: ProcessId,
+        held: impl IntoIterator<Item = &'a AppMessage>,
         topo: &Topology,
         out: &mut RmcastOut,
     ) {
         // A crashed process never acks: stop retransmitting to it whether
         // or not it originated anything.
         self.prune_crashed(crashed);
-        // Taken out for the walk (`track` needs the rest of `self`) and
-        // put back whole: relaying delivers nothing, so nothing is recorded
-        // under any origin meanwhile.
-        let Some(msgs) = self.by_origin.remove(&crashed) else {
-            return;
-        };
         let mut recipients = std::mem::take(&mut self.recips_buf);
-        for m in &msgs {
+        for m in held {
+            debug_assert_eq!(m.id.origin, crashed, "held message from another origin");
             if !self.relayed.insert(m.id) {
                 continue;
             }
@@ -291,14 +289,6 @@ impl RmcastEngine {
             recipients.clear();
         }
         self.recips_buf = recipients;
-        self.by_origin.insert(crashed, msgs);
-    }
-
-    fn record_delivery(&mut self, m: &AppMessage) {
-        self.by_origin
-            .entry(m.id.origin)
-            .or_default()
-            .push(m.clone());
     }
 }
 
@@ -313,6 +303,44 @@ mod tests {
             dest.iter().map(|&g| GroupId(g)).collect::<GroupSet>(),
             Payload::new(),
         )
+    }
+
+    /// An embedder that holds every message its engine R-Delivers and
+    /// never releases one.
+    struct Holder {
+        engine: RmcastEngine,
+        held: Vec<AppMessage>,
+    }
+
+    impl Holder {
+        fn new(engine: RmcastEngine) -> Self {
+            Holder {
+                engine,
+                held: Vec::new(),
+            }
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            msg: RmcastMsg,
+            topo: &Topology,
+            out: &mut RmcastOut,
+        ) {
+            let before = out.delivered.len();
+            self.engine.on_message(from, msg, topo, out);
+            self.held.extend_from_slice(&out.delivered[before..]);
+        }
+
+        fn on_crash_notification(
+            &mut self,
+            crashed: ProcessId,
+            topo: &Topology,
+            out: &mut RmcastOut,
+        ) {
+            let held = self.held.iter().filter(|m| m.id.origin == crashed);
+            self.engine.on_crash_notification(crashed, held, topo, out);
+        }
     }
 
     #[test]
@@ -366,7 +394,7 @@ mod tests {
     #[test]
     fn crash_of_origin_triggers_single_relay() {
         let topo = Topology::symmetric(2, 2);
-        let mut e = RmcastEngine::new(ProcessId(2));
+        let mut e = Holder::new(RmcastEngine::new(ProcessId(2)));
         let m = msg(0, 0, &[0, 1]);
         let mut out = RmcastOut::new();
         e.on_message(ProcessId(0), RmcastMsg::Data(m.clone()), &topo, &mut out);
@@ -463,17 +491,17 @@ mod tests {
     #[test]
     fn crash_relay_is_tracked_in_ack_mode() {
         let topo = Topology::symmetric(2, 2);
-        let mut e = RmcastEngine::new(ProcessId(2)).with_acks();
+        let mut e = Holder::new(RmcastEngine::new(ProcessId(2)).with_acks());
         let m = msg(0, 0, &[0, 1]);
         let mut out = RmcastOut::new();
         e.on_message(ProcessId(0), RmcastMsg::Data(m.clone()), &topo, &mut out);
         // Ack our own receipt side-channel: clear outstanding of the ack.
-        assert!(!e.has_outstanding());
+        assert!(!e.engine.has_outstanding());
         let mut relay = RmcastOut::new();
         e.on_crash_notification(ProcessId(0), &topo, &mut relay);
-        assert!(e.has_outstanding(), "relay copies await acks");
+        assert!(e.engine.has_outstanding(), "relay copies await acks");
         let mut tick = RmcastOut::new();
-        e.tick(&mut tick);
+        e.engine.tick(&mut tick);
         let tos: Vec<_> = tick.sends.iter().map(|(t, _)| *t).collect();
         assert_eq!(tos, vec![ProcessId(1), ProcessId(3)]);
     }
@@ -483,7 +511,7 @@ mod tests {
         let topo = Topology::symmetric(2, 2);
         let mut e = RmcastEngine::new(ProcessId(2));
         let mut out = RmcastOut::new();
-        e.on_crash_notification(ProcessId(1), &topo, &mut out);
+        e.on_crash_notification(ProcessId(1), [], &topo, &mut out);
         assert!(out.sends.is_empty());
     }
 
@@ -493,7 +521,7 @@ mod tests {
         // p1 and p3 (also addressed) up to date.
         let topo = Topology::symmetric(2, 2);
         let m = msg(0, 0, &[0, 1]);
-        let mut p2 = RmcastEngine::new(ProcessId(2));
+        let mut p2 = Holder::new(RmcastEngine::new(ProcessId(2)));
         let mut p1 = RmcastEngine::new(ProcessId(1));
         let mut out = RmcastOut::new();
         p2.on_message(ProcessId(0), RmcastMsg::Data(m.clone()), &topo, &mut out);

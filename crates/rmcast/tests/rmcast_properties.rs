@@ -28,6 +28,19 @@ fn picks(rng: &mut SplitMix64, max_len: u64) -> Vec<u8> {
     (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
+/// Records what `p` R-Delivered: its id in `delivered`, and the message
+/// itself in `held` — the test embedder's relay set, which it never
+/// releases.
+fn record(
+    p: usize,
+    out: &RmcastOut,
+    delivered: &mut [Vec<MessageId>],
+    held: &mut [Vec<AppMessage>],
+) {
+    delivered[p].extend(out.delivered.iter().map(|d| d.id));
+    held[p].extend(out.delivered.iter().cloned());
+}
+
 /// Drives non-uniform engines with a permuted schedule; `crash_origin`
 /// optionally kills the origin right after its initial sends and fans out
 /// the crash notification.
@@ -42,6 +55,7 @@ fn run_nonuniform(
         .map(|i| RmcastEngine::new(ProcessId(i)))
         .collect();
     let mut delivered = vec![Vec::new(); n];
+    let mut held: Vec<Vec<AppMessage>> = vec![Vec::new(); n];
     let mut queue: VecDeque<(ProcessId, ProcessId, RmcastMsg)> = VecDeque::new();
     let mut crashed = vec![false; n];
 
@@ -52,7 +66,7 @@ fn run_nonuniform(
         }
         let mut out = RmcastOut::new();
         engines[origin.index()].rmcast(m.clone(), topo, &mut out);
-        delivered[origin.index()].extend(out.delivered.iter().map(|d| d.id));
+        record(origin.index(), &out, &mut delivered, &mut held);
         for (to, w) in out.sends {
             queue.push_back((origin, to, w));
         }
@@ -61,8 +75,9 @@ fn run_nonuniform(
             for q in 0..n {
                 if q != origin.index() && !crashed[q] {
                     let mut relay = RmcastOut::new();
-                    engines[q].on_crash_notification(origin, topo, &mut relay);
-                    delivered[q].extend(relay.delivered.iter().map(|d| d.id));
+                    let from_origin = held[q].iter().filter(|m| m.id.origin == origin);
+                    engines[q].on_crash_notification(origin, from_origin, topo, &mut relay);
+                    record(q, &relay, &mut delivered, &mut held);
                     for (to, w) in relay.sends {
                         queue.push_back((ProcessId(q as u32), to, w));
                     }
@@ -85,7 +100,7 @@ fn run_nonuniform(
         }
         let mut out = RmcastOut::new();
         engines[to.index()].on_message(from, w, topo, &mut out);
-        delivered[to.index()].extend(out.delivered.iter().map(|d| d.id));
+        record(to.index(), &out, &mut delivered, &mut held);
         for (t, w2) in out.sends {
             queue.push_back((to, t, w2));
         }
