@@ -11,6 +11,9 @@
 //!      [--trace-cap N]     # flight-recorder capacity (default 8192; 0 off)
 //! ```
 //!
+//! A peer's delivery log holds the id of every cast it delivered, 16 B
+//! each, and is never drained: `REQ_DELIVERED` reads it whole.
+//!
 //! Every peer keeps a bounded flight recorder of its recent causal trace
 //! (cast/send/recv/deliver events). The recorder is dumped to stderr if
 //! the process panics, and is served over the control plane

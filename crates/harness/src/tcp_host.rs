@@ -12,7 +12,7 @@
 //!
 //! | request body                  | reply body              |
 //! |-------------------------------|-------------------------|
-//! | `[REQ_DELIVERED]`             | `Vec<AppMessage>`       |
+//! | `[REQ_DELIVERED]`             | `Vec<MessageId>`        |
 //! | `[REQ_POLL] ++ MessageId`     | `Option<AppliedOp>`     |
 //! | `[REQ_LOG]`                   | `ReplicaLog`            |
 //! | `[REQ_TRACE]`                 | flight-recorder text    |
@@ -48,14 +48,15 @@ use wamcast_smr::{
     ShardMap, SharedKv,
 };
 use wamcast_types::wire::{Wire, WireReader, WireWriter};
-use wamcast_types::{AppMessage, BatchConfig, GroupId, MessageId, ProcessId, SimTime, Topology};
+use wamcast_types::{BatchConfig, GroupId, MessageId, ProcessId, SimTime, Topology};
 
 /// Wire arm id of the SMR service stack. Deliberately far above the
 /// registry's table indices so a KV peer and a bare-arm peer can never
 /// mistake each other's traffic.
 pub const SMR_ARM: u8 = 0x51;
 
-/// Request tag: fetch the node's A-Deliver log (`Vec<AppMessage>`).
+/// Request tag: fetch the node's A-Deliver log, the delivered ids in
+/// delivery order (`Vec<MessageId>`).
 pub const REQ_DELIVERED: u8 = 0;
 /// Request tag: poll one op's applied response (`Option<AppliedOp>`).
 pub const REQ_POLL: u8 = 1;
@@ -263,14 +264,15 @@ fn bad_reply(what: &str) -> io::Error {
     )
 }
 
-/// Fetches a peer's A-Deliver log ([`REQ_DELIVERED`]).
+/// Fetches a peer's A-Deliver log ([`REQ_DELIVERED`]): the ids it has
+/// delivered, in delivery order.
 ///
 /// # Errors
 ///
 /// Socket errors, reply timeout, or an undecodable reply.
-pub fn fetch_delivered(client: &mut TcpClient) -> io::Result<Vec<AppMessage>> {
+pub fn fetch_delivered(client: &mut TcpClient) -> io::Result<Vec<MessageId>> {
     let rep = client.request(vec![REQ_DELIVERED])?;
-    Vec::<AppMessage>::from_wire(&rep).map_err(|_| bad_reply("delivered-log"))
+    Vec::<MessageId>::from_wire(&rep).map_err(|_| bad_reply("delivered-log"))
 }
 
 /// Polls a peer for one op's applied response ([`REQ_POLL`]); `Ok(None)`
@@ -505,6 +507,8 @@ pub fn run_smr_tcp(rc: &TcpRunConfig) -> SmrOutcome {
 mod tests {
     use super::*;
     use wamcast_net::tcp::free_addrs;
+    use wamcast_smr::Command;
+    use wamcast_types::GroupSet;
 
     #[test]
     fn in_process_tcp_smr_run_is_clean() {
@@ -579,6 +583,52 @@ mod tests {
         let log = fetch_replica_log(&mut client).expect("log");
         assert_eq!(log.process, ProcessId(0));
         assert!(fetch_delivered(&mut client).expect("delivered").is_empty());
+        peer.node.shutdown();
+    }
+
+    #[test]
+    fn control_plane_answers_the_delivered_ids_in_delivery_order() {
+        let topo = Arc::new(Topology::symmetric(1, 1));
+        let addrs = free_addrs(1).expect("ports");
+        let peer = spawn_smr_peer(
+            ProcessId(0),
+            Arc::clone(&topo),
+            addrs.clone(),
+            None,
+            None,
+            None,
+        )
+        .expect("spawn");
+        let mut client = TcpClient::new(addrs[0], SMR_ARM, Duration::from_secs(5));
+        let ids: Vec<MessageId> = (0..4u64)
+            .map(|seq| {
+                let put = Command::Put {
+                    key: seq,
+                    value: seq as i64,
+                };
+                client
+                    .cast(seq, GroupSet::first_n(1), put.encode())
+                    .expect("cast acked")
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let delivered = loop {
+            let log = fetch_delivered(&mut client).expect("delivered");
+            if log.len() >= ids.len() || Instant::now() > deadline {
+                break log;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        // One caster's casts to one group commit in the order they were
+        // cast, and the log lists them in the order the replica applied.
+        assert_eq!(delivered, ids);
+        let applied: Vec<MessageId> = fetch_replica_log(&mut client)
+            .expect("log")
+            .applied
+            .iter()
+            .map(|op| op.id)
+            .collect();
+        assert_eq!(delivered, applied);
         peer.node.shutdown();
     }
 }

@@ -5,8 +5,10 @@
 //! hashed map of per-cast delivery maps this record replaced read 605 B
 //! (`sim_a1`) and 506 B (`sim_a2`) per cast here, and fail. A third test
 //! guards the other end of a run: the heap a loaded plan holds before the
-//! first step. The last two guard the processes themselves: what the
-//! protocols keep at quiescence must not grow with the plan.
+//! first step. The next two guard the processes themselves: what the
+//! protocols keep at quiescence must not grow with the plan. The last
+//! guards the same on sockets, for an in-process loopback cluster whose
+//! nodes keep a delivery log.
 //!
 //! Run in release: `cargo test --release -p wamcast-harness --test
 //! record_footprint`.
@@ -14,11 +16,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wamcast_core::{GenuineMulticast, RoundBroadcast};
 use wamcast_harness::registry::a1_stack_config;
 use wamcast_harness::scenario::RETRY_INTERVAL;
 use wamcast_harness::workload::{all_group_pairs, poisson, PlannedCast};
+use wamcast_net::tcp::LocalCluster;
 use wamcast_sim::{RunMetrics, SimConfig, Simulation};
 use wamcast_types::{BatchConfig, GroupSet, Payload, ProcessId, Protocol, SimTime, Topology};
 
@@ -230,4 +233,80 @@ fn sim_a2_processes_retain_nothing_per_cast() {
     let short = held_at_quiescence(HORIZON, all_groups, a2_stack);
     let long = held_at_quiescence(2 * HORIZON, all_groups, a2_stack);
     assert_retains_nothing_per_cast("sim_a2", short, long);
+}
+
+/// Casts before the first live-heap reading of
+/// [`tcp_nodes_retain_no_body_per_cast`], and again before the second:
+/// eight times a node's 4 096 `BodyCache` slots. A power of two, so each
+/// node's delivery log doubles its capacity exactly once in between.
+const SOCKET_CASTS: usize = 1 << 15;
+
+/// Casts a window may have in flight: keeps queues and out-buffers near
+/// the same depth through both halves of the run.
+const SOCKET_WINDOW: usize = 64;
+
+/// Heap the cluster may gain per added cast per process between the two
+/// readings. It covers the 16-byte id in each node's delivery log (with
+/// the log's doubling, 16 B), the `BodyCache` slots first taken in the
+/// second half (dense ids reach its slots slowly: 3 296 more bodies over
+/// the four nodes here, 13 B) and buffers a burst happens to grow. A body
+/// kept per cast exceeds it.
+const SOCKET_BYTES_PER_CAST: usize = 64;
+
+/// Blocks until every process of `cluster` has delivered `count` casts.
+fn await_all_delivered(cluster: &LocalCluster, count: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while cluster
+        .topology()
+        .processes()
+        .any(|p| cluster.delivered(p).len() < count)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "{count} casts not delivered everywhere within 30 s"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Growth guard for a socket node: the `tcp_global` stack (2×2 batched A1
+/// with retransmission) on a loopback [`LocalCluster`], every cast to both
+/// groups with a 512-byte body. The live heap is read once every node has
+/// delivered [`SOCKET_CASTS`] casts and again at twice that; it may grow
+/// by at most [`SOCKET_BYTES_PER_CAST`] per added cast per process. Reads
+/// 29–34 B here (9 584 038 → 13 884 276 B in one run). A delivery log that
+/// kept each delivered `AppMessage` kept its body too: 80 132 738 →
+/// 155 630 722 B, 576 B per added cast per process, and fails.
+#[test]
+fn tcp_nodes_retain_no_body_per_cast() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(20));
+    let mut cluster = LocalCluster::serve(Topology::symmetric(2, 2), 0, None, |p, t| {
+        GenuineMulticast::new(p, t, a1_stack_config(Some(batch), Some(RETRY_INTERVAL)))
+    })
+    .expect("loopback sockets");
+    let both = cluster.topology().all_groups();
+    let reading = |cluster: &mut LocalCluster, from: usize, to: usize| {
+        for i in from..to {
+            if i % SOCKET_WINDOW == 0 {
+                await_all_delivered(cluster, i.saturating_sub(SOCKET_WINDOW));
+            }
+            let caster = ProcessId(if i % 2 == 0 { 0 } else { 2 });
+            let body = Payload::from(vec![i as u8; 512]);
+            cluster.cast(caster, both, body).expect("cast acked");
+        }
+        await_all_delivered(cluster, to);
+        // Let the acknowledgements of the last casts land.
+        std::thread::sleep(Duration::from_millis(100));
+        LIVE.load(Ordering::Relaxed)
+    };
+    let short = reading(&mut cluster, 0, SOCKET_CASTS);
+    let long = reading(&mut cluster, SOCKET_CASTS, 2 * SOCKET_CASTS);
+    cluster.shutdown();
+    let per_cast = long.saturating_sub(short) as f64 / (SOCKET_CASTS * 4) as f64;
+    assert!(
+        per_cast <= SOCKET_BYTES_PER_CAST as f64,
+        "tcp nodes: {short} B after {SOCKET_CASTS} casts and {long} B after twice that, \
+         {per_cast:.1} B per added cast per process"
+    );
 }

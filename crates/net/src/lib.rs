@@ -38,9 +38,9 @@
 //!     .cast(ProcessId(0), dest, Payload::from_static(b"hi"))
 //!     .expect("acked");
 //! cluster
-//!     .await_delivery_everywhere(id, Duration::from_secs(5))
+//!     .await_delivery_everywhere(id, dest, Duration::from_secs(5))
 //!     .expect("delivered");
-//! assert_eq!(cluster.delivered(ProcessId(3))[0].id, id);
+//! assert_eq!(cluster.delivered(ProcessId(3)), [id]);
 //! cluster.shutdown();
 //! ```
 

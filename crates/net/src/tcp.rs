@@ -221,8 +221,9 @@ pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<()> {
     r.read_exact(buf)
 }
 
-/// The A-Deliver log a node appends to and a host snapshots.
-pub type SharedDeliveries = Arc<Mutex<Vec<AppMessage>>>;
+/// The A-Deliver log a node appends to and a host snapshots: the ids of
+/// the casts it delivered, in delivery order. It keeps no body.
+pub type SharedDeliveries = Arc<Mutex<Vec<MessageId>>>;
 
 /// Application hook answering [`Frame::Req`] bodies. Runs on the node
 /// thread, between protocol steps: it must not block (no I/O, no waiting
@@ -400,8 +401,8 @@ impl TcpNode {
         self.local
     }
 
-    /// Snapshot of the messages A-Delivered so far, in delivery order.
-    pub fn delivered(&self) -> Vec<AppMessage> {
+    /// Snapshot of the ids A-Delivered so far, in delivery order.
+    pub fn delivered(&self) -> Vec<MessageId> {
         self.delivered
             .lock()
             .expect("delivery log poisoned")
@@ -445,7 +446,7 @@ impl TcpNode {
 /// processes are started from the same address list by the harness's
 /// `peer` binary.
 ///
-/// `delivered` receives every A-Deliver; `service` answers
+/// `delivered` receives the id of every A-Deliver; `service` answers
 /// [`Frame::Req`] bodies (see [`null_service`]).
 ///
 /// # Errors
@@ -862,7 +863,7 @@ where
                     self.delivered
                         .lock()
                         .expect("delivery log poisoned")
-                        .push(m);
+                        .push(m.id);
                 }
                 Action::Timer { after, kind } => self.timers.push(TimerEntry {
                     at: Instant::now() + after,
@@ -1459,9 +1460,9 @@ impl LocalCluster {
         slot.client.cast(seq, dest, payload)
     }
 
-    /// Snapshot of the messages A-Delivered by `p`, in delivery order
-    /// (what it delivered before crashing, if it crashed).
-    pub fn delivered(&self, p: ProcessId) -> Vec<AppMessage> {
+    /// Snapshot of the ids A-Delivered by `p`, in delivery order (what it
+    /// delivered before crashing, if it crashed).
+    pub fn delivered(&self, p: ProcessId) -> Vec<MessageId> {
         self.slots[p.index()]
             .log
             .lock()
@@ -1498,29 +1499,27 @@ impl LocalCluster {
         result
     }
 
-    /// Blocks until every live process addressed by `id`'s destination has
-    /// delivered it.
+    /// Blocks until every live process of `dest` — the destination `id`
+    /// was cast to — has delivered it.
     ///
     /// # Errors
     ///
     /// `TimedOut` if `timeout` elapses first.
-    pub fn await_delivery_everywhere(&self, id: MessageId, timeout: Duration) -> io::Result<()> {
-        let delivered_by = |slot: &Slot| {
+    pub fn await_delivery_everywhere(
+        &self,
+        id: MessageId,
+        dest: GroupSet,
+        timeout: Duration,
+    ) -> io::Result<()> {
+        let delivered_by = |p: ProcessId| {
+            let slot = &self.slots[p.index()];
             let log = slot.log.lock().expect("delivery log poisoned");
-            log.iter().find(|m| m.id == id).map(|m| m.dest)
+            slot.node.is_none() || log.contains(&id)
         };
         let deadline = Instant::now() + timeout;
         loop {
-            // The destination is learned from the first process to deliver.
-            if let Some(dest) = self.slots.iter().find_map(delivered_by) {
-                let everywhere = self
-                    .topo
-                    .processes_in(dest)
-                    .map(|p| &self.slots[p.index()])
-                    .all(|slot| slot.node.is_none() || delivered_by(slot).is_some());
-                if everywhere {
-                    return Ok(());
-                }
+            if self.topo.processes_in(dest).all(delivered_by) {
+                return Ok(());
             }
             if Instant::now() > deadline {
                 return Err(io::Error::new(

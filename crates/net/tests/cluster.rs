@@ -12,7 +12,7 @@ use wamcast_core::{GenuineMulticast, MulticastConfig, RoundBroadcast};
 use wamcast_net::tcp::LocalCluster;
 use wamcast_net::WallFaults;
 use wamcast_types::{
-    BatchConfig, FaultPlan, GroupId, GroupSet, MessageId, Payload, ProcessId, SimTime, Topology,
+    BatchConfig, FaultPlan, GroupId, GroupSet, Payload, ProcessId, SimTime, Topology,
 };
 
 const RETRY: Duration = Duration::from_millis(40);
@@ -23,10 +23,6 @@ fn a2(p: ProcessId, t: &Topology) -> RoundBroadcast {
 
 fn a1(cfg: MulticastConfig) -> impl FnMut(ProcessId, &Topology) -> GenuineMulticast {
     move |p, t| GenuineMulticast::new(p, t, cfg.with_retry(RETRY))
-}
-
-fn ids_of(cluster: &LocalCluster, p: ProcessId) -> Vec<MessageId> {
-    cluster.delivered(p).iter().map(|m| m.id).collect()
 }
 
 /// Every link between distinct processes drops with probability `drop`
@@ -59,13 +55,13 @@ fn a2_total_order_on_threads() {
     }
     for &id in &ids {
         cluster
-            .await_delivery_everywhere(id, Duration::from_secs(10))
+            .await_delivery_everywhere(id, dest, Duration::from_secs(10))
             .expect("delivered");
     }
-    let reference = ids_of(&cluster, ProcessId(0));
+    let reference = cluster.delivered(ProcessId(0));
     assert_eq!(reference.len(), 6);
     for p in cluster.topology().processes() {
-        assert_eq!(ids_of(&cluster, p), reference, "{p} diverged");
+        assert_eq!(cluster.delivered(p), reference, "{p} diverged");
     }
     cluster.shutdown();
 }
@@ -88,13 +84,13 @@ fn a1_genuine_multicast_on_threads() {
         .expect("cast");
     for &id in &[a, b] {
         cluster
-            .await_delivery_everywhere(id, Duration::from_secs(10))
+            .await_delivery_everywhere(id, d01, Duration::from_secs(10))
             .expect("delivered");
     }
     // Addressed processes agree on the order; bystanders (g2) saw nothing.
     assert_eq!(
-        ids_of(&cluster, ProcessId(0)),
-        ids_of(&cluster, ProcessId(3))
+        cluster.delivered(ProcessId(0)),
+        cluster.delivered(ProcessId(3))
     );
     assert!(cluster.delivered(ProcessId(4)).is_empty());
     assert!(cluster.delivered(ProcessId(5)).is_empty());
@@ -109,7 +105,7 @@ fn a2_survives_crash_on_threads() {
         .cast(ProcessId(0), dest, Payload::new())
         .expect("cast");
     cluster
-        .await_delivery_everywhere(warm, Duration::from_secs(10))
+        .await_delivery_everywhere(warm, dest, Duration::from_secs(10))
         .expect("warm-up delivered");
     // Crash g1's ballot-0 coordinator; survivors must still make progress.
     cluster.crash(ProcessId(3)).expect("survivors notified");
@@ -117,10 +113,10 @@ fn a2_survives_crash_on_threads() {
         .cast(ProcessId(0), dest, Payload::new())
         .expect("cast");
     cluster
-        .await_delivery_everywhere(id, Duration::from_secs(15))
+        .await_delivery_everywhere(id, dest, Duration::from_secs(15))
         .expect("delivered despite crash");
-    assert!(ids_of(&cluster, ProcessId(4)).contains(&id));
-    assert!(!ids_of(&cluster, ProcessId(3)).contains(&id));
+    assert!(cluster.delivered(ProcessId(4)).contains(&id));
+    assert!(!cluster.delivered(ProcessId(3)).contains(&id));
     // A crashed caster refuses the connection instead of hanging the host.
     assert!(cluster.cast(ProcessId(3), dest, Payload::new()).is_err());
     cluster.shutdown();
@@ -151,13 +147,13 @@ fn a1_with_retry_survives_lossy_duplicating_links() {
     }
     for &id in &ids {
         cluster
-            .await_delivery_everywhere(id, Duration::from_secs(30))
+            .await_delivery_everywhere(id, dest, Duration::from_secs(30))
             .expect("delivered despite loss and duplication");
     }
-    let reference = ids_of(&cluster, ProcessId(0));
+    let reference = cluster.delivered(ProcessId(0));
     assert_eq!(reference.len(), 6, "every cast delivered exactly once");
     for p in cluster.topology().processes() {
-        assert_eq!(ids_of(&cluster, p), reference, "{p} diverged under faults");
+        assert_eq!(cluster.delivered(p), reference, "{p} diverged under faults");
     }
     cluster.shutdown();
 }
@@ -202,15 +198,15 @@ fn batched_a1_delivers_in_order_on_threads() {
     }
     for &id in &ids {
         cluster
-            .await_delivery_everywhere(id, Duration::from_secs(10))
+            .await_delivery_everywhere(id, dest, Duration::from_secs(10))
             .expect("batched delivery");
     }
     // Total order across all processes (broadcast destinations).
-    let reference = ids_of(&cluster, ProcessId(0));
+    let reference = cluster.delivered(ProcessId(0));
     assert_eq!(reference.len(), 8);
     for p in cluster.topology().processes() {
         assert_eq!(
-            ids_of(&cluster, p),
+            cluster.delivered(p),
             reference,
             "{p} diverged under batching"
         );
@@ -240,30 +236,29 @@ fn ring_multicast_with_retry_survives_lossy_links_on_threads() {
     let mut ids = Vec::new();
     for i in 0..4u32 {
         for (caster, dest) in [(i, d01), (i + 3, d12), (i + 5, all)] {
-            ids.push(
-                cluster
-                    .cast(ProcessId(caster % 6), dest, Payload::new())
-                    .expect("cast"),
-            );
+            let id = cluster
+                .cast(ProcessId(caster % 6), dest, Payload::new())
+                .expect("cast");
+            ids.push((id, dest));
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    for &id in &ids {
+    for &(id, dest) in &ids {
         cluster
-            .await_delivery_everywhere(id, Duration::from_secs(30))
+            .await_delivery_everywhere(id, dest, Duration::from_secs(30))
             .expect("delivered despite loss");
     }
     // Processes of g1 are addressed by everything: their sequences are the
     // total order every other process's projection must agree with.
-    let reference = ids_of(&cluster, ProcessId(2));
+    let reference = cluster.delivered(ProcessId(2));
     assert_eq!(reference.len(), 12, "g1 delivers every cast exactly once");
     assert_eq!(
-        ids_of(&cluster, ProcessId(3)),
+        cluster.delivered(ProcessId(3)),
         reference,
         "g1 members agree"
     );
     for p in cluster.topology().processes() {
-        let seq = ids_of(&cluster, p);
+        let seq = cluster.delivered(p);
         let projected: Vec<_> = reference
             .iter()
             .copied()

@@ -11,7 +11,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use wamcast_core::{GenuineMulticast, MulticastConfig, RoundBroadcast};
+use wamcast_core::{GenuineMulticast, MulticastConfig, RoundBroadcast, WithApply};
 use wamcast_net::tcp::{
     self, free_addrs, null_service, read_frame, write_frame, Frame, LocalCluster, NoMsg, Service,
     SharedDeliveries, TcpClient, TcpNode, TcpNodeConfig, MAX_FRAME,
@@ -20,7 +20,7 @@ use wamcast_net::WallFaults;
 use wamcast_types::wire::{self, Wire};
 use wamcast_types::{
     AppMessage, BatchConfig, Context, FaultPlan, GroupId, GroupSet, MessageId, Outbox, Payload,
-    ProcessId, Protocol, SimTime, Topology,
+    ProcessId, Protocol, SimTime, StateMachine, Topology,
 };
 
 const RETRY: Duration = Duration::from_millis(100);
@@ -43,7 +43,11 @@ fn broadcast_total_order_over_sockets() {
     }
     for seq in 0..n_msgs {
         cluster
-            .await_delivery_everywhere(MessageId::new(ProcessId(0), seq), Duration::from_secs(30))
+            .await_delivery_everywhere(
+                MessageId::new(ProcessId(0), seq),
+                all,
+                Duration::from_secs(30),
+            )
             .expect("every node delivered every message");
     }
     // Total order: every node delivered the identical sequence.
@@ -63,15 +67,12 @@ fn genuine_multicast_over_sockets_routes_by_group() {
     .expect("serve");
     // Group-0-only cast from a group-0 member: genuineness says group 1
     // must stay silent.
+    let g0 = GroupSet::first_n(1);
     let id = cluster
-        .cast(
-            ProcessId(0),
-            GroupSet::first_n(1),
-            Payload::from_static(b"local"),
-        )
+        .cast(ProcessId(0), g0, Payload::from_static(b"local"))
         .expect("cast");
     cluster
-        .await_delivery_everywhere(id, Duration::from_secs(30))
+        .await_delivery_everywhere(id, g0, Duration::from_secs(30))
         .expect("group 0 delivered");
     std::thread::sleep(Duration::from_millis(200));
     for bystander in [ProcessId(2), ProcessId(3)] {
@@ -83,18 +84,34 @@ fn genuine_multicast_over_sockets_routes_by_group() {
     cluster.shutdown();
 }
 
+/// A state machine that keeps every message it is applied, body included.
+#[derive(Default)]
+struct Applied(Vec<AppMessage>);
+
+impl StateMachine for Applied {
+    fn apply(&mut self, msg: &AppMessage) {
+        self.0.push(msg.clone());
+    }
+}
+
 /// Batched A1 puts every cast's body on the wire many times — its `Data`,
 /// each group's `(TS, batch)`, the `Accept`s and `Accepted`s naming it. A
 /// node's body cache must turn the repeats into handles to one buffer
-/// without ever changing what is delivered.
+/// without ever changing what the application is handed. The node's own
+/// log holds ids only, so the bodies are read where an application reads
+/// them: in a state machine fed by `WithApply`.
 #[test]
 fn bodies_are_shared_per_node_and_delivered_intact_on_a_batched_a1_run() {
     let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(5));
+    let machines: Vec<Arc<Mutex<Applied>>> = (0..4).map(|_| Arc::default()).collect();
     let mut cluster = LocalCluster::serve(Topology::symmetric(2, 2), 4, None, |p, t| {
         let cfg = MulticastConfig::default()
             .with_batch(batch)
             .with_retry(RETRY);
-        GenuineMulticast::new(p, t, cfg)
+        WithApply::new(
+            GenuineMulticast::new(p, t, cfg),
+            Arc::clone(&machines[p.index()]),
+        )
     })
     .expect("serve");
     let both = GroupSet::first_n(2);
@@ -109,19 +126,17 @@ fn bodies_are_shared_per_node_and_delivered_intact_on_a_batched_a1_run() {
     }
     for (id, _) in &cast {
         cluster
-            .await_delivery_everywhere(*id, Duration::from_secs(30))
+            .await_delivery_everywhere(*id, both, Duration::from_secs(30))
             .expect("delivered everywhere");
     }
     for p in cluster.topology().processes() {
-        let delivered = cluster.delivered(p);
-        assert_eq!(delivered.len(), cast.len(), "{p} delivered each cast once");
+        let applied = &machines[p.index()].lock().expect("machine").0;
+        assert_eq!(applied.len(), cast.len(), "{p} applied each cast once");
+        let order: Vec<MessageId> = applied.iter().map(|m| m.id).collect();
+        assert_eq!(cluster.delivered(p), order, "{p} logs what it applies");
         for (id, bytes) in &cast {
-            let m = delivered.iter().find(|m| m.id == *id).expect("delivered");
-            assert_eq!(
-                m.payload.as_slice(),
-                &bytes[..],
-                "{p} delivered {id} intact"
-            );
+            let m = applied.iter().find(|m| m.id == *id).expect("applied");
+            assert_eq!(m.payload.as_slice(), &bytes[..], "{p} applied {id} intact");
         }
         let stats = cluster.stats(p);
         assert_eq!(stats.dropped(), 0, "{p}: {stats}");
@@ -157,7 +172,7 @@ fn a_crash_notice_naming_the_receiver_is_refused_and_counted() {
         .collect();
     for id in ids {
         cluster
-            .await_delivery_everywhere(id, Duration::from_secs(10))
+            .await_delivery_everywhere(id, both, Duration::from_secs(10))
             .expect("committed everywhere");
     }
     assert_eq!(cluster.stats(ProcessId(0)).bad_frame(), 1);
@@ -433,7 +448,7 @@ fn frames_naming_ids_outside_the_topology_are_refused_and_the_node_keeps_serving
         .cast(3, GroupSet::first_n(1), Payload::from_static(b"valid"))
         .expect("a fresh connection is accepted and its cast acked");
     await_that("the valid cast is delivered", || {
-        node.delivered().iter().any(|m| m.id == id)
+        node.delivered().contains(&id)
     });
     assert_eq!(node.stats().bad_frame(), hostile.len() as u64);
     node.shutdown();
@@ -475,7 +490,7 @@ fn a_version_1_peer_frame_is_refused_and_counted_and_the_node_keeps_serving() {
         .cast(0, GroupSet::first_n(1), Payload::from_static(b"v2"))
         .expect("a v2 client's cast is acked");
     await_that("the v2 cast is delivered", || {
-        node.delivered().iter().any(|m| m.id == id)
+        node.delivered().contains(&id)
     });
     assert_eq!(node.stats().bad_frame(), 1);
     node.shutdown();
@@ -494,7 +509,7 @@ fn cast_beyond_the_wire_group_limit_is_refused_and_the_client_keeps_working() {
         .cast(1, GroupSet::first_n(1), Payload::from_static(b"valid"))
         .expect("the same client's next cast is acked");
     await_that("the valid cast is delivered", || {
-        node.delivered().iter().any(|m| m.id == id)
+        node.delivered().contains(&id)
     });
     assert_eq!(
         node.stats().bad_frame(),
@@ -527,7 +542,7 @@ fn peer_that_never_reads_fills_the_capped_out_buffer_and_the_node_keeps_serving(
         .cast(seq, GroupSet::first_n(1), Payload::from_static(b"local"))
         .expect("acked after the overflow");
     await_that("the single-group cast is delivered", || {
-        node.delivered().iter().any(|m| m.id == id)
+        node.delivered().contains(&id)
     });
     assert_eq!(stats.reset(), 0);
     assert_eq!(stats.link_down(), 0);
@@ -609,19 +624,18 @@ fn adversary_fates_map_to_copies_on_the_send_path() {
         LocalCluster::serve(Topology::symmetric(3, 1), ARM, Some(faults), |_, _| Flood)
             .expect("serve");
     let everyone = cluster.topology().all_groups();
-    let ids_at = |cluster: &LocalCluster, p| -> Vec<MessageId> {
-        cluster.delivered(p).iter().map(|m| m.id).collect()
-    };
 
     let a = cluster.cast(p0, everyone, Payload::new()).expect("cast");
-    await_that("p2 has both copies of a", || ids_at(&cluster, p2) == [a, a]);
+    await_that("p2 has both copies of a", || {
+        cluster.delivered(p2) == [a, a]
+    });
     let b = cluster.cast(p1, everyone, Payload::new()).expect("cast");
     await_that("p0 and p2 have both copies of b", || {
-        ids_at(&cluster, p0) == [a, b, b] && ids_at(&cluster, p2) == [a, a, b, b]
+        cluster.delivered(p0) == [a, b, b] && cluster.delivered(p2) == [a, a, b, b]
     });
     // p0 queues its copy for p1 before the one for p2 and p2 has long had
     // both of its: had a copy of a been sent to p1, it would be here.
-    assert_eq!(ids_at(&cluster, p1), [b], "p0 -> p1 drops; self-send once");
+    assert_eq!(cluster.delivered(p1), [b], "p0 -> p1 drops; self-send once");
     cluster.shutdown();
 }
 

@@ -34,18 +34,14 @@ fn main() {
     }
     for &id in &ids {
         cluster
-            .await_delivery_everywhere(id, Duration::from_secs(10))
+            .await_delivery_everywhere(id, everyone, Duration::from_secs(10))
             .expect("delivery");
     }
 
     // All six nodes hold the same total order.
-    let reference: Vec<_> = cluster
-        .delivered(ProcessId(0))
-        .iter()
-        .map(|m| m.id)
-        .collect();
+    let reference = cluster.delivered(ProcessId(0));
     for p in cluster.topology().processes() {
-        let seq: Vec<_> = cluster.delivered(p).iter().map(|m| m.id).collect();
+        let seq = cluster.delivered(p);
         assert_eq!(seq[..reference.len()], reference[..], "{p} diverged");
     }
     println!(
@@ -62,7 +58,7 @@ fn main() {
         .cast(ProcessId(0), everyone, Payload::from_static(b"after-crash"))
         .expect("cast acked");
     cluster
-        .await_delivery_everywhere(id, Duration::from_secs(10))
+        .await_delivery_everywhere(id, everyone, Duration::from_secs(10))
         .expect("delivery despite crash");
     println!("\ncrashed p3; message {id} still delivered by all survivors");
 
