@@ -111,7 +111,6 @@ pub fn kv_service(me: ProcessId, kv: &SharedKv, delivered: &SharedDeliveries) ->
                 kv.lock()
                     .expect("replica poisoned")
                     .response_of(id)
-                    .cloned()
                     .to_wire()
             }
             REQ_LOG if r.is_empty() => {

@@ -8,7 +8,8 @@
 //! first step. The next two guard the processes themselves: what the
 //! protocols keep at quiescence must not grow with the plan. The last
 //! guards the same on sockets, for an in-process loopback cluster whose
-//! nodes keep a delivery log.
+//! nodes keep a delivery log. The last bounds what a KV replica keeps per
+//! op it applies.
 //!
 //! Run in release: `cargo test --release -p wamcast-harness --test
 //! record_footprint`.
@@ -23,7 +24,11 @@ use wamcast_harness::scenario::RETRY_INTERVAL;
 use wamcast_harness::workload::{all_group_pairs, poisson, PlannedCast};
 use wamcast_net::tcp::LocalCluster;
 use wamcast_sim::{RunMetrics, SimConfig, Simulation};
-use wamcast_types::{BatchConfig, GroupSet, Payload, ProcessId, Protocol, SimTime, Topology};
+use wamcast_smr::{Command, KvStateMachine, ShardMap};
+use wamcast_types::{
+    BatchConfig, GroupId, GroupSet, MessageId, Payload, ProcessId, Protocol, SimTime, SplitMix64,
+    Topology,
+};
 
 /// Heap bytes currently allocated by the whole process.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -237,8 +242,9 @@ fn sim_a2_processes_retain_nothing_per_cast() {
 
 /// Casts before the first live-heap reading of
 /// [`tcp_nodes_retain_no_body_per_cast`], and again before the second:
-/// eight times a node's 4 096 `BodyCache` slots. A power of two, so each
-/// node's delivery log doubles its capacity exactly once in between.
+/// 32 times a node's 1 024 `BodyCache` slots, so every slot holds a body
+/// at both readings. A power of two, so each node's delivery log doubles
+/// its capacity exactly once in between.
 const SOCKET_CASTS: usize = 1 << 15;
 
 /// Casts a window may have in flight: keeps queues and out-buffers near
@@ -247,9 +253,7 @@ const SOCKET_WINDOW: usize = 64;
 
 /// Heap the cluster may gain per added cast per process between the two
 /// readings. It covers the 16-byte id in each node's delivery log (with
-/// the log's doubling, 16 B), the `BodyCache` slots first taken in the
-/// second half (dense ids reach its slots slowly: 3 296 more bodies over
-/// the four nodes here, 13 B) and buffers a burst happens to grow. A body
+/// the log's doubling, 16 B) and buffers a burst happens to grow. A body
 /// kept per cast exceeds it.
 const SOCKET_BYTES_PER_CAST: usize = 64;
 
@@ -259,7 +263,7 @@ fn await_all_delivered(cluster: &LocalCluster, count: usize) {
     while cluster
         .topology()
         .processes()
-        .any(|p| cluster.delivered(p).len() < count)
+        .any(|p| cluster.delivered_count(p) < count)
     {
         assert!(
             Instant::now() < deadline,
@@ -274,8 +278,8 @@ fn await_all_delivered(cluster: &LocalCluster, count: usize) {
 /// groups with a 512-byte body. The live heap is read once every node has
 /// delivered [`SOCKET_CASTS`] casts and again at twice that; it may grow
 /// by at most [`SOCKET_BYTES_PER_CAST`] per added cast per process. Reads
-/// 29–34 B here (9 584 038 → 13 884 276 B in one run). A delivery log that
-/// kept each delivered `AppMessage` kept its body too: 80 132 738 →
+/// 16.0–18.4 B here (8 225 808 → 10 326 928 B in one run). A delivery log
+/// that kept each delivered `AppMessage` kept its body too: 80 132 738 →
 /// 155 630 722 B, 576 B per added cast per process, and fails.
 #[test]
 fn tcp_nodes_retain_no_body_per_cast() {
@@ -308,5 +312,60 @@ fn tcp_nodes_retain_no_body_per_cast() {
         per_cast <= SOCKET_BYTES_PER_CAST as f64,
         "tcp nodes: {short} B after {SOCKET_CASTS} casts and {long} B after twice that, \
          {per_cast:.1} B per added cast per process"
+    );
+}
+
+/// Ops a KV replica applies before the first live-heap reading of
+/// [`kv_replica_retains_at_most_24_bytes_per_applied_op`], and again
+/// before the second. A power of two, so the apply log, filled from empty,
+/// sits at exactly its capacity at both readings.
+const KV_OPS: u64 = 1 << 15;
+
+/// Growth guard for a KV replica's apply log, which it keeps for life:
+/// one [`KvStateMachine`] of a 3-shard map applies a seeded mix of
+/// single-key commands on 256 keys it owns, with some `MultiPut`s and
+/// `Transfer`s that also touch 256 keys of any shard. Once the keys are
+/// all set, only the log grows, so from
+/// 2^15 to 2^16 ops the live heap may grow by at most 24 B per added op.
+/// Reads 24.0 B here. A log of whole `AppliedOp`s (id, destination set
+/// and response: 56 B) reads 56.0 B, and fails.
+#[test]
+fn kv_replica_retains_at_most_24_bytes_per_applied_op() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let shards = ShardMap::new(3);
+    let g = GroupId(0);
+    let mut kv = KvStateMachine::new(g, shards);
+    let mut rng = SplitMix64::new(24);
+    let mut apply = |kv: &mut KvStateMachine, seqs: std::ops::Range<u64>| {
+        for seq in seqs {
+            let key = shards.key_owned_by(g, rng.next_below(256) << 8);
+            let value = rng.next_below(1_000) as i64;
+            let cmd = match rng.next_below(10) {
+                0..=2 => Command::Get { key },
+                3..=5 => Command::Put { key, value },
+                6..=7 => Command::Incr { key, delta: value },
+                8 => Command::MultiPut {
+                    entries: vec![(key, value), (rng.next_below(256) << 8, value)],
+                },
+                _ => Command::Transfer {
+                    from: key,
+                    to: rng.next_below(256) << 8,
+                    amount: value,
+                },
+            };
+            let id = MessageId::new(ProcessId(rng.next_below(6) as u32), seq);
+            kv.apply_command(id, shards.dest_of(&cmd), &cmd);
+        }
+    };
+    apply(&mut kv, 0..KV_OPS);
+    let short = LIVE.load(Ordering::Relaxed);
+    apply(&mut kv, KV_OPS..2 * KV_OPS);
+    let long = LIVE.load(Ordering::Relaxed);
+    assert_eq!(kv.log().len() as u64, 2 * KV_OPS);
+    let per_op = long.saturating_sub(short) as f64 / KV_OPS as f64;
+    assert!(
+        per_op <= 24.0,
+        "kv replica: {short} B after {KV_OPS} ops and {long} B after twice that, \
+         {per_op:.1} B per added op"
     );
 }

@@ -1361,6 +1361,9 @@ struct Slot {
     /// Carries this process's casts and crash notices; dialed on first use.
     client: TcpClient,
     next_seq: u64,
+    /// How far [`LocalCluster::await_delivery_everywhere`] has read `log`,
+    /// and the ids it read there: each entry is looked at once.
+    awaited: Mutex<(usize, IdSet)>,
 }
 
 impl LocalCluster {
@@ -1418,6 +1421,7 @@ impl LocalCluster {
                     log,
                     client: TcpClient::new(addrs[p.index()], arm, LOCAL_ACK_TIMEOUT),
                     next_seq: 0,
+                    awaited: Mutex::new((0, IdSet::new())),
                 }),
                 Err(e) => {
                     cluster.shutdown();
@@ -1470,6 +1474,15 @@ impl LocalCluster {
             .clone()
     }
 
+    /// How many casts `p` has A-Delivered, without copying its log.
+    pub fn delivered_count(&self, p: ProcessId) -> usize {
+        self.slots[p.index()]
+            .log
+            .lock()
+            .expect("delivery log poisoned")
+            .len()
+    }
+
     /// `p`'s drop and wake-up counters (final ones, if it crashed).
     pub fn stats(&self, p: ProcessId) -> &NetStats {
         &self.slots[p.index()].stats
@@ -1500,7 +1513,9 @@ impl LocalCluster {
     }
 
     /// Blocks until every live process of `dest` — the destination `id`
-    /// was cast to — has delivered it.
+    /// was cast to — has delivered it. Each poll reads only the log entries
+    /// appended since the last one, so awaiting n casts in turn reads each
+    /// entry once, not every log on every poll.
     ///
     /// # Errors
     ///
@@ -1513,8 +1528,17 @@ impl LocalCluster {
     ) -> io::Result<()> {
         let delivered_by = |p: ProcessId| {
             let slot = &self.slots[p.index()];
+            if slot.node.is_none() {
+                return true;
+            }
             let log = slot.log.lock().expect("delivery log poisoned");
-            slot.node.is_none() || log.contains(&id)
+            let mut awaited = slot.awaited.lock().expect("await cursor poisoned");
+            let (read, ids) = &mut *awaited;
+            for &d in &log[*read..] {
+                ids.insert(d);
+            }
+            *read = log.len();
+            ids.contains(id)
         };
         let deadline = Instant::now() + timeout;
         loop {

@@ -92,8 +92,8 @@ fn a1_genuine_multicast_on_threads() {
         cluster.delivered(ProcessId(0)),
         cluster.delivered(ProcessId(3))
     );
-    assert!(cluster.delivered(ProcessId(4)).is_empty());
-    assert!(cluster.delivered(ProcessId(5)).is_empty());
+    assert_eq!(cluster.delivered_count(ProcessId(4)), 0);
+    assert_eq!(cluster.delivered_count(ProcessId(5)), 0);
     cluster.shutdown();
 }
 

@@ -81,7 +81,7 @@ impl ReplicaLog {
         ReplicaLog {
             process,
             group: kv.group(),
-            applied: kv.log().to_vec(),
+            applied: kv.log(),
             digest: kv.digest(),
             decode_errors: kv.decode_errors(),
         }
@@ -576,7 +576,7 @@ mod tests {
                 let op = &h.ops[i];
                 m.apply_command(op.id, op.dest, &op.cmd);
             }
-            r.applied = m.log().to_vec();
+            r.applied = m.log();
             r.digest = m.digest();
         }
         let r = check(&h);
@@ -616,7 +616,7 @@ mod tests {
                     m.apply_command(op.id, op.dest, &op.cmd);
                 }
             }
-            r.applied = m.log().to_vec();
+            r.applied = m.log();
             r.digest = m.digest();
         }
         let r = check(&h);
@@ -642,7 +642,7 @@ mod tests {
                 let op = &h.ops[i];
                 m.apply_command(op.id, op.dest, &op.cmd);
             }
-            r.applied = m.log().to_vec();
+            r.applied = m.log();
             r.digest = m.digest();
         }
         // Keep client responses consistent with the reordered replay so

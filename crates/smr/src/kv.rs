@@ -3,7 +3,7 @@
 use crate::{Command, Response, ShardMap};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use wamcast_types::{AppMessage, GroupId, GroupSet, MessageId, StateMachine};
+use wamcast_types::{AppMessage, FxHashMap, GroupId, GroupSet, MessageId, ProcessId, StateMachine};
 
 /// One command as applied by a replica: what the apply log records.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -16,6 +16,62 @@ pub struct AppliedOp {
     pub response: Response,
 }
 
+/// One apply-log entry: an [`AppliedOp`] in 24 bytes instead of 56. The
+/// destination is an index into the replica's distinct destination sets
+/// and the response is a tag and its value.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    seq: u64,
+    value: i64,
+    origin: u32,
+    /// Index into `KvStateMachine::dests`, or [`SPILLED`].
+    dest: u16,
+    /// [`Response`]'s variant, with `None` and `Some` told apart.
+    tag: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 24);
+
+/// The `dest` of an entry whose set is in `KvStateMachine::spilled`: a
+/// replica that has seen `u16::MAX` distinct destination sets keeps each
+/// further new one beside its entry.
+const SPILLED: u16 = u16::MAX;
+
+impl Entry {
+    fn new(id: MessageId, dest: u16, response: Response) -> Self {
+        let (tag, value) = match response {
+            Response::Value(None) => (0, 0),
+            Response::Value(Some(v)) => (1, v),
+            Response::Prev(None) => (2, 0),
+            Response::Prev(Some(v)) => (3, v),
+            Response::NewValue(v) => (4, v),
+            Response::Done => (5, 0),
+        };
+        Entry {
+            seq: id.seq,
+            value,
+            origin: id.origin.0,
+            dest,
+            tag,
+        }
+    }
+
+    fn id(&self) -> MessageId {
+        MessageId::new(ProcessId(self.origin), self.seq)
+    }
+
+    fn response(&self) -> Response {
+        match self.tag {
+            0 => Response::Value(None),
+            1 => Response::Value(Some(self.value)),
+            2 => Response::Prev(None),
+            3 => Response::Prev(Some(self.value)),
+            4 => Response::NewValue(self.value),
+            _ => Response::Done,
+        }
+    }
+}
+
 /// A replica of one shard of the partitioned store.
 ///
 /// Applies every delivered [`Command`] to a `BTreeMap` of balances,
@@ -25,7 +81,9 @@ pub struct AppliedOp {
 /// Two replicas of the same shard fed the same delivery sequence are
 /// byte-identical — equal logs and equal digests — which is exactly what
 /// the history checker's replica-agreement pass compares (and what the
-/// [`ApplyBug`] hooks break on purpose, to prove it looks).
+/// [`ApplyBug`] hooks break on purpose, to prove it looks). The log is
+/// kept for the replica's life, in 24 bytes per applied op, and
+/// [`log`](Self::log) rebuilds its [`AppliedOp`]s.
 ///
 /// # Example
 ///
@@ -49,7 +107,12 @@ pub struct KvStateMachine {
     group: GroupId,
     shards: ShardMap,
     state: BTreeMap<u64, i64>,
-    log: Vec<AppliedOp>,
+    log: Vec<Entry>,
+    /// The distinct destination sets of the log, in first-apply order.
+    dests: Vec<GroupSet>,
+    dest_index: FxHashMap<GroupSet, u16>,
+    /// Destination sets of the entries marked [`SPILLED`], by log position.
+    spilled: BTreeMap<usize, GroupSet>,
     digest: u64,
     decode_errors: u64,
 }
@@ -62,6 +125,9 @@ impl KvStateMachine {
             shards,
             state: BTreeMap::new(),
             log: Vec::new(),
+            dests: Vec::new(),
+            dest_index: FxHashMap::default(),
+            spilled: BTreeMap::new(),
             digest: FNV_OFFSET,
             decode_errors: 0,
         }
@@ -83,14 +149,50 @@ impl KvStateMachine {
         self.state.get(&key).copied()
     }
 
-    /// The apply log, in apply order.
-    pub fn log(&self) -> &[AppliedOp] {
-        &self.log
+    /// The apply log, in apply order, rebuilt from its compact entries.
+    pub fn log(&self) -> Vec<AppliedOp> {
+        (0..self.log.len()).map(|i| self.applied_at(i)).collect()
     }
 
-    /// The recorded response for op `id`, if this replica applied it.
-    pub fn response_of(&self, id: MessageId) -> Option<&AppliedOp> {
-        self.log.iter().find(|a| a.id == id)
+    /// The recorded response for op `id`, if this replica applied it. The
+    /// log is searched from its newest entry back, so a poll for an op
+    /// applied just now costs O(1), not O(log length). (An id applied
+    /// twice — which the history checker convicts — answers its last
+    /// apply.)
+    pub fn response_of(&self, id: MessageId) -> Option<AppliedOp> {
+        let i = self.log.iter().rposition(|e| e.id() == id)?;
+        Some(self.applied_at(i))
+    }
+
+    fn applied_at(&self, i: usize) -> AppliedOp {
+        let e = &self.log[i];
+        let dest = match e.dest {
+            SPILLED => self.spilled[&i],
+            d => self.dests[usize::from(d)],
+        };
+        AppliedOp {
+            id: e.id(),
+            dest,
+            response: e.response(),
+        }
+    }
+
+    /// Appends op `id` to the log, interning its destination set.
+    fn record(&mut self, id: MessageId, dest: GroupSet, response: Response) {
+        let index = match self.dest_index.get(&dest) {
+            Some(&d) => d,
+            None if self.dests.len() < usize::from(SPILLED) => {
+                let d = self.dests.len() as u16;
+                self.dests.push(dest);
+                self.dest_index.insert(dest, d);
+                d
+            }
+            None => {
+                self.spilled.insert(self.log.len(), dest);
+                SPILLED
+            }
+        };
+        self.log.push(Entry::new(id, index, response));
     }
 
     /// Running digest over the whole apply history (op ids, responses, and
@@ -167,7 +269,7 @@ impl KvStateMachine {
         };
         self.mix(u64::from(id.origin.0).rotate_left(32) ^ id.seq);
         self.mix(response.digest_word());
-        self.log.push(AppliedOp { id, dest, response });
+        self.record(id, dest, response);
         response
     }
 }
@@ -277,7 +379,8 @@ impl StateMachine for BuggyKv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wamcast_types::{Payload, ProcessId};
+    use std::collections::BTreeSet;
+    use wamcast_types::{Payload, SplitMix64};
 
     fn mid(seq: u64) -> MessageId {
         MessageId::new(ProcessId(0), seq)
@@ -324,7 +427,100 @@ mod tests {
             kv.response_of(mid(2)).unwrap().response,
             Response::NewValue(3)
         );
+        assert_eq!(kv.response_of(mid(4)), None, "never applied");
         let _ = shards;
+    }
+
+    /// The compact log against a plain `Vec<AppliedOp>` kept beside it: a
+    /// seeded stream over ten shards, covering every response and more
+    /// than 300 distinct destination sets, rebuilds to exactly the
+    /// reference, and `response_of` answers each id as the reference's
+    /// first match does.
+    #[test]
+    fn compact_log_equals_a_plain_record_of_every_apply() {
+        let shards = ShardMap::new(10);
+        let g = GroupId(0);
+        let mut kv = KvStateMachine::new(g, shards);
+        let mut reference: Vec<AppliedOp> = Vec::new();
+        let mut rng = SplitMix64::new(41);
+        // A key space of 40 owned keys, so reads and writes find both set
+        // and unset keys.
+        let owned = |rng: &mut SplitMix64| shards.key_owned_by(g, rng.next_below(40) * 97);
+        let value = |rng: &mut SplitMix64| rng.next_below(2_000_000) as i64 - 1_000_000;
+        for n in 0..3_000u64 {
+            let cmd = match rng.next_below(6) {
+                0 => Command::Get {
+                    key: owned(&mut rng),
+                },
+                1 => Command::Put {
+                    key: owned(&mut rng),
+                    value: value(&mut rng),
+                },
+                2 => Command::Incr {
+                    key: owned(&mut rng),
+                    delta: value(&mut rng),
+                },
+                3 => Command::Transfer {
+                    from: owned(&mut rng),
+                    to: rng.next_u64(),
+                    amount: value(&mut rng),
+                },
+                _ => Command::MultiPut {
+                    entries: (0..1 + rng.next_below(8))
+                        .map(|_| (rng.next_u64(), value(&mut rng)))
+                        .collect(),
+                },
+            };
+            // Ids from eight origins, some with high sequence bits set.
+            let origin = ProcessId(rng.next_below(8) as u32);
+            let id = MessageId::new(origin, rng.next_below(4) << 40 | n);
+            let dest = shards.dest_of(&cmd);
+            let response = kv.apply_command(id, dest, &cmd);
+            reference.push(AppliedOp { id, dest, response });
+        }
+        let distinct: BTreeSet<GroupSet> = reference.iter().map(|a| a.dest).collect();
+        assert!(distinct.len() >= 300, "{} distinct sets", distinct.len());
+        let responses: BTreeSet<u8> = reference
+            .iter()
+            .map(|a| Entry::new(a.id, 0, a.response).tag)
+            .collect();
+        assert_eq!(responses.len(), 6, "every response variant applied");
+
+        assert_eq!(kv.log(), reference);
+        for a in &reference {
+            assert_eq!(
+                kv.response_of(a.id),
+                reference.iter().find(|r| r.id == a.id).cloned()
+            );
+        }
+        assert_eq!(kv.response_of(MessageId::new(ProcessId(8), 0)), None);
+        assert_eq!(kv.response_of(MessageId::new(ProcessId(0), 3_000)), None);
+    }
+
+    /// Past `u16::MAX` distinct destination sets, each further new set is
+    /// kept beside its entry, and the log still rebuilds exactly.
+    #[test]
+    fn destination_sets_past_the_index_width_rebuild_exactly() {
+        let (_, mut kv) = single_shard();
+        let cmd = Command::MultiPut { entries: vec![] };
+        let mut reference = Vec::new();
+        for seq in 0..u64::from(SPILLED) + 100 {
+            let dest = GroupSet::from_bits(u128::from(seq) + 1);
+            let response = kv.apply_command(mid(seq), dest, &cmd);
+            reference.push(AppliedOp {
+                id: mid(seq),
+                dest,
+                response,
+            });
+        }
+        assert_eq!(kv.spilled.len(), 100);
+        assert_eq!(kv.log(), reference);
+        for seq in [0, 1, u64::from(SPILLED) - 1, u64::from(SPILLED) + 99] {
+            assert_eq!(
+                kv.response_of(mid(seq)).as_ref(),
+                Some(&reference[seq as usize])
+            );
+        }
     }
 
     #[test]

@@ -54,11 +54,8 @@
 //! ));
 //! ```
 
-use crate::{
-    AppMessage, FxBuildHasher, GroupId, GroupSet, MessageId, Payload, ProcessId, SplitMix64,
-};
+use crate::{AppMessage, GroupId, GroupSet, MessageId, Payload, ProcessId, SplitMix64};
 use std::fmt;
-use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// First two bytes of every enveloped datagram.
@@ -229,26 +226,35 @@ impl WireWriter {
     }
 }
 
-/// `log2` of the number of [`BodyCache`] slots. A body is worth finding
-/// from the first copy of its cast a node decodes until the last one — the
-/// `Data`, each group's `(TS, batch)`, then `Forward`, `Accept` and every
-/// member's `Accepted` of up to two consensus instances — which is a few
-/// batch windows and consensus rounds: some 100 ms on a loaded node, so
-/// about 4 000 casts in flight at the 40 000 casts/s a node sustains. Dense
-/// sequence numbers spread evenly under the multiplicative hash, so 2^12
-/// slots hold that window nearly collision-free; a collision costs one
+/// `log2` of the number of [`BodyCache`] sets, of two slots each. A body
+/// is worth finding from the first copy of its cast a node decodes until
+/// the last one — the `Data`, each group's `(TS, batch)`, then `Forward`,
+/// `Accept` and every member's `Accepted` of up to two consensus
+/// instances — which is a few batch windows and consensus rounds. The set
+/// of an id is its sequence number plus an offset of its caster's (see
+/// `BodyCache::set`), so one caster's last 2^10 casts never evict each
+/// other, and two casters keep their last 2^9 each at any distance between
+/// their sequence numbers: 16 times the casts a `tcp_global` caster has
+/// open (one client's closed loop of 32). The bound is on what the slots
+/// keep, not on what they find: a slot holds a body until another cast
+/// takes it, and evenly spread ids fill every slot. 1 024 slots keep at
+/// most ≈ 0.22 MB of 200-byte bodies per node (1 024 × 216 B). 4 096
+/// evenly filled slots would keep ≈ 0.9 MB, 2–3 MB more on a four-node
+/// cluster than the 0.2–0.5 MB a node's hashed 4 096 slots reached, and
+/// 2 048 would keep ≈ 0.44 MB, the top of that. A collision costs one
 /// allocation, as every decode did before, never a wrong body.
-const BODY_SLOT_BITS: u32 = 12;
+const BODY_SET_BITS: u32 = 9;
 
 /// One node's memory of the message bodies it decoded lately, so that the
 /// many frames carrying one cast — its `Data`, every `(TS, batch)`,
 /// `Accept` and `Accepted` naming it — end up sharing **one** buffer per
 /// node instead of each keeping a private copy alive.
 ///
-/// Direct-mapped and fixed-size: an id hashes to one slot, a newer id
-/// simply takes the slot over. Ids are never trusted alone — a cached body
-/// is shared only if it is byte-equal to what the frame carries — so a
-/// hostile or buggy sender can make the cache miss, not make it lie.
+/// Two-way set-associative and fixed-size: an id may sit in either slot
+/// of its set, and a newer id takes one of them over. Ids are never
+/// trusted alone — a cached body is shared only if it is byte-equal to
+/// what the frame carries — so a hostile or buggy sender can make the
+/// cache miss, not make it lie.
 /// Belongs to exactly one node: a process-wide cache would share bodies
 /// between the nodes of an in-process cluster, which separate processes
 /// could not.
@@ -282,38 +288,74 @@ impl BodyCache {
     /// An empty cache.
     pub fn new() -> Self {
         BodyCache {
-            slots: vec![None; 1 << BODY_SLOT_BITS].into_boxed_slice(),
+            slots: vec![None; 2 << BODY_SET_BITS].into_boxed_slice(),
             hits: 0,
             misses: 0,
         }
     }
 
-    fn slot(id: MessageId) -> usize {
-        // The top bits of a multiplicative hash are its well-mixed ones.
-        (FxBuildHasher::default().hash_one(id) >> (u64::BITS - BODY_SLOT_BITS)) as usize
+    /// The caster `id` counts as: its origin, and the client too where
+    /// clients sharing a caster number their casts `client << 32 | round`.
+    fn caster(id: MessageId) -> u32 {
+        id.origin
+            .0
+            .wrapping_add(((id.seq >> 32) as u32).wrapping_mul(0x9E37_79B9))
+    }
+
+    /// The first slot of `id`'s set. Consecutive ids of one caster take
+    /// consecutive sets, from an offset of the caster's: the caster
+    /// bit-reversed, which puts the offsets of casters 0, 1, 2, 3 … as far
+    /// apart as their number allows.
+    fn set(id: MessageId) -> usize {
+        let offset = Self::caster(id).reverse_bits() >> (u32::BITS - BODY_SET_BITS);
+        let set = id.seq.wrapping_add(u64::from(offset)) & ((1 << BODY_SET_BITS) - 1);
+        2 * set as usize
+    }
+
+    /// The cached body of `id`, if it holds exactly `bytes`.
+    fn held(&self, id: MessageId, bytes: &[u8]) -> Option<&Payload> {
+        let set = Self::set(id);
+        self.slots[set..set + 2]
+            .iter()
+            .flatten()
+            .find(|(held_id, held)| *held_id == id && held.as_slice() == bytes)
+            .map(|(_, held)| held)
+    }
+
+    /// Puts `payload` in a slot of `id`'s set, whose first slot is the one
+    /// taken more recently. The other slot goes, unless the first holds an
+    /// older cast of the same caster and the other another caster's body:
+    /// then two casters that share the set keep one body each.
+    fn take(&mut self, id: MessageId, payload: Payload) {
+        let set = Self::set(id);
+        let ways = &mut self.slots[set..set + 2];
+        let mine = |way: &Option<(MessageId, Payload)>| {
+            way.as_ref()
+                .is_some_and(|(held_id, _)| Self::caster(*held_id) == Self::caster(id))
+        };
+        let other = |way: &Option<(MessageId, Payload)>| way.is_some() && !mine(way);
+        if !(mine(&ways[0]) && other(&ways[1])) {
+            ways.swap(0, 1);
+        }
+        ways[0] = Some((id, payload));
     }
 
     /// The payload of message `id`, whose bytes on the wire are `bytes`:
     /// the cached buffer if it holds exactly these bytes under this id,
-    /// else a fresh copy, which takes the slot. Empty bodies own no buffer
+    /// else a fresh copy, which takes a slot. Empty bodies own no buffer
     /// and are never cached.
     pub fn share(&mut self, id: MessageId, bytes: &[u8]) -> Payload {
         if bytes.is_empty() {
             return Payload::new();
         }
-        let slot = &mut self.slots[Self::slot(id)];
-        match slot {
-            Some((held_id, held)) if *held_id == id && held.as_slice() == bytes => {
-                self.hits += 1;
-                held.clone()
-            }
-            _ => {
-                let fresh = Payload::copy_from_slice(bytes);
-                *slot = Some((id, fresh.clone()));
-                self.misses += 1;
-                fresh
-            }
+        if let Some(held) = self.held(id, bytes).cloned() {
+            self.hits += 1;
+            return held;
         }
+        let fresh = Payload::copy_from_slice(bytes);
+        self.take(id, fresh.clone());
+        self.misses += 1;
+        fresh
     }
 
     /// Records `payload` as the body of `id` — for a body that reached the
@@ -322,7 +364,7 @@ impl BodyCache {
     /// message find it.
     pub fn prime(&mut self, id: MessageId, payload: &Payload) {
         if !payload.is_empty() {
-            self.slots[Self::slot(id)] = Some((id, payload.clone()));
+            self.take(id, payload.clone());
         }
     }
 
@@ -1220,5 +1262,57 @@ mod tests {
         ] {
             assert!(!format!("{e}").is_empty());
         }
+    }
+
+    /// Casters 0 and 2 — the two casters of `tcp_global` — each keep
+    /// their last 512 bodies at any distance between their sequence
+    /// numbers, casting at the same rate or one faster, and a caster alone
+    /// keeps its last 1 024.
+    #[test]
+    fn casters_keep_their_recent_bodies_at_any_drift() {
+        let body = |id: MessageId| format!("body of {id}").into_bytes();
+        let keeps = |cache: &BodyCache, ids: &[MessageId]| {
+            ids.iter().all(|&id| cache.held(id, &body(id)).is_some())
+        };
+        let sets = 1u64 << BODY_SET_BITS;
+        let casters = [ProcessId(0), ProcessId(2)];
+        // Which caster casts next, in turn.
+        let rates: [&[usize]; 3] = [&[0, 1], &[0, 1, 1], &[0, 0, 1]];
+        for rate in rates {
+            for drift in [0, 1, 100, 128, 255, 256, 384, 511, 4_000] {
+                let first = [0, drift];
+                let mut next = first;
+                let mut cache = BodyCache::new();
+                for step in 0..8_192 {
+                    let c = rate[step % rate.len()];
+                    let id = MessageId::new(casters[c], next[c]);
+                    next[c] += 1;
+                    cache.prime(id, &Payload::from(body(id)));
+                    for c in 0..2 {
+                        if next[c] - first[c] >= sets {
+                            let oldest = MessageId::new(casters[c], next[c] - sets);
+                            assert!(
+                                keeps(&cache, &[oldest]),
+                                "{rate:?}, drift {drift}: {oldest} evicted"
+                            );
+                        }
+                    }
+                }
+                let window: Vec<_> = (0..2)
+                    .flat_map(|c| {
+                        (next[c] - sets..next[c]).map(move |s| MessageId::new(casters[c], s))
+                    })
+                    .collect();
+                assert!(keeps(&cache, &window), "{rate:?}, drift {drift}");
+            }
+        }
+        let mut cache = BodyCache::new();
+        let alone = |seq: u64| MessageId::new(ProcessId(0), seq);
+        for seq in 0..4_096 {
+            cache.prime(alone(seq), &Payload::from(body(alone(seq))));
+        }
+        let window: Vec<_> = (4_096 - 2 * sets..4_096).map(alone).collect();
+        assert!(keeps(&cache, &window));
+        assert!(!keeps(&cache, &[alone(4_095 - 2 * sets)]));
     }
 }
