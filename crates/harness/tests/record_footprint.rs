@@ -23,7 +23,8 @@ use wamcast_harness::registry::a1_stack_config;
 use wamcast_harness::scenario::RETRY_INTERVAL;
 use wamcast_harness::workload::{all_group_pairs, poisson, PlannedCast};
 use wamcast_net::tcp::LocalCluster;
-use wamcast_sim::{RunMetrics, SimConfig, Simulation};
+use wamcast_sim::invariants::check_with_profile;
+use wamcast_sim::{InvariantProfile, RunMetrics, SimConfig, Simulation};
 use wamcast_smr::{Command, KvStateMachine, ShardMap};
 use wamcast_types::{
     BatchConfig, GroupId, GroupSet, MessageId, Payload, ProcessId, Protocol, SimTime, SplitMix64,
@@ -32,6 +33,15 @@ use wamcast_types::{
 
 /// Heap bytes currently allocated by the whole process.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// The most [`LIVE`] has read since it was last reset to the live heap.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Adds `n` bytes to the live heap and raises the high-water mark.
+fn grow(n: usize) {
+    let live = LIVE.fetch_add(n, Ordering::Relaxed) + n;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 /// Serialises the measurements: the counter is process-wide.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
@@ -46,7 +56,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's `layout` obligations are passed through.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grow(layout.size());
         }
         p
     }
@@ -63,7 +73,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
+            grow(new_size);
         }
         p
     }
@@ -367,5 +377,40 @@ fn kv_replica_retains_at_most_24_bytes_per_applied_op() {
         per_op <= 24.0,
         "kv replica: {short} B after {KV_OPS} ops and {long} B after twice that, \
          {per_op:.1} B per added op"
+    );
+}
+
+/// Growth guard for the §2.2 checker: `sim_a2`'s stack runs a 3 s plan to
+/// quiescence and [`check_with_profile`] judges the record under A2's
+/// profile. The heap's high-water mark during the check, less the live
+/// heap at entry, may be at most 8 B per delivery. The checker keeps each
+/// process's sequence as 4-byte cast rows and a bit per cast: 217 388 B
+/// over 54 234 deliveries, 4.0 B each, here. A `BTreeSet` of ids per
+/// process and an (id, destination) copy of every sequence read 58.0 B,
+/// and fail.
+#[test]
+fn checker_allocates_at_most_8_bytes_per_delivery() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut sim, plan) = sim_and_plan(HORIZON, all_groups, a2_stack);
+    for c in &plan {
+        sim.cast_at(c.at, c.caster, c.dest, Payload::new());
+    }
+    sim.run_to_quiescence();
+    let topo = sim.topology().clone();
+    let m: RunMetrics = sim.into_metrics();
+    let deliveries: usize = m.delivered_seq.iter().map(Vec::len).sum();
+    assert_eq!(deliveries, plan.len() * topo.num_processes());
+    let correct: Vec<ProcessId> = topo.processes().collect();
+    let entry = LIVE.load(Ordering::Relaxed);
+    PEAK.store(entry, Ordering::Relaxed);
+    let report = check_with_profile(&topo, &m, &correct, InvariantProfile::BROADCAST_UNIFORM);
+    let peak = PEAK.load(Ordering::Relaxed);
+    report.assert_ok();
+    let per_delivery = (peak - entry) as f64 / deliveries as f64;
+    assert!(
+        per_delivery <= 8.0,
+        "checker: {} B above the {entry} B live at entry over {deliveries} deliveries, \
+         {per_delivery:.1} B per delivery",
+        peak - entry
     );
 }

@@ -29,16 +29,16 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command as Proc, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use wamcast_harness::tcp_host::{
     client_seq, fetch_quiesced_logs, fetch_replica_log, fetch_trace, poll_response,
     report_net_stats, spawn_smr_peer, KvPeer,
 };
 use wamcast_harness::SMR_ARM;
-use wamcast_net::tcp::{free_addrs, TcpClient};
+use wamcast_net::tcp::{reserve, TcpClient};
 use wamcast_smr::{history, responder_shard, Command, History, OpRecord, ShardMap};
 use wamcast_types::{GroupId, MessageId, ProcessId, SimTime, Topology};
 
@@ -310,6 +310,7 @@ fn run_chaos_schedule(
 
 /// Spawns one `peer --smr` OS process for slot `me`.
 fn spawn_peer_process(me: u32, addrs: &[SocketAddr]) -> std::io::Result<Child> {
+    let _fork = fork_or_bind();
     let joined = addrs
         .iter()
         .map(ToString::to_string)
@@ -333,6 +334,30 @@ fn spawn_peer_process(me: u32, addrs: &[SocketAddr]) -> std::io::Result<Child> {
         .spawn()
 }
 
+/// Held while a `peer` process is forked and while a peer thread binds
+/// its port. A forked child holds copies of every socket of this test
+/// process until it execs, so a port whose reservation the other test
+/// drops meanwhile stays bound in the child, and its peer's bind fails
+/// with `AddrInUse`. `Command::spawn` returns only once the child has
+/// exec'd, so holding this across it closes that window.
+static FORK_OR_BIND: Mutex<()> = Mutex::new(());
+
+fn fork_or_bind() -> MutexGuard<'static, ()> {
+    FORK_OR_BIND.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One reserved loopback port per process, and its address. The caller
+/// drops each port's listener just before that peer binds it, so a
+/// cluster starting beside this one cannot take it in between.
+fn reserve_addrs() -> (Vec<TcpListener>, Vec<SocketAddr>) {
+    let held = reserve(GROUPS * PROCS).expect("ports");
+    let addrs = held
+        .iter()
+        .map(|l| l.local_addr().expect("reserved address"))
+        .collect();
+    (held, addrs)
+}
+
 /// Waits until every address answers a replica-log request.
 fn wait_ready(addrs: &[SocketAddr]) {
     let deadline = Instant::now() + OP_TIMEOUT;
@@ -350,9 +375,10 @@ fn wait_ready(addrs: &[SocketAddr]) {
 
 #[test]
 fn killing_and_restarting_real_peer_processes_keeps_history_clean() {
-    let addrs = free_addrs(GROUPS * PROCS).expect("ports");
+    let (held, addrs) = reserve_addrs();
     let mut spawned: Vec<Option<Child>> = Vec::new();
-    for me in 0..(GROUPS * PROCS) as u32 {
+    for (me, hold) in (0..(GROUPS * PROCS) as u32).zip(held) {
+        drop(hold);
         match spawn_peer_process(me, &addrs) {
             Ok(child) => spawned.push(Some(child)),
             Err(e) => {
@@ -426,13 +452,16 @@ fn killing_and_restarting_real_peer_processes_keeps_history_clean() {
 #[test]
 fn thread_fallback_chaos_survives_peer_restart() {
     let topo = Arc::new(Topology::symmetric(GROUPS, PROCS));
-    let addrs = free_addrs(GROUPS * PROCS).expect("ports");
+    let (held, addrs) = reserve_addrs();
     let peers: RefCell<Vec<Option<KvPeer>>> = RefCell::new(
         topo.processes()
-            .map(|me| {
+            .zip(held)
+            .map(|(me, hold)| {
+                let _bind = fork_or_bind();
+                drop(hold);
                 Some(
                     spawn_smr_peer(me, Arc::clone(&topo), addrs.clone(), None, None, None)
-                        .expect("spawn"),
+                        .unwrap_or_else(|e| panic!("spawn {me}: {e}")),
                 )
             })
             .collect(),
@@ -443,7 +472,10 @@ fn thread_fallback_chaos_survives_peer_restart() {
         // retry, mirroring the peer binary's restart path.
         let mut last = None;
         for _ in 0..50 {
-            match spawn_smr_peer(me, Arc::clone(&topo), addrs.clone(), None, None, None) {
+            let bind = fork_or_bind();
+            let spawned = spawn_smr_peer(me, Arc::clone(&topo), addrs.clone(), None, None, None);
+            drop(bind);
+            match spawned {
                 Ok(peer) => return peer,
                 Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
                     last = Some(e);

@@ -1317,9 +1317,9 @@ impl TcpClient {
 
 /// Reserves `n` distinct loopback addresses by binding port 0 `n` times
 /// and dropping the listeners, for whoever starts a cluster from one
-/// address list: [`LocalCluster`], or a spawner of `peer` processes.
-/// Another process can take a port before its node binds it; that
-/// surfaces as the node's bind error.
+/// address list. Another process, or another cluster starting beside
+/// this one, can take a port before its node binds it; that surfaces as
+/// the node's bind error. [`reserve`] holds the ports instead.
 ///
 /// # Errors
 ///
@@ -1329,8 +1329,15 @@ pub fn free_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
 }
 
 /// `n` listeners on distinct loopback ports the kernel chose; a port stays
-/// reserved until its listener is dropped.
-fn reserve(n: usize) -> io::Result<Vec<TcpListener>> {
+/// reserved until its listener is dropped. A spawner of nodes or `peer`
+/// processes drops each listener just before that node binds its port, as
+/// [`LocalCluster::serve`] does, so clusters starting side by side cannot
+/// take each other's ports.
+///
+/// # Errors
+///
+/// Any error binding a loopback listener.
+pub fn reserve(n: usize) -> io::Result<Vec<TcpListener>> {
     (0..n).map(|_| TcpListener::bind("127.0.0.1:0")).collect()
 }
 

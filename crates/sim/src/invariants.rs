@@ -7,7 +7,8 @@
 //! regression surfaces as a named property violation, not a mystery diff.
 
 use crate::RunMetrics;
-use wamcast_types::{MessageId, ProcessId, SimTime, Topology};
+use std::collections::BTreeSet;
+use wamcast_types::{GroupId, GroupSet, ProcessId, SimTime, Topology};
 
 /// Which specification variant a protocol stack *declares* — the checker
 /// selection knob the stack registry (`wamcast-harness`) attaches to every
@@ -148,21 +149,37 @@ pub fn check_all_nonuniform(
 
 /// Uniform integrity (§2.2): every process delivers a message at most once,
 /// and only if it is addressed (`p ∈ m.dest`) and the message was cast.
+///
+/// A process's deliveries are marked in a bitset over cast rows, cleared
+/// before the next process; ids that were never cast (only a faulty run
+/// delivers one) are kept in a set of their own.
 pub fn check_uniform_integrity(topo: &Topology, m: &RunMetrics) -> InvariantReport {
     let mut r = InvariantReport::default();
+    let mut seen = vec![0u64; m.casts.len().div_ceil(64)];
+    let mut uncast = BTreeSet::new();
     for (p_idx, seq) in m.delivered_seq.iter().enumerate() {
         let p = ProcessId(p_idx as u32);
-        let mut seen = std::collections::BTreeSet::new();
         for &mid in seq {
-            if !seen.insert(mid) {
+            let row = m.casts.row_of(&mid);
+            let first = match row {
+                Some(row) => {
+                    let (word, bit) = (row / 64, 1 << (row % 64));
+                    let first = seen[word] & bit == 0;
+                    seen[word] |= bit;
+                    first
+                }
+                None => uncast.insert(mid),
+            };
+            if !first {
                 r.violations
                     .push(format!("integrity: {p} delivered {mid} more than once"));
             }
-            match m.casts.get(&mid) {
+            match row {
                 None => r.violations.push(format!(
                     "integrity: {p} delivered {mid} which was never cast"
                 )),
-                Some(c) => {
+                Some(row) => {
+                    let c = m.casts.at_row(row).1;
                     if !topo.addresses(c.dest, p) {
                         r.violations.push(format!(
                             "integrity: {p} delivered {mid} but is not addressed by {:?}",
@@ -172,6 +189,8 @@ pub fn check_uniform_integrity(topo: &Topology, m: &RunMetrics) -> InvariantRepo
                 }
             }
         }
+        seen.fill(0);
+        uncast.clear();
     }
     r
 }
@@ -252,8 +271,9 @@ pub fn check_validity(topo: &Topology, m: &RunMetrics, correct: &[ProcessId]) ->
         if !is_correct[c.caster.index()] {
             continue;
         }
+        let dels = m.deliveries.get(&mid);
         for q in topo.processes_in(c.dest) {
-            if is_correct[q.index()] && !m.has_delivered(q, mid) {
+            if is_correct[q.index()] && !dels.is_some_and(|d| d.contains_key(&q)) {
                 r.violations.push(format!(
                     "validity: {mid} cast by correct {} but correct addressed {q} never \
                      delivered it",
@@ -284,28 +304,28 @@ pub fn check_prefix_order_among(
     procs: &[ProcessId],
 ) -> InvariantReport {
     let mut r = InvariantReport::default();
-    // Annotate every process's delivery sequence with its messages'
-    // destination sets once — O(deliveries) map lookups total — so the
-    // projections below cost two bit tests per element instead of
-    // re-querying the cast table.
-    let annotated: Vec<Vec<(MessageId, wamcast_types::GroupSet)>> = procs
+    // Map every process's delivery sequence to cast rows once — one lookup
+    // per delivery, 4 bytes each — so the projections below cost a row
+    // read and one mask test per element instead of re-querying the cast
+    // table. Ids that were never cast drop out (integrity reports them).
+    // `reach` is the union of each sequence's destinations: a process
+    // whose reach misses a group pair projects nothing onto it.
+    let mut reach = vec![GroupSet::new(); procs.len()];
+    let rows: Vec<Vec<u32>> = procs
         .iter()
-        .map(|p| {
-            m.delivered_seq[p.index()]
-                .iter()
-                .filter_map(|mid| m.casts.get(mid).map(|c| (*mid, c.dest)))
-                .collect()
+        .zip(&mut reach)
+        .map(|(p, reach)| {
+            let seq = &m.delivered_seq[p.index()];
+            let mut rows = Vec::with_capacity(seq.len());
+            rows.extend(seq.iter().filter_map(|mid| {
+                let row = m.casts.row_of(mid)?;
+                *reach |= m.casts.at_row(row).1.dest;
+                Some(row as u32)
+            }));
+            rows.shrink_to_fit();
+            rows
         })
         .collect();
-    let project = |rows: &[(MessageId, wamcast_types::GroupSet)],
-                   ga: wamcast_types::GroupId,
-                   gb: wamcast_types::GroupId|
-     -> Vec<MessageId> {
-        rows.iter()
-            .filter(|(_, dest)| dest.contains(ga) && dest.contains(gb))
-            .map(|&(mid, _)| mid)
-            .collect()
-    };
     // Group-pair decomposition instead of the former O(|procs|²) pair
     // scan. For a pair of groups {gA, gB}, every process of gA ∪ gB is
     // projected by the *same* filter (dest ⊇ {gA, gB}), so pairwise
@@ -313,8 +333,9 @@ pub fn check_prefix_order_among(
     // a prefix of the longest" (two prefixes of one sequence are always
     // mutually prefix-comparable, and any non-prefix is itself a violating
     // pair with the longest). That turns n² sequence comparisons into
-    // G²·(d_A+d_B) transient projections — the checker-side half of
-    // keeping 128-group, 1000+-process scale runs tractable.
+    // G²·(d_A+d_B) filtered walks — the checker-side half of keeping
+    // 128-group, 1000+-process scale runs tractable. A projection is never
+    // built: it is counted to find the longest, then walked beside it.
     let mut by_group: Vec<Vec<usize>> = vec![Vec::new(); topo.num_groups()];
     for (i, &p) in procs.iter().enumerate() {
         by_group[topo.group_of(p).index()].push(i);
@@ -322,46 +343,60 @@ pub fn check_prefix_order_among(
     let present: Vec<usize> = (0..topo.num_groups())
         .filter(|&g| !by_group[g].is_empty())
         .collect();
+    let id_at = |row: u32| *m.casts.at_row(row as usize).0;
+    let mut lens = Vec::new();
     for (ai, &ga) in present.iter().enumerate() {
         for &gb in &present[ai..] {
-            let members: Vec<usize> = if ga == gb {
-                by_group[ga].clone()
-            } else {
-                // Ascending overall: process ids are dense per group and
-                // ga < gb, so the concatenation preserves procs order.
-                by_group[ga].iter().chain(&by_group[gb]).copied().collect()
+            // Ascending overall: process ids are dense per group and
+            // ga < gb, so the concatenation preserves procs order.
+            let other: &[usize] = if ga == gb { &[] } else { &by_group[gb] };
+            let members = || by_group[ga].iter().chain(other).copied();
+            let pair =
+                GroupSet::singleton(GroupId(ga as u16)) | GroupSet::singleton(GroupId(gb as u16));
+            let project = |i: usize| {
+                rows[i]
+                    .iter()
+                    .copied()
+                    .filter(move |&row| pair.is_subset(m.casts.at_row(row as usize).1.dest))
             };
-            if members.len() < 2 {
-                continue;
-            }
-            let (g_a, g_b) = (
-                wamcast_types::GroupId(ga as u16),
-                wamcast_types::GroupId(gb as u16),
-            );
-            let projections: Vec<Vec<MessageId>> = members
-                .iter()
-                .map(|&i| project(&annotated[i], g_a, g_b))
-                .collect();
+            lens.clear();
+            lens.extend(members().map(|i| {
+                if pair.is_subset(reach[i]) {
+                    project(i).count()
+                } else {
+                    0
+                }
+            }));
             // First longest projection (ties break to the earlier
             // process, keeping reports deterministic).
-            let li = projections
-                .iter()
-                .enumerate()
-                .max_by(|(i, a), (j, b)| a.len().cmp(&b.len()).then(j.cmp(i)))
-                .map(|(i, _)| i)
-                .unwrap();
-            let longest = &projections[li];
-            for (i, sp) in projections.iter().enumerate() {
-                if i == li || sp[..] == longest[..sp.len()] {
+            let (mut lk, mut longest) = (0, 0);
+            for (k, &len) in lens.iter().enumerate() {
+                if len > longest {
+                    (lk, longest) = (k, len);
+                }
+            }
+            if longest == 0 {
+                continue; // nothing projected: every pair is comparable
+            }
+            let li = members().nth(lk).expect("lk indexes members");
+            for (k, i) in members().enumerate() {
+                if k == lk || lens[k] == 0 {
                     continue;
                 }
-                let at = (0..sp.len()).find(|&j| sp[j] != longest[j]).unwrap();
+                let Some((at, (ri, rl))) = project(i)
+                    .take(lens[k])
+                    .zip(project(li))
+                    .enumerate()
+                    .find(|(_, (a, b))| a != b)
+                else {
+                    continue;
+                };
                 // Name the smaller-indexed process first, its element
                 // first — the same orientation the pairwise scan printed.
-                let (p, q, vp, vq) = if members[i] < members[li] {
-                    (procs[members[i]], procs[members[li]], sp[at], longest[at])
+                let (p, q, vp, vq) = if i < li {
+                    (procs[i], procs[li], id_at(ri), id_at(rl))
                 } else {
-                    (procs[members[li]], procs[members[i]], longest[at], sp[at])
+                    (procs[li], procs[i], id_at(rl), id_at(ri))
                 };
                 r.violations.push(format!(
                     "prefix order: {p} and {q} diverge at position {at}: {vp} vs {vq}"
@@ -380,7 +415,7 @@ pub fn bystanders(topo: &Topology, m: &RunMetrics) -> Vec<ProcessId> {
     // a process is involved iff it cast something or its group is in some
     // destination set — both are O(1) lookups after this fold.
     let mut cast_something = vec![false; topo.num_processes()];
-    let mut addressed_groups = wamcast_types::GroupSet::new();
+    let mut addressed_groups = GroupSet::new();
     for c in m.casts.values() {
         cast_something[c.caster.index()] = true;
         addressed_groups |= c.dest;
@@ -437,7 +472,7 @@ pub fn check_quiescence(m: &RunMetrics, after: SimTime) -> InvariantReport {
 mod tests {
     use super::*;
     use crate::metrics::{CastRecord, DeliveryRecord, DeliveryTable};
-    use wamcast_types::{GroupId, GroupSet};
+    use wamcast_types::MessageId;
 
     fn mid(o: u32, s: u64) -> MessageId {
         MessageId::new(ProcessId(o), s)

@@ -174,11 +174,18 @@ impl<T> IdTable<T> {
         }
     }
 
-    /// The row of `id`.
-    fn row_of(&self, id: &MessageId) -> Option<usize> {
+    /// The row of `id`: rows are numbered `0..len()` in insertion order,
+    /// so a row fits a `u32` and indexes a per-entry array.
+    pub(crate) fn row_of(&self, id: &MessageId) -> Option<usize> {
         let lane = &self.lanes[self.lane_of(id.origin).ok()?].1;
         let i = self.slot_in(lane, id.seq).ok()?;
         Some(lane[i] as usize)
+    }
+
+    /// The id and value in row `row` (see [`row_of`](Self::row_of)).
+    pub(crate) fn at_row(&self, row: usize) -> (&MessageId, &T) {
+        let (id, value) = &self.rows[row];
+        (id, value)
     }
 }
 

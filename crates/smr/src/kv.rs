@@ -113,6 +113,8 @@ pub struct KvStateMachine {
     dest_index: FxHashMap<GroupSet, u16>,
     /// Destination sets of the entries marked [`SPILLED`], by log position.
     spilled: BTreeMap<usize, GroupSet>,
+    /// Per origin, the highest `seq` of an op it cast that the log holds.
+    newest: FxHashMap<ProcessId, u64>,
     digest: u64,
     decode_errors: u64,
 }
@@ -128,6 +130,7 @@ impl KvStateMachine {
             dests: Vec::new(),
             dest_index: FxHashMap::default(),
             spilled: BTreeMap::new(),
+            newest: FxHashMap::default(),
             digest: FNV_OFFSET,
             decode_errors: 0,
         }
@@ -154,12 +157,17 @@ impl KvStateMachine {
         (0..self.log.len()).map(|i| self.applied_at(i)).collect()
     }
 
-    /// The recorded response for op `id`, if this replica applied it. The
-    /// log is searched from its newest entry back, so a poll for an op
-    /// applied just now costs O(1), not O(log length). (An id applied
-    /// twice — which the history checker convicts — answers its last
-    /// apply.)
+    /// The recorded response for op `id`, if this replica applied it. An
+    /// op above the highest `seq` applied from its origin (one not applied
+    /// yet, as a client polls for until it commits) is answered `None` in
+    /// O(1); otherwise the log is searched from its newest entry back, so
+    /// a poll for an op applied just now costs O(1), not O(log length).
+    /// (An id applied twice — which the history checker convicts — answers
+    /// its last apply.)
     pub fn response_of(&self, id: MessageId) -> Option<AppliedOp> {
+        if id.seq > *self.newest.get(&id.origin)? {
+            return None;
+        }
         let i = self.log.iter().rposition(|e| e.id() == id)?;
         Some(self.applied_at(i))
     }
@@ -193,6 +201,10 @@ impl KvStateMachine {
             }
         };
         self.log.push(Entry::new(id, index, response));
+        self.newest
+            .entry(id.origin)
+            .and_modify(|seq| *seq = id.seq.max(*seq))
+            .or_insert(id.seq);
     }
 
     /// Running digest over the whole apply history (op ids, responses, and
@@ -495,6 +507,40 @@ mod tests {
         }
         assert_eq!(kv.response_of(MessageId::new(ProcessId(8), 0)), None);
         assert_eq!(kv.response_of(MessageId::new(ProcessId(0), 3_000)), None);
+    }
+
+    /// `response_of` around each origin's highest applied `seq`: above it,
+    /// and for an origin never seen, the answer is `None` without a log
+    /// search; at and below it the log answers, `None` for a `seq` the
+    /// origin skipped.
+    #[test]
+    fn response_of_answers_around_each_origins_newest_seq() {
+        let (_, mut kv) = single_shard();
+        let all = GroupSet::first_n(1);
+        let get = Command::Get { key: 1 };
+        let at = |origin, seq| MessageId::new(ProcessId(origin), seq);
+        // Origin 0 applies 0, 3, then 1 (2 never); origin 1 applies 5.
+        for id in [at(0, 0), at(0, 3), at(0, 1), at(1, 5)] {
+            kv.apply_command(id, all, &get);
+        }
+        assert_eq!(
+            kv.newest[&ProcessId(0)],
+            3,
+            "a late lower seq keeps the max"
+        );
+        for id in [at(0, 3), at(0, 1), at(0, 0), at(1, 5)] {
+            assert_eq!(kv.response_of(id).map(|a| a.id), Some(id), "{id}");
+        }
+        for id in [at(0, 4), at(0, u64::MAX), at(1, 6)] {
+            assert_eq!(kv.response_of(id), None, "{id} is above its origin's mark");
+        }
+        assert_eq!(kv.response_of(at(0, 2)), None, "skipped below the mark");
+        assert_eq!(
+            kv.response_of(at(1, 4)),
+            None,
+            "below the mark, not applied"
+        );
+        assert_eq!(kv.response_of(at(2, 0)), None, "origin never seen");
     }
 
     /// Past `u16::MAX` distinct destination sets, each further new set is
