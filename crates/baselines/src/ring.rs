@@ -415,7 +415,7 @@ impl RingMulticast {
             return;
         }
         out.send_many(
-            debtors.iter().copied(),
+            debtors.iter().copied().collect(),
             RingMsg::Final {
                 msg: msg.clone(),
                 ts,
@@ -599,7 +599,7 @@ impl Protocol for RingMulticast {
         }
         for (msg, ts, debtors) in self.outstanding_finals.values() {
             out.send_many(
-                debtors.iter().copied(),
+                debtors.iter().copied().collect(),
                 RingMsg::Final {
                     msg: msg.clone(),
                     ts: *ts,

@@ -463,7 +463,7 @@ impl RoundBroadcast {
             // unacked set iterates in process order, as the per-`send`
             // loop did.
             out.send_many(
-                unacked.iter().copied(),
+                unacked.iter().copied().collect(),
                 BroadcastMsg::Bundle {
                     round,
                     msgs: RoundBundle::clone(msgs),
@@ -739,7 +739,7 @@ impl Protocol for RoundBroadcast {
                 .collect();
             for m in held {
                 self.relayed.insert(m.id);
-                out.send_many(peers.iter().copied(), BroadcastMsg::Rm(m.clone()));
+                out.send_many(peers.clone(), BroadcastMsg::Rm(m.clone()));
             }
         }
         if ctx.topology().group_of(crashed) == self.group {

@@ -642,10 +642,7 @@ impl GenuineMulticast {
             // One wire message per destination *group*, one shared body per
             // member fan-out: the engine clones a refcount per member.
             let batch = MsgBatch::new(entries);
-            out.send_many(
-                ctx.topology().members(g).iter().copied(),
-                MulticastMsg::Ts(batch),
-            );
+            out.send_many(ctx.topology().members(g).to_vec(), MulticastMsg::Ts(batch));
         }
         self.ts_batches_buf = ts_batches;
         // Line 31: K ← max(max decided ts, K) + 1. Every instance below
@@ -844,7 +841,7 @@ impl GenuineMulticast {
         for (g, entries) in per_group {
             let batch = MsgBatch::new(entries);
             out.send_many(
-                ctx.topology().members(g).iter().copied(),
+                ctx.topology().members(g).to_vec(),
                 MulticastMsg::TsNudge(batch),
             );
         }

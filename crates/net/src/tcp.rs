@@ -497,7 +497,7 @@ where
         me,
         arm,
         proto,
-        topo,
+        ctx: Context::new(me, topo, SimTime::ZERO),
         start: faults.as_ref().map_or(now, |f| f.start()),
         listener,
         conns: Vec::new(),
@@ -749,7 +749,9 @@ struct Node<P: Protocol> {
     me: ProcessId,
     arm: u8,
     proto: P,
-    topo: Arc<Topology>,
+    /// The protocol's handler context (it holds the topology), moved to
+    /// each step's instant.
+    ctx: Context,
     /// Zero of [`Context::now`] and of trace timestamps.
     start: Instant,
     listener: TcpListener,
@@ -841,13 +843,10 @@ where
     }
 
     fn step_once(&mut self, f: impl FnOnce(&mut P, &Context, &mut Outbox<P::Msg>)) {
-        let ctx = Context::new(
-            self.me,
-            Arc::clone(&self.topo),
-            SimTime::from_nanos(self.start.elapsed().as_nanos() as u64),
-        );
+        self.ctx
+            .set_now(SimTime::from_nanos(self.start.elapsed().as_nanos() as u64));
         let mut out = Outbox::with_buffer(std::mem::take(&mut self.actions));
-        f(&mut self.proto, &ctx, &mut out);
+        f(&mut self.proto, &self.ctx, &mut out);
         let mut actions = out.into_buffer();
         for action in actions.drain(..) {
             match action {
@@ -947,9 +946,13 @@ where
     /// casts and step down as its group's coordinator.
     fn dispatch(&mut self, i: usize, frame: Frame<P::Msg>) {
         let known = match &frame {
-            Frame::Peer { from: p, .. } => p.index() < self.topo.num_processes(),
-            Frame::CrashNotify { of } => *of != self.me && of.index() < self.topo.num_processes(),
-            Frame::Cast { dest, .. } => !dest.is_empty() && dest.is_subset(self.topo.all_groups()),
+            Frame::Peer { from: p, .. } => p.index() < self.ctx.topology().num_processes(),
+            Frame::CrashNotify { of } => {
+                *of != self.me && of.index() < self.ctx.topology().num_processes()
+            }
+            Frame::Cast { dest, .. } => {
+                !dest.is_empty() && dest.is_subset(self.ctx.topology().all_groups())
+            }
             _ => true,
         };
         if !known {

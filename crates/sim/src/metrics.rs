@@ -57,8 +57,13 @@ pub struct SendRecord {
 /// A lookup finds the origin's lane (by position when the origins are the
 /// dense process ids the simulator's casters are, else by binary search),
 /// then the row: O(1) when the lane holds the dense `0, 1, 2, …` sequence
-/// numbers the simulator mints, a binary search otherwise. Two tables with
-/// the same entries are equal whatever order they were filled in.
+/// numbers the simulator mints, a binary search otherwise. An insert of a
+/// new id is a lookup that misses, then a push onto the rows and an insert
+/// into the lane: O(1) when the id's `seq` is above every `seq` its lane
+/// holds — how the simulator records casts and first deliveries, each
+/// origin's in ascending order — and a binary search and a shift of the
+/// lane's later entries otherwise. Two tables with the same entries are
+/// equal whatever order they were filled in.
 #[derive(Clone)]
 pub struct IdTable<T> {
     rows: Vec<(MessageId, T)>,
@@ -166,10 +171,13 @@ impl<T> IdTable<T> {
     }
 
     /// The position of `seq` in `lane` (`Err`: where it would be inserted).
+    /// A dense lane's entry and an append after the lane's last entry are
+    /// answered without a search.
     fn slot_in(&self, lane: &[u32], seq: u64) -> Result<usize, usize> {
         let seq_at = |r: u32| self.rows[r as usize].0.seq;
         match usize::try_from(seq) {
             Ok(i) if i < lane.len() && seq_at(lane[i]) == seq => Ok(i),
+            _ if lane.last().map_or(true, |&r| seq_at(r) < seq) => Err(lane.len()),
             _ => lane.binary_search_by_key(&seq, |&r| seq_at(r)),
         }
     }
@@ -608,6 +616,41 @@ mod tests {
             m.deliveries.insert(mid(0, 0), ProcessId(p), rec, || 2);
         }
         m
+    }
+
+    /// Inserts that append after the lane's last entry — densely and
+    /// after gaps — mixed with inserts below it and re-inserts, on dense
+    /// and sparse origins, read the same as a `BTreeMap` after every one.
+    #[test]
+    fn id_table_appends_after_gaps_and_out_of_order_inserts_read_like_a_btree_map() {
+        use std::collections::BTreeMap;
+        let mut rng = wamcast_types::SplitMix64::new(54);
+        let mut table = IdTable::default();
+        let mut model = BTreeMap::new();
+        let origins = [0, 1, 2, 1_000];
+        let mut tail = [0u64; 4];
+        for value in 0..3_000u64 {
+            let o = rng.next_below(4) as usize;
+            let seq = match rng.next_below(6) {
+                // The next dense seq, or an append after a gap.
+                0 | 1 => tail[o],
+                2 => tail[o] + rng.next_range(1, 50),
+                // At or below the tail: a re-insert or a fill of a gap.
+                _ => rng.next_below(tail[o] + 1),
+            };
+            tail[o] = tail[o].max(seq + 1);
+            let id = mid(origins[o], seq);
+            assert_eq!(table.insert(id, value), model.insert(id, value), "{id}");
+            assert_eq!(table.get(&id), Some(&value));
+            assert_eq!(table.len(), model.len());
+        }
+        assert!(table.iter().eq(model.iter()));
+        for o in origins {
+            for seq in 0..200 {
+                let id = mid(o, seq);
+                assert_eq!(table.get(&id), model.get(&id), "{id}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The two-level calendar/bucket event queue.
+//! The two-level calendar/bucket event queue, and the lane of planned
+//! casts beside it.
 //!
 //! Discrete-event workloads here are extremely *time-collided* — a
 //! consensus round schedules dozens of arrivals at the identical instant
@@ -14,8 +15,8 @@
 //! slot (`slot_of`: where an instant's bucket is; looked up by key only,
 //! never iterated). Filing a new instant costs `O(log n)` in the number of
 //! queued instants *wherever it falls* — `O(1)` after every queued instant
-//! (a driver loading its plan with time-ascending `cast_at` calls), a
-//! sift before all of them or in between — and refilling the front is one
+//! (instants pushed in ascending order), a sift before all of them or in
+//! between — and refilling the front is one
 //! heap pop; neither allocates per instant. Until PR 22 the index was a
 //! `Vec` sorted by instant descending, so that the refill was a `pop()`;
 //! a plan loaded in ascending order then inserted every new instant at
@@ -29,11 +30,21 @@
 //! a1-batched` probe, ~80% of pushes append to an existing bucket.
 //!
 //! A bucket's allocation leaves its slot when the bucket becomes the
-//! front, and drained fronts are recycled through a pool of at most
-//! `SPARE_CAP`: a plan of n instants holds n small buckets while it is
-//! queued, not n grown ones forever after. A new instant takes a spare
-//! first; with none left it gets room for exactly one event, not the four
-//! `Vec`'s first growth reserves, and grows when a second event joins it.
+//! front, and drained fronts of at most `SPARE_SLOTS` events' room are
+//! recycled through a pool of at most `SPARE_CAP`: a plan of n instants
+//! holds n small buckets while it is queued, not n grown ones forever
+//! after. A new instant takes a spare first; with none left it gets room
+//! for exactly one event, not the four `Vec`'s first growth reserves, and
+//! grows when a second event joins it. A front that grew large (a burst
+//! at one instant) is freed when drained, not pooled: a pooled one would
+//! be handed to the next new or re-filed instant, however few events that
+//! instant holds, and under re-file churn the queue's room then grew far
+//! past the events it held (772 slots for 3 events in the churn test
+//! below).
+//!
+//! Casts a driver plans ahead of the run in time-ascending order skip the
+//! queue altogether: they wait in a `PlanLane`, a run of compact rows
+//! the engine merges with this queue by the same order.
 //!
 //! # Determinism
 //!
@@ -52,7 +63,7 @@
 
 use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use wamcast_types::SimTime;
 
@@ -60,6 +71,11 @@ use wamcast_types::SimTime;
 /// distinct timestamp; a small pool makes steady-state pushes
 /// allocation-free without hoarding memory after a burst.
 const SPARE_CAP: usize = 32;
+
+/// Largest bucket capacity, in events, the pool keeps. A spare goes to
+/// whatever instant is filed next, most of which hold one event, so a
+/// larger drained front is freed rather than kept for one.
+const SPARE_SLOTS: usize = 16;
 
 /// The events of one instant, ascending `seq`; popped from the back.
 type Bucket<T> = Vec<(u64, T)>;
@@ -257,7 +273,7 @@ impl<T> BucketQueue<T> {
                     self.hint = None;
                 }
                 let drained = std::mem::replace(&mut self.cur, bucket);
-                if self.spare.len() < SPARE_CAP {
+                if self.spare.len() < SPARE_CAP && drained.capacity() <= SPARE_SLOTS {
                     self.spare.push(drained);
                 }
                 self.cur_at = t;
@@ -265,6 +281,100 @@ impl<T> BucketQueue<T> {
         }
         Some((at, seq, item))
     }
+
+    /// Event slots allocated in every bucket the queue holds, the pool's
+    /// included.
+    #[cfg(test)]
+    fn room(&self) -> usize {
+        let slots: usize = self.slots.iter().map(Vec::capacity).sum();
+        let spare: usize = self.spare.iter().map(Vec::capacity).sum();
+        self.cur.capacity() + slots + spare
+    }
+}
+
+/// Rows per [`PlanLane`] chunk: a plan costs one allocation per this many
+/// items, and a consumed chunk is freed whole.
+const LANE_CHUNK: usize = 512;
+
+/// Items planned ahead of the run at strictly ascending instants, each
+/// with its insertion number: a first-in first-out run of `(at, seq,
+/// item)` rows, kept in chunks of 512 that are freed as they are
+/// consumed.
+///
+/// The engine loads a driver's time-ascending `cast_at` calls here: a row
+/// costs its own bytes and nothing else — no bucket allocation, no index
+/// entry, no heap sift — and a plan of n casts takes n / 512
+/// allocations. An item at or before the lane's last instant is handed
+/// back to the caller, who queues it in the [`BucketQueue`] instead:
+/// rows of one instant would pop first-in first-out, where the engine's
+/// order wants the last-in first. The engine merges the two by
+/// [`pops_before`], so the schedule is the one the queue alone gives.
+#[derive(Debug)]
+pub(crate) struct PlanLane<T> {
+    /// Never holds an empty chunk.
+    chunks: VecDeque<VecDeque<(SimTime, u64, T)>>,
+}
+
+impl<T> Default for PlanLane<T> {
+    fn default() -> Self {
+        PlanLane {
+            chunks: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> PlanLane<T> {
+    /// Appends `item` at `at` with insertion number `seq` if `at` is after
+    /// every instant the lane holds, else hands it back as the error.
+    pub fn push(&mut self, at: SimTime, seq: u64, item: T) -> Result<(), T> {
+        if let Some(&(last, last_seq, _)) = self.chunks.back().and_then(VecDeque::back) {
+            if at <= last {
+                return Err(item);
+            }
+            debug_assert!(last_seq < seq);
+        }
+        let row = (at, seq, item);
+        match self.chunks.back_mut().filter(|c| c.len() < LANE_CHUNK) {
+            Some(chunk) => chunk.push_back(row),
+            None => {
+                let mut chunk = VecDeque::with_capacity(LANE_CHUNK);
+                chunk.push_back(row);
+                self.chunks.push_back(chunk);
+            }
+        }
+        Ok(())
+    }
+
+    /// The earliest row: `(at, seq, &item)`.
+    #[inline]
+    pub fn peek(&self) -> Option<(SimTime, u64, &T)> {
+        let (at, seq, item) = self.chunks.front()?.front()?;
+        Some((*at, *seq, item))
+    }
+
+    /// Removes and returns the earliest row.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        let chunk = self.chunks.front_mut()?;
+        let row = chunk.pop_front();
+        if chunk.is_empty() {
+            self.chunks.pop_front();
+        }
+        row
+    }
+
+    /// Whether the lane is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+}
+
+/// Whether an event keyed `(at, seq)` pops before one keyed `other`: the
+/// earlier instant first, ties to the larger insertion number — the order
+/// of [`BucketQueue`].
+#[inline]
+pub(crate) fn pops_before((at, seq): (SimTime, u64), other: (SimTime, u64)) -> bool {
+    at < other.0 || (at == other.0 && seq > other.1)
 }
 
 #[cfg(test)]
@@ -448,6 +558,134 @@ mod tests {
                 "{order}: {N} instants took {took:?}"
             );
         }
+    }
+
+    /// Re-file churn: each round files a new far instant, then bursts 256
+    /// events at an instant before the front (re-filing it) and drains
+    /// them. A pool that kept the drained 256-slot front handed it to the
+    /// next round's far instant, which holds one event: the room grew by
+    /// 256 slots per round for one queued event. Only small fronts are
+    /// pooled, so the room stays within a constant factor of the events.
+    #[test]
+    fn room_stays_proportional_to_queued_events_under_refile_churn() {
+        let mut q = BucketQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut BucketQueue<u64>, at: u64| {
+            q.push(ms(at), seq, seq);
+            seq += 1;
+        };
+        for round in 0..100u64 {
+            push(&mut q, 1_000_000 + round);
+            for _ in 0..256 {
+                push(&mut q, 10 * round + 1);
+            }
+            for _ in 0..256 {
+                assert_eq!(q.pop().map(|(at, ..)| at), Some(ms(10 * round + 1)));
+            }
+            assert_eq!(q.len() as u64, round + 1);
+            assert!(
+                q.room() <= SPARE_SLOTS * (q.len() + SPARE_CAP),
+                "round {round}: {} slots for {} events",
+                q.room(),
+                q.len()
+            );
+        }
+    }
+
+    /// The engine's merge of a [`PlanLane`] with the queue, checked against
+    /// the `(at asc, seq desc)` model: a plan loaded mostly ascending, with
+    /// repeated instants and steps back (both handed to the queue), then
+    /// run-time pushes at or after the last pop — on planned instants too —
+    /// and now and then another planned row, interleaved with pops.
+    #[test]
+    fn lane_and_queue_merge_in_model_order() {
+        use std::cmp::Reverse;
+        use std::collections::BTreeSet;
+        fn pop(q: &mut BucketQueue<u64>, lane: &mut PlanLane<u64>) -> Option<(SimTime, u64, u64)> {
+            let from_lane = match (lane.peek(), q.peek()) {
+                (Some((at, seq, _)), Some((q_at, q_seq, _))) => {
+                    pops_before((at, seq), (q_at, q_seq))
+                }
+                (lane, _) => lane.is_some(),
+            };
+            if from_lane {
+                lane.pop()
+            } else {
+                q.pop()
+            }
+        }
+        for seed in 0..50 {
+            let mut rng = SplitMix64::new(seed);
+            let (mut q, mut lane) = (BucketQueue::new(), PlanLane::default());
+            let mut model: BTreeSet<(SimTime, Reverse<u64>)> = BTreeSet::new();
+            let mut seq = 0u64;
+            // A planned row tries the lane first; a run-time event is queued.
+            let mut push = |q: &mut BucketQueue<u64>, lane: &mut PlanLane<u64>, at, planned| {
+                let s = seq;
+                seq += 1;
+                let queued = if planned {
+                    lane.push(ms(at), s, s).err()
+                } else {
+                    Some(s)
+                };
+                if let Some(item) = queued {
+                    q.push(ms(at), s, item);
+                }
+                (ms(at), Reverse(s))
+            };
+            let mut t = 0u64;
+            for _ in 0..2_000 {
+                t = match rng.next_below(8) {
+                    0 => t,
+                    1 => t.saturating_sub(rng.next_below(20)),
+                    _ => t + 1 + rng.next_below(4),
+                };
+                model.insert(push(&mut q, &mut lane, t, true));
+            }
+            let mut horizon = 0u64;
+            while !model.is_empty() {
+                match rng.next_below(8) {
+                    0 => {
+                        let at = horizon + rng.next_below(5);
+                        model.insert(push(&mut q, &mut lane, at, true));
+                    }
+                    1 | 2 => {
+                        let at = horizon + rng.next_below(5);
+                        model.insert(push(&mut q, &mut lane, at, false));
+                    }
+                    _ => {
+                        let (at, Reverse(s)) = model.pop_first().expect("non-empty");
+                        assert_eq!(pop(&mut q, &mut lane), Some((at, s, s)), "seed {seed}");
+                        horizon = at.as_nanos() / 1_000_000;
+                    }
+                }
+            }
+            assert_eq!(pop(&mut q, &mut lane), None);
+            assert!(lane.is_empty() && q.is_empty());
+        }
+    }
+
+    #[test]
+    fn lane_refuses_rows_at_or_before_its_tail_and_frees_chunks() {
+        let mut lane = PlanLane::default();
+        for i in 0..3 * LANE_CHUNK as u64 {
+            assert_eq!(lane.push(ms(i + 1), i, i), Ok(()));
+        }
+        let n = 3 * LANE_CHUNK as u64;
+        assert_eq!(lane.push(ms(n), n, 0), Err(0), "same instant as the tail");
+        assert_eq!(lane.push(ms(1), n, 1), Err(1), "before the tail");
+        assert_eq!(lane.chunks.len(), 3);
+        for i in 0..=LANE_CHUNK as u64 {
+            assert_eq!(lane.pop(), Some((ms(i + 1), i, i)));
+        }
+        assert_eq!(lane.chunks.len(), 2, "a consumed chunk is freed");
+        while lane.pop().is_some() {}
+        assert!(lane.is_empty());
+        assert_eq!(
+            lane.push(ms(1), n, 7),
+            Ok(()),
+            "an empty lane takes any instant"
+        );
     }
 
     #[test]

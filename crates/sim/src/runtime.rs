@@ -1,7 +1,7 @@
 //! The discrete-event engine.
 
 use crate::metrics::{CastRecord, DeliveryRecord, SendRecord};
-use crate::queue::BucketQueue;
+use crate::queue::{pops_before, BucketQueue, PlanLane};
 use crate::{NetConfig, RunMetrics, SplitMix64};
 use std::fmt;
 use std::sync::Arc;
@@ -214,9 +214,14 @@ pub struct Simulation<P: Protocol> {
     topo: Arc<Topology>,
     cfg: SimConfig,
     procs: Vec<P>,
+    /// One handler context per process, moved to each step's instant.
+    ctxs: Vec<Context>,
     alive: Vec<bool>,
     clocks: Vec<LatencyClock>,
     queue: BucketQueue<Ev<P::Msg>>,
+    /// Casts scheduled at ascending instants ahead of the run, merged with
+    /// `queue` by its order (the caster is the message id's origin).
+    plan: PlanLane<AppMessage>,
     now: SimTime,
     seq: u64,
     rng: SplitMix64,
@@ -240,6 +245,20 @@ pub struct Simulation<P: Protocol> {
     /// engine already computed, so enabling it cannot perturb a schedule
     /// (pinned by the trace-neutrality golden tests in the harness).
     trace: Option<TraceRing>,
+    /// Every event's key as it is scheduled and dispatched, for the model
+    /// check in the tests below.
+    #[cfg(test)]
+    audit: Vec<Audit>,
+}
+
+/// One line of [`Simulation`]'s test-build audit log.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Audit {
+    /// An event was scheduled: `(at, seq, target, kind)`.
+    Scheduled(SimTime, u64, ProcessId, &'static str),
+    /// The event `(at, seq)` was dispatched.
+    Dispatched(SimTime, u64),
 }
 
 impl<P: Protocol> Simulation<P> {
@@ -269,41 +288,26 @@ impl<P: Protocol> Simulation<P> {
             .map(|p| factory(p, &topo))
             .collect::<Vec<_>>();
         let rng = SplitMix64::new(cfg.seed);
-        // The plan is consumed exactly once: schedule its crashes, then
-        // move it into the injector (no clone round-trip; the config slot
-        // is left empty and the injector is the plan's home thereafter).
+        // The plan is consumed exactly once: it moves into the injector
+        // (no clone round-trip; the config slot is left empty and the
+        // injector is the plan's home thereafter), whose crashes are then
+        // scheduled.
         let plan = std::mem::replace(&mut cfg.fault, FaultPlan::none());
-        let mut queue = BucketQueue::new();
-        let mut seq = 0u64;
-        for &(at, p) in &plan.crashes {
-            assert!(
-                p.index() < n,
-                "fault plan crashes unknown process {p} (topology has {n})"
-            );
-            queue.push(
-                at,
-                seq,
-                Ev {
-                    target: p,
-                    kind: EvKind::Crash,
-                },
-            );
-            seq += 1;
-        }
-        let faults = if plan.is_none() {
-            None
-        } else {
-            Some(FaultInjector::new(plan, cfg.seed))
-        };
-        Simulation {
+        let faults = (!plan.is_none()).then(|| FaultInjector::new(plan, cfg.seed));
+        let mut sim = Simulation {
             procs,
+            ctxs: topo
+                .processes()
+                .map(|p| Context::new(p, Arc::clone(&topo), SimTime::ZERO))
+                .collect(),
             alive: vec![true; n],
             clocks: vec![LatencyClock::new(); n],
-            queue,
+            queue: BucketQueue::new(),
+            plan: PlanLane::default(),
             now: SimTime::ZERO,
-            seq,
+            seq: 0,
             rng,
-            faults,
+            faults: None,
             metrics: RunMetrics::new(n),
             next_app_seq: vec![0; n],
             casts_to: vec![0; topo.num_groups()],
@@ -312,7 +316,20 @@ impl<P: Protocol> Simulation<P> {
             cfg,
             scratch: Vec::new(),
             trace: None,
+            #[cfg(test)]
+            audit: Vec::new(),
+        };
+        if let Some(inj) = faults {
+            for &(at, p) in &inj.plan().crashes {
+                assert!(
+                    p.index() < n,
+                    "fault plan crashes unknown process {p} (topology has {n})"
+                );
+                sim.push(at, p, EvKind::Crash);
+            }
+            sim.faults = Some(inj);
         }
+        sim
     }
 
     /// Enables the flight recorder with the given ring capacity (events;
@@ -429,7 +446,10 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Schedules an `A-XCast` of a fresh message by `caster` at time `at`,
-    /// returning its id.
+    /// returning its id. Casts may be scheduled in any time order; one
+    /// later than every cast still waiting to be dispatched waits in a
+    /// compact lane rather than in the event queue, so a plan loaded in
+    /// ascending order is the cheap case.
     ///
     /// # Panics
     ///
@@ -452,7 +472,20 @@ impl<P: Protocol> Simulation<P> {
         }
         let id = MessageId::new(caster, seq);
         let msg = AppMessage::new(id, dest, payload);
-        self.push(at, caster, EvKind::Cast(msg));
+        let event_seq = self.next_seq();
+        #[cfg(test)]
+        self.audit
+            .push(Audit::Scheduled(at, event_seq, caster, "cast"));
+        if let Err(msg) = self.plan.push(at, event_seq, msg) {
+            self.queue.push(
+                at,
+                event_seq,
+                Ev {
+                    target: caster,
+                    kind: EvKind::Cast(msg),
+                },
+            );
+        }
         id
     }
 
@@ -468,9 +501,17 @@ impl<P: Protocol> Simulation<P> {
     }
 
     fn push(&mut self, at: SimTime, target: ProcessId, kind: EvKind<P::Msg>) {
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.next_seq();
+        #[cfg(test)]
+        self.audit
+            .push(Audit::Scheduled(at, seq, target, kind.name()));
         self.queue.push(at, seq, Ev { target, kind });
+    }
+
+    /// The insertion number of the next event scheduled.
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
     }
 
     fn ensure_started(&mut self) {
@@ -631,9 +672,23 @@ impl<P: Protocol> Simulation<P> {
     ) -> Result<bool, RunError> {
         self.ensure_started();
         while keep_going(self) {
-            let Some((at, _, ev)) = self.queue.peek() else {
-                self.metrics.end_time = self.now;
-                return Ok(true);
+            // The next event: the planned cast or the queued event that
+            // pops first by the queue's `(at asc, seq desc)` order.
+            let planned = self.plan.peek();
+            let queued = self.queue.peek();
+            let (at, target, kind, from_plan) = match (planned, queued) {
+                (Some((at, seq, m)), q)
+                    if q.map_or(true, |(q_at, q_seq, _)| {
+                        pops_before((at, seq), (q_at, q_seq))
+                    }) =>
+                {
+                    (at, m.id.origin, "cast", true)
+                }
+                (_, Some((at, _, ev))) => (at, ev.target, ev.kind.name(), false),
+                (_, None) => {
+                    self.metrics.end_time = self.now;
+                    return Ok(true);
+                }
             };
             if at > deadline {
                 self.metrics.end_time = self.now;
@@ -644,20 +699,27 @@ impl<P: Protocol> Simulation<P> {
             // run call would otherwise diverge from a fresh same-seed run
             // by exactly the dropped event).
             if self.metrics.steps >= self.cfg.max_steps {
-                let last_event = LastEvent {
-                    at,
-                    target: ev.target,
-                    kind: ev.kind.name(),
-                };
+                let last_event = LastEvent { at, target, kind };
                 self.metrics.end_time = self.now;
                 return Err(RunError::StepBudgetExhausted { last_event });
             }
-            let (at, _, ev) = self.queue.pop().expect("peeked");
+            let (at, _seq, ev) = if from_plan {
+                let (at, seq, msg) = self.plan.pop().expect("peeked");
+                let ev = Ev {
+                    target,
+                    kind: EvKind::Cast(msg),
+                };
+                (at, seq, ev)
+            } else {
+                self.queue.pop().expect("peeked")
+            };
+            #[cfg(test)]
+            self.audit.push(Audit::Dispatched(at, _seq));
             self.now = at;
             self.dispatch(ev);
         }
         self.metrics.end_time = self.now;
-        Ok(self.queue.is_empty())
+        Ok(self.queue.is_empty() && self.plan.is_empty())
     }
 
     fn dispatch(&mut self, ev: Ev<P::Msg>) {
@@ -717,9 +779,10 @@ impl<P: Protocol> Simulation<P> {
     /// stamps sends per §2.3 (one logical send event per step), samples link
     /// latencies, records deliveries.
     fn step(&mut self, p: ProcessId, f: impl FnOnce(&mut P, &Context, &mut Outbox<P::Msg>)) {
-        let ctx = Context::new(p, Arc::clone(&self.topo), self.now);
+        let ctx = &mut self.ctxs[p.index()];
+        ctx.set_now(self.now);
         let mut out = Outbox::with_buffer(std::mem::take(&mut self.scratch));
-        f(&mut self.procs[p.index()], &ctx, &mut out);
+        f(&mut self.procs[p.index()], ctx, &mut out);
         self.metrics.steps += 1;
 
         let mut actions = out.into_buffer();
@@ -1131,6 +1194,123 @@ mod tests {
         assert!(stops[0] > 64 * 10, "several looks happened");
         assert_eq!(stops[0], stops[1]);
         assert_eq!(stops[2], stops[3]);
+    }
+
+    /// Replays `audit` through a `(at asc, seq desc)` model of every event
+    /// scheduled and not yet dispatched: each dispatched event must be the
+    /// model's first. Returns the model's first left over — the event a
+    /// stopped run dispatches next — as `(at, seq, target, kind)`.
+    fn replay(audit: &[Audit]) -> Option<(SimTime, u64, ProcessId, &'static str)> {
+        use std::cmp::Reverse;
+        use std::collections::BTreeMap;
+        let mut model = BTreeMap::new();
+        for (i, &line) in audit.iter().enumerate() {
+            match line {
+                Audit::Scheduled(at, seq, target, kind) => {
+                    model.insert((at, Reverse(seq)), (target, kind));
+                }
+                Audit::Dispatched(at, seq) => {
+                    let ((want_at, Reverse(want_seq)), _) =
+                        model.pop_first().expect("a dispatched event was scheduled");
+                    assert_eq!((at, seq), (want_at, want_seq), "audit line {i}");
+                }
+            }
+        }
+        let (&(at, Reverse(seq)), &(target, kind)) = model.first_key_value()?;
+        Some((at, seq, target, kind))
+    }
+
+    /// The engine's dispatch order, planned-cast lane and queue together,
+    /// against the heap model, on random runs of [`Flood`] on 2×2 with
+    /// constant links: casts on a 100 µs grid, so intra-group arrivals land
+    /// on planned instants; each plan loaded mostly ascending, with
+    /// repeated instants and steps back; crashes; more casts between
+    /// `run_until` calls, before and after the lane's last instant; and on
+    /// some seeds a step budget that runs out.
+    #[test]
+    fn dispatch_order_matches_the_heap_model() {
+        let grid = |i: u64| SimTime::from_micros(100 * i);
+        for seed in 0..40u64 {
+            let mut rng = SplitMix64::new(seed);
+            let budget = if seed % 4 == 3 {
+                50 + rng.next_below(500)
+            } else {
+                u64::MAX
+            };
+            let cfg = SimConfig::default().with_seed(seed).with_max_steps(budget);
+            let mut sim = Simulation::new(Topology::symmetric(2, 2), cfg, |_, _| Flood);
+            let all = sim.topology().all_groups();
+            let mut t = 0u64;
+            let mut stopped = None;
+            for piece in 1..=4u64 {
+                let floor = sim.now().as_nanos().div_ceil(100_000);
+                t = t.max(floor);
+                for _ in 0..100 {
+                    t = match rng.next_below(8) {
+                        0 => t,
+                        1 => t.saturating_sub(rng.next_below(30)).max(floor),
+                        _ => t + 1 + rng.next_below(3),
+                    };
+                    let caster = ProcessId(rng.next_below(4) as u32);
+                    let dest = match rng.next_below(3) {
+                        0 => GroupSet::singleton(GroupId(rng.next_below(2) as u16)),
+                        _ => all,
+                    };
+                    sim.cast_at(grid(t), caster, dest, Payload::new());
+                }
+                if rng.next_below(3) == 0 {
+                    let at = grid(floor + rng.next_below(t - floor + 1));
+                    sim.crash_at(at, ProcessId(rng.next_below(4) as u32));
+                }
+                // Stop inside the loaded plan: the next piece's casts land
+                // before and after the lane's last instant.
+                let deadline = if piece < 4 {
+                    grid(t.saturating_sub(50))
+                } else {
+                    SimTime::MAX
+                };
+                if let Err(RunError::StepBudgetExhausted { last_event }) =
+                    sim.try_run_until(deadline)
+                {
+                    stopped = Some(last_event);
+                    break;
+                }
+            }
+            let next = replay(&sim.audit);
+            match stopped {
+                Some(last) => {
+                    let (at, _, target, kind) = next.expect("the budget stopped a live run");
+                    assert_eq!(last, LastEvent { at, target, kind }, "seed {seed}");
+                }
+                None => assert_eq!(next, None, "seed {seed}: quiescent"),
+            }
+        }
+    }
+
+    /// A blown step budget names the planned cast it stopped before, and
+    /// leaves it in the lane.
+    #[test]
+    fn budget_stop_names_a_planned_cast() {
+        // One process: a cast is one step and sends nothing, so after the
+        // start step and two casts the third planned cast is next.
+        let cfg = SimConfig::default().with_max_steps(3);
+        let mut sim = Simulation::new(Topology::symmetric(1, 1), cfg, |_, _| Flood);
+        let dest = sim.topology().all_groups();
+        for i in 1..=4 {
+            sim.cast_at(SimTime::from_millis(i), ProcessId(0), dest, Payload::new());
+        }
+        let err = sim.try_run_to_quiescence().unwrap_err();
+        let want = LastEvent {
+            at: SimTime::from_millis(3),
+            target: ProcessId(0),
+            kind: "cast",
+        };
+        assert_eq!(err, RunError::StepBudgetExhausted { last_event: want });
+        let next = replay(&sim.audit).expect("two casts left");
+        assert_eq!(
+            sim.plan.peek().map(|(at, seq, _)| (at, seq)),
+            Some((next.0, next.1))
+        );
     }
 
     #[test]

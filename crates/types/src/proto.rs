@@ -163,10 +163,14 @@ impl<M: Clone> Clone for MsgSlot<M> {
     }
 }
 
-/// Handler context: identity, environment, and an action buffer.
+/// Handler context: a process's identity, its topology and the current
+/// instant.
 ///
-/// A fresh `Context` is passed to every handler invocation; the host drains
-/// the buffered [`Action`]s when the handler returns.
+/// A host builds one `Context` per process it runs and moves it to each
+/// handler invocation's instant with [`set_now`](Self::set_now), so a step
+/// neither rebuilds it nor touches the shared topology's reference count.
+/// The handler's actions go to the separate [`Outbox`], which the host
+/// drains when the handler returns.
 #[derive(Debug)]
 pub struct Context {
     id: ProcessId,
@@ -186,6 +190,13 @@ impl Context {
             topology,
             now,
         }
+    }
+
+    /// Moves the context to instant `now`. Called by host runtimes before
+    /// each handler invocation.
+    #[inline]
+    pub fn set_now(&mut self, now: SimTime) {
+        self.now = now;
     }
 
     /// This process's id.
@@ -259,22 +270,18 @@ impl<M> Outbox<M> {
     }
 
     /// Sends one shared message to every process in `tos` without copying
-    /// the body per destination ([`Action::SendMany`]). Equivalent — copy
-    /// for copy, in order — to `send`ing a clone to each destination.
-    pub fn send_many<I: IntoIterator<Item = ProcessId>>(&mut self, tos: I, msg: M) {
-        let mut tos = tos.into_iter();
-        let Some(first) = tos.next() else { return };
-        let mut rest: Vec<ProcessId> = Vec::with_capacity(tos.size_hint().0 + 1);
-        rest.push(first);
-        rest.extend(tos);
-        if rest.len() == 1 {
+    /// the body per destination ([`Action::SendMany`], which keeps `tos`
+    /// as handed in). Equivalent — copy for copy, in order — to `send`ing
+    /// a clone to each destination.
+    pub fn send_many(&mut self, tos: Vec<ProcessId>, msg: M) {
+        match *tos {
+            [] => {}
             // A fan-out of one is a plain send: no Arc allocation.
-            self.send(rest[0], msg);
-        } else {
-            self.actions.push(Action::SendMany {
-                tos: rest,
+            [to] => self.send(to, msg),
+            _ => self.actions.push(Action::SendMany {
+                tos,
                 msg: Arc::new(msg),
-            });
+            }),
         }
     }
 
@@ -417,11 +424,14 @@ mod tests {
     #[test]
     fn context_accessors() {
         let topo = Arc::new(Topology::symmetric(2, 2));
-        let ctx = Context::new(ProcessId(2), topo, SimTime::from_millis(5));
+        let mut ctx = Context::new(ProcessId(2), topo, SimTime::from_millis(5));
         assert_eq!(ctx.id(), ProcessId(2));
         assert_eq!(ctx.group(), GroupId(1));
         assert_eq!(ctx.now().as_millis(), 5);
         assert_eq!(ctx.topology().num_processes(), 4);
+        ctx.set_now(SimTime::from_millis(9));
+        assert_eq!(ctx.now().as_millis(), 9);
+        assert_eq!(ctx.id(), ProcessId(2));
     }
 
     #[test]
@@ -449,11 +459,17 @@ mod tests {
     #[test]
     fn send_many_degenerate_shapes() {
         let mut out = Outbox::<u32>::new();
-        out.send_many([], 1); // empty fan-out: no action at all
+        out.send_many(vec![], 1); // empty fan-out: no action at all
         assert!(out.is_empty());
-        out.send_many([ProcessId(4)], 2); // fan-out of one: plain send
+        out.send_many(vec![ProcessId(4)], 2); // fan-out of one: plain send
         let acts: Vec<_> = out.drain().collect();
         assert!(matches!(acts[0], Action::Send { to, msg: 2 } if to == ProcessId(4)));
+        // A wider fan-out keeps the list it was handed, not a copy.
+        let tos = vec![ProcessId(1), ProcessId(2)];
+        let at = tos.as_ptr();
+        out.send_many(tos, 3);
+        let acts: Vec<_> = out.drain().collect();
+        assert!(matches!(&acts[0], Action::SendMany { tos, .. } if tos.as_ptr() == at));
     }
 
     #[test]
