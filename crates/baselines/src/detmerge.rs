@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
-use wamcast_types::{AppMessage, Context, IdSet, Outbox, ProcessId, Protocol};
+use wamcast_types::{shared_ids, AppMessage, Context, IdSet, Outbox, ProcessId, Protocol};
 
 /// Wire messages of the deterministic merge.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,11 +128,11 @@ impl Protocol for DeterministicMerge {
 
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<MergeMsg>) {
         let ts = ctx.now().as_nanos();
-        let dest: Vec<ProcessId> = ctx
-            .topology()
-            .processes_in(msg.dest)
-            .filter(|&q| q != self.me)
-            .collect();
+        let dest = shared_ids(
+            ctx.topology()
+                .processes_in(msg.dest)
+                .filter(|&q| q != self.me),
+        );
         out.send_many(
             dest,
             MergeMsg::Pub {
@@ -142,11 +142,11 @@ impl Protocol for DeterministicMerge {
         );
         // Processes outside the destination still need the stream to
         // advance; the publication acts as their null.
-        let bystanders: Vec<ProcessId> = ctx
-            .topology()
-            .processes()
-            .filter(|&q| q != self.me && !ctx.topology().addresses(msg.dest, q))
-            .collect();
+        let bystanders = shared_ids(
+            ctx.topology()
+                .processes()
+                .filter(|&q| q != self.me && !ctx.topology().addresses(msg.dest, q)),
+        );
         out.send_many(bystanders, MergeMsg::Null { ts });
         self.advance(self.me, ts);
         if ctx.topology().addresses(msg.dest, self.me) {
@@ -176,11 +176,7 @@ impl Protocol for DeterministicMerge {
 
     fn on_timer(&mut self, _kind: u64, ctx: &Context, out: &mut Outbox<MergeMsg>) {
         let ts = ctx.now().as_nanos();
-        let others: Vec<ProcessId> = ctx
-            .topology()
-            .processes()
-            .filter(|&q| q != self.me)
-            .collect();
+        let others = shared_ids(ctx.topology().processes().filter(|&q| q != self.me));
         out.send_many(others, MergeMsg::Null { ts });
         self.advance(self.me, ts);
         self.try_deliver(ctx, out);

@@ -29,7 +29,9 @@
 
 use std::collections::BTreeMap;
 use std::time::Duration;
-use wamcast_types::{AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{
+    shared_ids, AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol,
+};
 
 /// Wire messages of the optimistic broadcast.
 #[derive(Clone, Debug, PartialEq)]
@@ -117,11 +119,7 @@ impl OptimisticBroadcast {
             let n = self.next_pos;
             self.next_pos += 1;
             self.positions.insert(n, id);
-            let others: Vec<ProcessId> = ctx
-                .topology()
-                .processes()
-                .filter(|&q| q != self.me)
-                .collect();
+            let others = shared_ids(ctx.topology().processes().filter(|&q| q != self.me));
             out.send_many(others, OptimisticMsg::Seq { id, n });
         }
         self.try_deliver(out);
@@ -144,11 +142,7 @@ impl Protocol for OptimisticBroadcast {
     type Msg = OptimisticMsg;
 
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<OptimisticMsg>) {
-        let others: Vec<ProcessId> = ctx
-            .topology()
-            .processes()
-            .filter(|&q| q != self.me)
-            .collect();
+        let others = shared_ids(ctx.topology().processes().filter(|&q| q != self.me));
         out.send_many(others, OptimisticMsg::Data(msg.clone()));
         self.on_data(msg, ctx, out);
     }

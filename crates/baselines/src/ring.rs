@@ -35,7 +35,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
-use wamcast_types::{AppMessage, Context, GroupId, IdSet, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{
+    shared_ids, AppMessage, Context, GroupId, IdSet, MessageId, Outbox, ProcessId, Protocol,
+};
 
 /// Timer token of the retransmission round (retry mode only).
 const RETRY_TIMER: u64 = 0;
@@ -334,18 +336,17 @@ impl RingMulticast {
             // process (including our own group, for uniform state). In
             // retry mode the caster gets a copy too when it is not
             // addressed, so it can stop retransmitting the hand-off.
-            let mut everyone: Vec<ProcessId> = ctx
-                .topology()
-                .processes_in(step.msg.dest)
-                .filter(|&q| q != self.me)
-                .collect();
             let origin = id.origin;
-            if self.retry.is_some()
+            let caster = (self.retry.is_some()
                 && origin != self.me
-                && !ctx.topology().addresses(step.msg.dest, origin)
-            {
-                everyone.push(origin);
-            }
+                && !ctx.topology().addresses(step.msg.dest, origin))
+            .then_some(origin);
+            let everyone = shared_ids(
+                ctx.topology()
+                    .processes_in(step.msg.dest)
+                    .filter(|&q| q != self.me)
+                    .chain(caster),
+            );
             if self.retry.is_some() {
                 let debtors: BTreeSet<ProcessId> = everyone
                     .iter()
@@ -367,7 +368,7 @@ impl RingMulticast {
             self.on_final(step.msg, ts_out, ctx, out);
         } else {
             let next = self.next_group(&step.msg).expect("not last");
-            let members: Vec<ProcessId> = ctx.topology().members(next).to_vec();
+            let members = ctx.topology().shared_members(next);
             if self.retry.is_some() {
                 self.handoff = Some((step.msg.clone(), ts_out, next));
             }
@@ -415,7 +416,7 @@ impl RingMulticast {
             return;
         }
         out.send_many(
-            debtors.iter().copied().collect(),
+            shared_ids(debtors.iter().copied()),
             RingMsg::Final {
                 msg: msg.clone(),
                 ts,
@@ -496,13 +497,13 @@ impl Protocol for RingMulticast {
     /// A-MCast: hand `m` (with timestamp 0) to its first destination group.
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<RingMsg>) {
         let first = msg.dest.min().expect("non-empty destination");
-        let members: Vec<ProcessId> = ctx
-            .topology()
-            .members(first)
-            .iter()
-            .copied()
-            .filter(|&q| q != self.me)
-            .collect();
+        let members = shared_ids(
+            ctx.topology()
+                .members(first)
+                .iter()
+                .copied()
+                .filter(|&q| q != self.me),
+        );
         if self.retry.is_some() {
             self.initiated.insert(msg.id, msg.clone());
         }
@@ -566,13 +567,13 @@ impl Protocol for RingMulticast {
         // removed (only the per-send message body is cloned).
         for msg in self.initiated.values() {
             let first = msg.dest.min().expect("non-empty destination");
-            let members: Vec<ProcessId> = ctx
-                .topology()
-                .members(first)
-                .iter()
-                .copied()
-                .filter(|q| *q != self.me && !self.crashed.contains(q))
-                .collect();
+            let members = shared_ids(
+                ctx.topology()
+                    .members(first)
+                    .iter()
+                    .copied()
+                    .filter(|q| *q != self.me && !self.crashed.contains(q)),
+            );
             out.send_many(
                 members,
                 RingMsg::Enter {
@@ -582,13 +583,13 @@ impl Protocol for RingMulticast {
             );
         }
         if let Some((msg, ts, next)) = &self.handoff {
-            let members: Vec<ProcessId> = ctx
-                .topology()
-                .members(*next)
-                .iter()
-                .copied()
-                .filter(|q| !self.crashed.contains(q))
-                .collect();
+            let members = shared_ids(
+                ctx.topology()
+                    .members(*next)
+                    .iter()
+                    .copied()
+                    .filter(|q| !self.crashed.contains(q)),
+            );
             out.send_many(
                 members,
                 RingMsg::Enter {
@@ -599,7 +600,7 @@ impl Protocol for RingMulticast {
         }
         for (msg, ts, debtors) in self.outstanding_finals.values() {
             out.send_many(
-                debtors.iter().copied().collect(),
+                shared_ids(debtors.iter().copied()),
                 RingMsg::Final {
                     msg: msg.clone(),
                     ts: *ts,

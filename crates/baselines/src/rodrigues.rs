@@ -37,7 +37,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
-use wamcast_types::{AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{
+    shared_ids, AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol,
+};
 
 /// Wire messages of the Rodrigues et al. multicast.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,11 +136,7 @@ impl RodriguesMulticast {
         self.lc += 1;
         let ts = self.lc;
         let addressees: Vec<ProcessId> = ctx.topology().processes_in(m.dest).collect();
-        let others: Vec<ProcessId> = addressees
-            .iter()
-            .copied()
-            .filter(|&q| q != self.me)
-            .collect();
+        let others = shared_ids(addressees.iter().copied().filter(|&q| q != self.me));
         let mut pending = Pending {
             msg: m,
             ts,
@@ -267,11 +265,11 @@ impl Protocol for RodriguesMulticast {
     type Msg = RodriguesMsg;
 
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<RodriguesMsg>) {
-        let others: Vec<ProcessId> = ctx
-            .topology()
-            .processes_in(msg.dest)
-            .filter(|&q| q != self.me)
-            .collect();
+        let others = shared_ids(
+            ctx.topology()
+                .processes_in(msg.dest)
+                .filter(|&q| q != self.me),
+        );
         out.send_many(others, RodriguesMsg::Data(msg.clone()));
         self.on_data(msg, ctx, out);
     }

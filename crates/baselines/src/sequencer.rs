@@ -26,7 +26,9 @@
 //! both handled idempotently).
 
 use std::collections::{BTreeMap, BTreeSet};
-use wamcast_types::{AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{
+    shared_ids, AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol,
+};
 
 /// Wire messages of the uniform sequencer broadcast.
 #[derive(Clone, Debug, PartialEq)]
@@ -91,11 +93,7 @@ impl SequencerBroadcast {
             return;
         }
         self.data.insert(id, m);
-        let others: Vec<ProcessId> = ctx
-            .topology()
-            .processes()
-            .filter(|&q| q != self.me)
-            .collect();
+        let others = shared_ids(ctx.topology().processes().filter(|&q| q != self.me));
         // Validation vote to everyone (the O(n²) term).
         out.send_many(others.clone(), SequencerMsg::Vote { id });
         self.votes.entry(id).or_default().insert(self.me);
@@ -136,11 +134,7 @@ impl Protocol for SequencerBroadcast {
     type Msg = SequencerMsg;
 
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<SequencerMsg>) {
-        let others: Vec<ProcessId> = ctx
-            .topology()
-            .processes()
-            .filter(|&q| q != self.me)
-            .collect();
+        let others = shared_ids(ctx.topology().processes().filter(|&q| q != self.me));
         out.send_many(others, SequencerMsg::Data(msg.clone()));
         self.on_data(msg, ctx, out);
     }

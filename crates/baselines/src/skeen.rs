@@ -31,7 +31,9 @@
 //! harmless (all handlers are idempotent).
 
 use std::collections::BTreeMap;
-use wamcast_types::{AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol};
+use wamcast_types::{
+    shared_ids, AppMessage, Context, IdSet, MessageId, Outbox, ProcessId, Protocol,
+};
 
 /// Wire messages of Skeen's algorithm.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,7 +96,7 @@ impl SkeenMulticast {
         self.lc += 1;
         let ts = self.lc;
         let id = m.id;
-        let everyone: Vec<ProcessId> = ctx.topology().processes_in(m.dest).collect();
+        let everyone = shared_ids(ctx.topology().processes_in(m.dest));
         self.pending.insert(
             id,
             Pending {
@@ -158,11 +160,11 @@ impl Protocol for SkeenMulticast {
     type Msg = SkeenMsg;
 
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<SkeenMsg>) {
-        let others: Vec<ProcessId> = ctx
-            .topology()
-            .processes_in(msg.dest)
-            .filter(|&q| q != self.me)
-            .collect();
+        let others = shared_ids(
+            ctx.topology()
+                .processes_in(msg.dest)
+                .filter(|&q| q != self.me),
+        );
         out.send_many(others, SkeenMsg::Data(msg.clone()));
         self.on_data(msg, ctx, out);
     }

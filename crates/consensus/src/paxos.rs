@@ -226,24 +226,74 @@ struct PrepareState<V> {
     sent_value: Option<V>,
 }
 
+/// A list whose first element is kept inline: an instance's per-ballot
+/// vote masks and its forwarded values nearly always number one (a second
+/// ballot takes a suspected coordinator; a second forwarded value, a
+/// member that proposed before the first forward arrived), so the common
+/// case allocates nothing. Later elements go to a `Vec` that grows by
+/// exactly one each: vote lists outlive their instance (see [`Decided`])
+/// until the group floor passes it.
+#[derive(Clone, Debug)]
+struct FirstInline<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Default for FirstInline<T> {
+    fn default() -> Self {
+        FirstInline {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl<T> FirstInline<T> {
+    fn push(&mut self, v: T) {
+        if self.first.is_none() {
+            self.first = Some(v);
+        } else {
+            self.rest.reserve_exact(1);
+            self.rest.push(v);
+        }
+    }
+
+    fn first(&self) -> Option<&T> {
+        self.first.as_ref()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.first.iter_mut().chain(&mut self.rest)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+}
+
 /// `Accepted` announcements counted per ballot: bit `i` of a ballot's mask
 /// is the vote of `members[i]`. Flat, because an instance sees one ballot
 /// unless a coordinator was suspected.
-type Votes = Vec<(Ballot, u64)>;
+type Votes = FirstInline<(Ballot, u64)>;
 
-/// The mask of `ballot` in `votes`, created (empty) on first use. Grows by
-/// exactly one entry: these lists outlive their instance (see [`Decided`])
-/// until the group floor passes it.
+/// The mask of `ballot` in `votes`, created (empty) on first use.
 fn tally(votes: &mut Votes, ballot: Ballot) -> &mut u64 {
-    let i = match votes.iter().position(|(b, _)| *b == ballot) {
-        Some(i) => i,
-        None => {
-            votes.reserve_exact(1);
-            votes.push((ballot, 0));
-            votes.len() - 1
-        }
-    };
-    &mut votes[i].1
+    if !votes.iter().any(|(b, _)| *b == ballot) {
+        votes.push((ballot, 0));
+    }
+    let (_, mask) = votes
+        .iter_mut()
+        .find(|(b, _)| *b == ballot)
+        .expect("pushed above if missing");
+    mask
 }
 
 /// All that is kept of a decided instance: every handler is guarded by the
@@ -270,7 +320,7 @@ struct Instance<V> {
     /// Values forwarded to us while we are (or become) coordinator. With a
     /// merge combiner installed all of them fold into the proposed value;
     /// without one only the first is used (first-wins, the classic shape).
-    forwarded: Vec<V>,
+    forwarded: FirstInline<V>,
     /// Fast-path guard: ballot-0 Accept already sent.
     sent_accept0: bool,
     /// The value the ballot-0 Accept carried (for loss-recovery
@@ -286,11 +336,11 @@ impl<V> Instance<V> {
             promised: Ballot::zero(b0_owner),
             accepted: None,
             my_value: None,
-            forwarded: Vec::new(),
+            forwarded: FirstInline::default(),
             sent_accept0: false,
             sent_accept0_value: None,
             prepare: None,
-            accepted_votes: Vec::new(),
+            accepted_votes: Votes::default(),
         }
     }
 
@@ -627,7 +677,7 @@ impl<V: Value> GroupConsensus<V> {
                 }
                 {
                     let inst = self.instance_mut(instance);
-                    if !inst.forwarded.contains(&value) {
+                    if !inst.forwarded.iter().any(|v| *v == value) {
                         inst.forwarded.push(value);
                     }
                 }
@@ -1001,7 +1051,7 @@ impl<V: Value> GroupConsensus<V> {
             Some(inst) => inst.accepted_votes,
             None => {
                 self.held.insert(instance);
-                Votes::new()
+                Votes::default()
             }
         };
         self.active.remove(&instance);
@@ -1446,6 +1496,45 @@ mod tests {
         e.on_message(ProcessId(1), accepted(b0), &mut s);
         assert_eq!(s.msgs.len(), 1);
         assert!(e.instances.is_empty(), "late traffic re-creates nothing");
+    }
+
+    #[test]
+    fn tally_counts_each_ballot_apart_with_the_first_inline() {
+        let b = |round, owner| Ballot {
+            round,
+            owner: ProcessId(owner),
+        };
+        let mut votes = Votes::default();
+        *tally(&mut votes, b(0, 0)) |= 1;
+        *tally(&mut votes, b(0, 0)) |= 2;
+        assert_eq!(votes.rest.capacity(), 0, "one ballot allocates nothing");
+        *tally(&mut votes, b(1, 1)) |= 2;
+        *tally(&mut votes, b(0, 0)) |= 4;
+        *tally(&mut votes, b(2, 2)) |= 1;
+        let all: Vec<_> = votes.iter().copied().collect();
+        assert_eq!(all, vec![(b(0, 0), 7), (b(1, 1), 2), (b(2, 2), 1)]);
+        assert_eq!(votes.len(), 3);
+
+        // An undecided instance decides on a majority at one ballot: a
+        // vote at the first ballot and one at the second are not two.
+        let members: Vec<_> = (0..3).map(ProcessId).collect();
+        let mut e: GroupConsensus<u32> = GroupConsensus::new(ProcessId(0), members);
+        let accepted = |ballot| ConsensusMsg::Accepted {
+            instance: 1,
+            ballot,
+            value: 5,
+            floor: 0,
+        };
+        let mut s = MsgSink::new();
+        e.on_message(ProcessId(0), accepted(b(0, 0)), &mut s);
+        e.on_message(ProcessId(1), accepted(b(1, 1)), &mut s);
+        assert_eq!(e.decision(1), None, "one vote at each of two ballots");
+        e.on_message(ProcessId(2), accepted(b(1, 1)), &mut s);
+        assert_eq!(e.decision(1), Some(&5), "two votes at the second ballot");
+        // The decided instance keeps both ballots' tallies: p1 repeating
+        // its second-ballot vote is a duplicate, owed a Decide.
+        e.on_message(ProcessId(1), accepted(b(1, 1)), &mut s);
+        assert_eq!(s.msgs.len(), 1);
     }
 
     /// Delivers every queued message; an engine not in `silent` reports

@@ -33,8 +33,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
 use wamcast_types::{
-    AppMessage, BatchConfig, Context, FxHashMap, GroupId, IdSet, MessageId, Outbox, ProcessId,
-    Protocol, SharedBatch,
+    shared_ids, AppMessage, BatchConfig, Context, FxHashMap, GroupId, IdSet, MessageId, Outbox,
+    ProcessId, Protocol, SharedBatch,
 };
 
 /// A round's message bundle — the value one consensus instance decides and
@@ -172,6 +172,11 @@ pub enum BroadcastMsg {
 pub struct RoundBroadcast {
     me: ProcessId,
     group: GroupId,
+    /// The other members of this process's group: every cast's R-MCast
+    /// fan-out, shared so a cast costs a refcount.
+    peers: Arc<[ProcessId]>,
+    /// Every process outside this group: each round's bundle fan-out.
+    remote: Arc<[ProcessId]>,
     /// `K`: current round number = consensus instance number.
     k: u64,
     /// `propK`: at most one proposal per instance.
@@ -241,6 +246,8 @@ impl RoundBroadcast {
         RoundBroadcast {
             me,
             group,
+            peers: shared_ids(members.iter().copied().filter(|&q| q != me)),
+            remote: shared_ids(topo.processes().filter(|&q| topo.group_of(q) != group)),
             k: 1,
             prop_k: 1,
             barrier: 0,
@@ -463,7 +470,7 @@ impl RoundBroadcast {
             // unacked set iterates in process order, as the per-`send`
             // loop did.
             out.send_many(
-                unacked.iter().copied().collect(),
+                shared_ids(unacked.iter().copied()),
                 BroadcastMsg::Bundle {
                     round,
                     msgs: RoundBundle::clone(msgs),
@@ -496,13 +503,9 @@ impl RoundBroadcast {
                 normalize(&mut decided);
                 // Line 15: send (K, msgSet′) to every process outside our
                 // group.
-                let remote: Vec<ProcessId> = ctx
-                    .topology()
-                    .processes()
-                    .filter(|&q| ctx.topology().group_of(q) != self.group)
-                    .collect();
                 if self.retry.is_some() {
-                    let unacked: BTreeSet<ProcessId> = remote
+                    let unacked: BTreeSet<ProcessId> = self
+                        .remote
                         .iter()
                         .copied()
                         .filter(|q| !self.crashed.contains(q))
@@ -516,7 +519,7 @@ impl RoundBroadcast {
                     }
                 }
                 out.send_many(
-                    remote,
+                    Arc::clone(&self.remote),
                     BroadcastMsg::Bundle {
                         round: self.k,
                         msgs: RoundBundle::clone(&decided),
@@ -605,14 +608,7 @@ impl Protocol for RoundBroadcast {
     /// Lines 4–5: to A-BCast `m`, R-MCast it to the caster's own group.
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<BroadcastMsg>) {
         debug_assert_eq!(msg.id.origin, self.me);
-        let peers: Vec<ProcessId> = ctx
-            .topology()
-            .members(self.group)
-            .iter()
-            .copied()
-            .filter(|&q| q != self.me)
-            .collect();
-        out.send_many(peers, BroadcastMsg::Rm(msg.clone()));
+        out.send_many(Arc::clone(&self.peers), BroadcastMsg::Rm(msg.clone()));
         self.on_rdeliver(msg, ctx, out);
         self.arm_retry(out);
     }
@@ -730,16 +726,10 @@ impl Protocol for RoundBroadcast {
         if !held.is_empty() {
             held.sort_unstable_by_key(|m| m.id);
             held.dedup_by_key(|m| m.id);
-            let peers: Vec<ProcessId> = ctx
-                .topology()
-                .members(self.group)
-                .iter()
-                .copied()
-                .filter(|&q| q != self.me && q != crashed)
-                .collect();
+            let peers = shared_ids(self.peers.iter().copied().filter(|&q| q != crashed));
             for m in held {
                 self.relayed.insert(m.id);
-                out.send_many(peers.clone(), BroadcastMsg::Rm(m.clone()));
+                out.send_many(Arc::clone(&peers), BroadcastMsg::Rm(m.clone()));
             }
         }
         if ctx.topology().group_of(crashed) == self.group {
@@ -805,7 +795,7 @@ mod tests {
                 // Expand shared fan-outs to the per-destination copies a
                 // host would deliver.
                 Action::SendMany { tos, msg } => {
-                    sends.extend(tos.into_iter().map(|to| (to, (*msg).clone())))
+                    sends.extend(tos.iter().map(|&to| (to, (*msg).clone())))
                 }
                 Action::Deliver(m) => delivers.push(m.id),
                 _ => {}

@@ -57,8 +57,8 @@ use std::time::Duration;
 use wamcast_consensus::{ConsensusMsg, GroupConsensus, MsgSink};
 use wamcast_rmcast::{RmcastEngine, RmcastMsg, RmcastOut};
 use wamcast_types::{
-    AppMessage, BatchConfig, Context, FxHashMap, FxHashSet, GroupId, IdSet, MessageId, Outbox,
-    ProcessId, Protocol,
+    AppMessage, BatchConfig, Context, FxHashMap, FxHashSet, GroupId, GroupSet, IdSet, MessageId,
+    Outbox, ProcessId, Protocol,
 };
 
 /// Timer token of the batch flush timer (see [`MulticastConfig::batch`]).
@@ -183,26 +183,38 @@ struct Pending {
     ts: u64,
     stage: Stage,
     /// Timestamp proposals received from other groups via `(TS, m)`.
-    /// A message addresses at most a handful of groups, so a flat vector
-    /// beats any tree/hash map: lookups are a short linear scan.
-    remote_proposals: Vec<(GroupId, u64)>,
+    proposals: Proposals,
 }
 
-impl Pending {
-    /// The recorded proposal of group `g`, if any.
-    fn proposal_of(&self, g: GroupId) -> Option<u64> {
-        self.remote_proposals
-            .iter()
-            .find(|&&(pg, _)| pg == g)
-            .map(|&(_, ts)| ts)
-    }
+/// The timestamp proposals other destination groups sent for one message:
+/// which groups were heard from, and the largest proposal.
+///
+/// A set and a max are enough. Group `g`'s proposal for `m` is the number
+/// of the consensus instance of `g` whose decision carried `m` in stage
+/// s0 (line 22), and that instance is unique: every member of `g` learns
+/// the same sequence of decisions (Lemma A.1), and the first one carrying
+/// `m` puts `m` into s1 at each of them, so no member proposes `m` in s0
+/// again. Every `(TS, m)` from `g` therefore names the same number — each
+/// member's copy of the decision's `(TS, batch)`, a retransmission
+/// (`ts` of a message in s1 is still its group's proposal) and a nudge
+/// reply (the proposal recorded when it was sent) alike. Whether `g` was
+/// heard from and the maximum over the groups heard from is all that
+/// `try_resolve_s1`, the duplicate fast path of `on_ts` and `retransmit`
+/// read, so no per-group value is kept and recording one never allocates.
+#[derive(Clone, Copy, Debug, Default)]
+struct Proposals {
+    /// The groups whose proposal arrived. Never this process's own group:
+    /// `(TS, m)` goes only to the other destination groups.
+    from: GroupSet,
+    /// The largest proposal among them (0 while `from` is empty).
+    max: u64,
+}
 
-    /// Records (or overwrites) group `g`'s proposal.
-    fn set_proposal(&mut self, g: GroupId, ts: u64) {
-        match self.remote_proposals.iter_mut().find(|(pg, _)| *pg == g) {
-            Some(slot) => slot.1 = ts,
-            None => self.remote_proposals.push((g, ts)),
-        }
+impl Proposals {
+    /// Records group `g`'s proposal `ts`.
+    fn record(&mut self, g: GroupId, ts: u64) {
+        self.from.insert(g);
+        self.max = self.max.max(ts);
     }
 }
 
@@ -282,10 +294,11 @@ pub struct GenuineMulticast {
     order_buf: Vec<usize>,
     /// Reusable scratch: the ids a decision moved into stage s1.
     entered_s1_buf: Vec<MessageId>,
-    /// Reusable scratch: per-destination-group `(TS, batch)` staging. Only
-    /// the outer vector's capacity is reusable — each inner entry vector
-    /// is consumed by the shared batch it becomes.
-    ts_batches_buf: Vec<(GroupId, Vec<MsgEntry>)>,
+    /// Reusable scratch: one decision's `(TS, batch)` entries, staged per
+    /// destination group and indexed by group number. Each vector keeps
+    /// its capacity from one decision to the next; the batch a group is
+    /// sent is moved out at its exact size.
+    ts_staging: Vec<Vec<MsgEntry>>,
 }
 
 /// Retention cap for [`GenuineMulticast`]'s remembered `(TS, m)` proposals
@@ -351,7 +364,7 @@ impl GenuineMulticast {
             dec_buf: Vec::new(),
             order_buf: Vec::new(),
             entered_s1_buf: Vec::new(),
-            ts_batches_buf: Vec::new(),
+            ts_staging: Vec::new(),
         }
     }
 
@@ -376,6 +389,12 @@ impl GenuineMulticast {
     /// Number of messages currently pending (not yet A-Delivered).
     pub fn pending_len(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The stage and recorded remote proposals of pending message `id`.
+    #[cfg(test)]
+    fn proposal_record(&self, id: MessageId) -> Option<(Stage, Proposals)> {
+        self.pending.get(&id).map(|p| (p.stage, p.proposals))
     }
 
     /// Debug/inspection: decided consensus instances this process still
@@ -433,7 +452,7 @@ impl GenuineMulticast {
             Pending {
                 ts: self.k,
                 stage: Stage::S0,
-                remote_proposals: Vec::new(),
+                proposals: Proposals::default(),
                 msg: m,
             },
         );
@@ -538,8 +557,9 @@ impl GenuineMulticast {
         // One (TS, batch) per remote destination group, carrying this
         // decision's stage-s1 entries addressed to it (the batched form of
         // line 24); each member of the group gets an `Arc` handle to the
-        // same batch.
-        let mut ts_batches = std::mem::take(&mut self.ts_batches_buf);
+        // same batch. `staged` names the groups with entries.
+        let mut ts_staging = std::mem::take(&mut self.ts_staging);
+        let mut staged = GroupSet::new();
         // Messages this decision moved into s1; only these can need the
         // post-decision resolution check below (older s1 messages were
         // checked when their TS messages arrived).
@@ -565,17 +585,15 @@ impl GenuineMulticast {
                     self.record_sent_proposal(id, k);
                 }
                 for g in entry.msg.dest.iter().filter(|&g| g != self.group) {
-                    let e = MsgEntry {
+                    if ts_staging.len() <= g.index() {
+                        ts_staging.resize_with(g.index() + 1, Vec::new);
+                    }
+                    ts_staging[g.index()].push(MsgEntry {
                         msg: entry.msg.clone(),
                         ts: k,
                         stage: Stage::S1,
-                    };
-                    // A message addresses a handful of groups: linear scan
-                    // over the staging vector, sorted once at send time.
-                    match ts_batches.iter_mut().find(|(pg, _)| *pg == g) {
-                        Some((_, batch)) => batch.push(e),
-                        None => ts_batches.push((g, vec![e])),
-                    }
+                    });
+                    staged.insert(g);
                 }
                 (k, Stage::S1)
             } else {
@@ -618,7 +636,7 @@ impl GenuineMulticast {
                             msg: entry.msg.clone(),
                             ts: new_ts,
                             stage: new_stage,
-                            remote_proposals: Vec::new(),
+                            proposals: Proposals::default(),
                         },
                     );
                     self.by_ts.push(Reverse((new_ts, id)));
@@ -635,16 +653,19 @@ impl GenuineMulticast {
         }
         order.clear();
         self.order_buf = order;
-        // Emission order must match the BTreeMap this staging vector
-        // replaced: ascending destination group.
-        ts_batches.sort_by_key(|&(g, _)| g);
-        for (g, entries) in ts_batches.drain(..) {
-            // One wire message per destination *group*, one shared body per
-            // member fan-out: the engine clones a refcount per member.
-            let batch = MsgBatch::new(entries);
-            out.send_many(ctx.topology().members(g).to_vec(), MulticastMsg::Ts(batch));
+        // Ascending destination group. One wire message per destination
+        // *group*, one shared body per member fan-out: the host clones a
+        // refcount per member, and the member list is the topology's.
+        for g in staged.iter() {
+            let staging = &mut ts_staging[g.index()];
+            let mut entries = Vec::with_capacity(staging.len());
+            entries.append(staging);
+            out.send_many(
+                ctx.topology().shared_members(g),
+                MulticastMsg::Ts(MsgBatch::new(entries)),
+            );
         }
-        self.ts_batches_buf = ts_batches;
+        self.ts_staging = ts_staging;
         // Line 31: K ← max(max decided ts, K) + 1. Every instance below
         // the new K is consumed: this process never proposes or needs one
         // again, so consensus may forget it once the whole group is past.
@@ -652,7 +673,7 @@ impl GenuineMulticast {
         self.cons.advance_floor(self.k);
         // Freshly-s1 messages whose remote proposals already all arrived
         // can be resolved at once (the TS messages may have beaten our
-        // decision, parking their proposals in `remote_proposals`).
+        // decision, parking their proposals in `proposals`).
         for id in entered_s1.drain(..) {
             self.try_resolve_s1(id, ctx, out);
         }
@@ -676,19 +697,12 @@ impl GenuineMulticast {
         if p.stage != Stage::S1 {
             return;
         }
-        // One pass over the destination bitset, no allocation: bail on the
-        // first group whose proposal is still missing.
-        let mut max_remote = 0u64;
-        for g in p.msg.dest.iter() {
-            if g == self.group {
-                continue;
-            }
-            match p.proposal_of(g) {
-                Some(ts) => max_remote = max_remote.max(ts),
-                None => return,
-            }
+        // One subset test: wait while some other destination group's
+        // proposal is missing.
+        if !(p.msg.dest - GroupSet::singleton(self.group)).is_subset(p.proposals.from) {
+            return;
         }
-        let own = p.ts;
+        let (own, max_remote) = (p.ts, p.proposals.max);
         self.s1_waiting.remove(&id); // leaving s1 either way below
         let p = self.pending.get_mut(&id).expect("checked above");
         if self.cfg.skip_stages && own >= max_remote {
@@ -726,22 +740,29 @@ impl GenuineMulticast {
         out: &mut Outbox<MulticastMsg>,
     ) {
         let sender_group = ctx.topology().group_of(from);
-        let mut replies: Vec<MsgEntry> = Vec::new();
+        // Only a nudge is answered, with at most one entry per entry it
+        // carries: one allocation, made up front.
+        let mut replies: Vec<MsgEntry> = if nudge {
+            Vec::with_capacity(entries.len())
+        } else {
+            Vec::new()
+        };
         for entry in entries.iter() {
             let id = entry.msg.id;
             // One hash probe classifies the entry; the duplicate-copy fast
             // path (every member of the deciding group sends the same
-            // (TS, batch), so all but the first copy find the proposal
-            // already recorded, or the message long A-Delivered, and
-            // nothing below could change any state) skips the re-walk.
-            // Nudges still fall through: they may need a reply even when
-            // nothing changes locally.
+            // (TS, batch), so all but the first copy find the group's
+            // proposal already recorded — it is unique, see `Proposals` —
+            // or the message long A-Delivered, and nothing below could
+            // change any state) skips the re-walk. Nudges still fall
+            // through: they may need a reply even when nothing changes
+            // locally.
             match self.pending.get_mut(&id) {
                 Some(p) => {
-                    if !nudge && p.proposal_of(sender_group) == Some(entry.ts) {
+                    if !nudge && p.proposals.from.contains(sender_group) {
                         continue;
                     }
-                    p.set_proposal(sender_group, entry.ts);
+                    p.proposals.record(sender_group, entry.ts);
                 }
                 None if self.adelivered.contains(id) => {
                     if !nudge {
@@ -753,7 +774,7 @@ impl GenuineMulticast {
                     // this is the only case that needs an owned copy.
                     self.on_rdeliver(entry.msg.clone(), ctx, out);
                     if let Some(p) = self.pending.get_mut(&id) {
-                        p.set_proposal(sender_group, entry.ts);
+                        p.proposals.record(sender_group, entry.ts);
                     }
                 }
             }
@@ -828,7 +849,7 @@ impl GenuineMulticast {
             let p = &self.pending[id];
             debug_assert_eq!(p.stage, Stage::S1, "s1 index out of sync");
             for g in p.msg.dest.iter() {
-                if g == self.group || p.proposal_of(g).is_some() {
+                if g == self.group || p.proposals.from.contains(g) {
                     continue;
                 }
                 per_group.entry(g).or_default().push(MsgEntry {
@@ -841,7 +862,7 @@ impl GenuineMulticast {
         for (g, entries) in per_group {
             let batch = MsgBatch::new(entries);
             out.send_many(
-                ctx.topology().members(g).to_vec(),
+                ctx.topology().shared_members(g),
                 MulticastMsg::TsNudge(batch),
             );
         }
@@ -1014,7 +1035,7 @@ pub fn describe_multicast_msg(msg: &MulticastMsg) -> wamcast_types::MsgInfo {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use wamcast_types::{Action, GroupSet, Payload, SimTime, Topology};
+    use wamcast_types::{Action, Payload, SimTime, Topology};
 
     fn ctx(p: u32, topo: &Arc<Topology>) -> Context {
         Context::new(ProcessId(p), Arc::clone(topo), SimTime::ZERO)
@@ -1162,6 +1183,186 @@ mod tests {
         let (pending, rm_outstanding, _) = p0.debug_retry_state();
         assert_eq!(pending, 1, "cast is pending");
         assert!(rm_outstanding, "ack mode: un-acked copies in flight");
+    }
+
+    /// A1 with the per-group proposal list that `Proposals` replaced kept
+    /// beside it, for every pending message: each group's latest proposal
+    /// from `(TS, m)` and `TsNudge` copies, overwritten in place as the
+    /// old record did. After each such message the compact record must
+    /// name the same groups and the same maximum. The wrapper also counts
+    /// the cases the argument on `Proposals` covers.
+    struct Shadowed {
+        inner: GenuineMulticast,
+        model: FxHashMap<MessageId, Vec<(GroupId, u64)>>,
+        /// Proposals recorded while the own decision was still pending
+        /// (stage s0).
+        early: u64,
+        /// Copies naming a group and proposal already recorded.
+        duplicates: u64,
+        /// Nudges answered with this group's own proposal.
+        replies: u64,
+    }
+
+    impl Protocol for Shadowed {
+        type Msg = MulticastMsg;
+
+        fn on_cast(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<MulticastMsg>) {
+            self.inner.on_cast(m, ctx, out);
+            self.forget_delivered(out);
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            msg: MulticastMsg,
+            ctx: &Context,
+            out: &mut Outbox<MulticastMsg>,
+        ) {
+            let (entries, nudge) = match &msg {
+                MulticastMsg::Ts(b) => (Some(MsgBatch::clone(b)), false),
+                MulticastMsg::TsNudge(b) => (Some(MsgBatch::clone(b)), true),
+                _ => (None, false),
+            };
+            let g = ctx.topology().group_of(from);
+            for e in entries.iter().flat_map(|b| b.iter()) {
+                let id = e.msg.id;
+                if matches!(self.inner.proposal_record(id), Some((Stage::S0, _))) {
+                    self.early += 1;
+                }
+                if self.model.get(&id).is_some_and(|l| l.contains(&(g, e.ts))) {
+                    self.duplicates += 1;
+                }
+            }
+            self.inner.on_message(from, msg, ctx, out);
+            let acts: Vec<_> = out.drain().collect();
+            for a in acts {
+                if nudge
+                    && matches!(&a, Action::Send { to, msg: MulticastMsg::Ts(_) } if *to == from)
+                {
+                    self.replies += 1;
+                }
+                out.emit(a);
+            }
+            for e in entries.iter().flat_map(|b| b.iter()) {
+                let id = e.msg.id;
+                let Some((_, record)) = self.inner.proposal_record(id) else {
+                    continue;
+                };
+                let list = self.model.entry(id).or_default();
+                match list.iter_mut().find(|(pg, _)| *pg == g) {
+                    Some(slot) => slot.1 = e.ts,
+                    None => list.push((g, e.ts)),
+                }
+                let groups: GroupSet = list.iter().map(|&(pg, _)| pg).collect();
+                let max = list.iter().map(|&(_, ts)| ts).max().unwrap_or(0);
+                assert_eq!(record.from, groups, "{id:?}: groups heard from");
+                assert_eq!(record.max, max, "{id:?}: largest proposal");
+                let others = e.msg.dest - GroupSet::singleton(ctx.group());
+                assert!(
+                    groups.is_subset(others),
+                    "{id:?}: a proposal from {groups:?}"
+                );
+            }
+            self.forget_delivered(out);
+        }
+
+        fn on_timer(&mut self, kind: u64, ctx: &Context, out: &mut Outbox<MulticastMsg>) {
+            self.inner.on_timer(kind, ctx, out);
+            self.forget_delivered(out);
+        }
+    }
+
+    impl Shadowed {
+        /// Drops the model's list of each message this step delivered,
+        /// and re-emits the step's actions unchanged.
+        fn forget_delivered(&mut self, out: &mut Outbox<MulticastMsg>) {
+            let acts: Vec<_> = out.drain().collect();
+            for a in acts {
+                if let Action::Deliver(m) = &a {
+                    self.model.remove(&m.id);
+                }
+                out.emit(a);
+            }
+        }
+    }
+
+    #[test]
+    fn proposal_record_matches_a_per_group_list() {
+        use wamcast_sim::{FaultPlan, LatencyModel, NetConfig, SimConfig, Simulation};
+        let topo = Topology::symmetric(3, 3);
+        let dests = [
+            GroupSet::from_iter([GroupId(0), GroupId(1)]),
+            GroupSet::from_iter([GroupId(1), GroupId(2)]),
+            GroupSet::from_iter([GroupId(0), GroupId(2)]),
+            GroupSet::first_n(3),
+            GroupSet::singleton(GroupId(2)),
+        ];
+        for skip_stages in [true, false] {
+            let (mut early, mut duplicates, mut replies) = (0, 0, 0);
+            for seed in 0..4u64 {
+                // Jittered links let a group's (TS, m) beat the receiving
+                // group's own decision; lost copies make nudges.
+                let net = NetConfig {
+                    inter: LatencyModel::Uniform {
+                        min: Duration::from_millis(40),
+                        max: Duration::from_millis(160),
+                    },
+                    ..NetConfig::default()
+                };
+                let mut plan = FaultPlan::none();
+                for p in topo.processes() {
+                    for q in topo.processes().filter(|&q| !topo.same_group(p, q)) {
+                        plan = plan.with_drop(p, q, 0.05);
+                    }
+                }
+                let cfg = SimConfig::default()
+                    .with_seed(seed)
+                    .with_net(net)
+                    .with_faults(plan);
+                let batch = if seed % 2 == 0 {
+                    BatchConfig::disabled()
+                } else {
+                    BatchConfig::new(4).with_max_delay(Duration::from_millis(5))
+                };
+                let mc = MulticastConfig {
+                    skip_stages,
+                    batch,
+                    retry: Some(Duration::from_millis(250)),
+                };
+                let mut sim = Simulation::new(topo.clone(), cfg, |p, t| Shadowed {
+                    inner: GenuineMulticast::new(p, t, mc),
+                    model: FxHashMap::default(),
+                    early: 0,
+                    duplicates: 0,
+                    replies: 0,
+                });
+                let mut ids = Vec::new();
+                for i in 0..120u64 {
+                    let caster = ProcessId((i * 7 % 9) as u32);
+                    let dest = dests[(i % dests.len() as u64) as usize];
+                    let at = SimTime::from_millis(i * 3);
+                    ids.push(sim.cast_at(at, caster, dest, Payload::new()));
+                }
+                assert!(sim.run_until_delivered(&ids, SimTime::from_millis(600_000)));
+                sim.run_to_quiescence();
+                for p in topo.processes() {
+                    let s = sim.protocol(p);
+                    assert!(s.model.is_empty(), "{p:?} holds a list past delivery");
+                    early += s.early;
+                    duplicates += s.duplicates;
+                    replies += s.replies;
+                }
+            }
+            assert!(
+                early > 0,
+                "skip_stages {skip_stages}: no proposal beat a decision"
+            );
+            assert!(
+                duplicates > 0,
+                "skip_stages {skip_stages}: no duplicate copy"
+            );
+            assert!(replies > 0, "skip_stages {skip_stages}: no nudge answered");
+        }
     }
 
     #[test]

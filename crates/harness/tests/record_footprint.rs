@@ -9,8 +9,9 @@
 //! the processes themselves: what the protocols keep at quiescence must
 //! not grow with the plan. The next guards the same on sockets, for an
 //! in-process loopback cluster whose nodes keep a delivery log. Another
-//! bounds what a KV replica keeps per op it applies, and the last what
-//! the §2.2 checker allocates per delivery.
+//! bounds what a KV replica keeps per op it applies, another what the
+//! §2.2 checker allocates per delivery, and the last how many allocations
+//! a whole run makes per cast.
 //!
 //! Run in release: `cargo test --release -p wamcast-harness --test
 //! record_footprint`.
@@ -262,6 +263,48 @@ fn sim_a2_processes_retain_nothing_per_cast() {
     let short = held_at_quiescence(HORIZON, all_groups, a2_stack);
     let long = held_at_quiescence(2 * HORIZON, all_groups, a2_stack);
     assert_retains_nothing_per_cast("sim_a2", short, long);
+}
+
+/// Runs `dests`' Poisson plan on the stack `factory` builds, from building
+/// the simulation to dropping its record, and returns the allocations
+/// (reallocations included) per cast: the benchmark's
+/// `alloc.allocs_per_op`, on a 3 s plan.
+fn allocations_per_cast<P: Protocol>(
+    dests: impl Fn(&Topology) -> Vec<GroupSet>,
+    factory: impl FnMut(ProcessId, &Topology) -> P,
+) -> f64 {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let topo = Arc::new(Topology::symmetric(3, 3));
+    let plan = poisson(&topo, 2000.0, HORIZON, &dests(&topo), 7);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let cfg = SimConfig::default().with_seed(7).with_send_log(false);
+    let mut sim = Simulation::new_shared(topo, cfg, factory);
+    for c in &plan {
+        sim.cast_at(c.at, c.caster, c.dest, Payload::new());
+    }
+    sim.run_to_quiescence();
+    let m: RunMetrics = sim.into_metrics();
+    assert_eq!(m.deliveries.len(), plan.len(), "every cast delivered");
+    drop(m);
+    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / plan.len() as f64
+}
+
+/// Allocation guard for the two simulator stacks, per cast. Reads 13.5
+/// (`sim_a1`) and 1.6 (`sim_a2`) here. Without the fixes below it read
+/// 32.6 and 2.9, and `sim_a1` fails: the first proposal each pending cast
+/// recorded in a list of its own, a `(TS, batch)` staging vector built
+/// and grown per decision, a copy of the destination group's member list
+/// per fan-out, each consensus instance's first vote tally and first
+/// forwarded value, the rmcast ack list grown per recipient and a debtor
+/// set rebuilt per cast, nudge replies grown per entry, event-queue
+/// buckets of 17 to 64 events regrown from one slot, and (`sim_a2`) a
+/// peer list built per cast.
+#[test]
+fn sim_runs_allocate_at_most_18_and_3_times_per_cast() {
+    let a1 = allocations_per_cast(a1_dests, a1_stack);
+    let a2 = allocations_per_cast(all_groups, a2_stack);
+    assert!(a1 <= 18.0, "sim_a1: {a1:.2} allocations per cast");
+    assert!(a2 <= 3.0, "sim_a2: {a2:.2} allocations per cast");
 }
 
 /// Casts before the first live-heap reading of

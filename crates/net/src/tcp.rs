@@ -853,7 +853,7 @@ where
                 Action::Send { to, msg } => self.ship(to, MsgSlot::Owned(msg), &mut false),
                 Action::SendMany { tos, msg } => {
                     let mut encoded = false;
-                    for &to in &tos {
+                    for &to in tos.iter() {
                         self.ship(to, MsgSlot::Shared(Arc::clone(&msg)), &mut encoded);
                     }
                 }

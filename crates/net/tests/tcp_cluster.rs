@@ -19,8 +19,8 @@ use wamcast_net::tcp::{
 use wamcast_net::WallFaults;
 use wamcast_types::wire::{self, Wire};
 use wamcast_types::{
-    AppMessage, BatchConfig, Context, FaultPlan, GroupId, GroupSet, MessageId, Outbox, Payload,
-    ProcessId, Protocol, SimTime, StateMachine, Topology,
+    shared_ids, AppMessage, BatchConfig, Context, FaultPlan, GroupId, GroupSet, MessageId, Outbox,
+    Payload, ProcessId, Protocol, SimTime, StateMachine, Topology,
 };
 
 const RETRY: Duration = Duration::from_millis(100);
@@ -250,7 +250,7 @@ impl Protocol for Flood {
     type Msg = AppMessage;
 
     fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<AppMessage>) {
-        let tos: Vec<ProcessId> = ctx.topology().processes_in(msg.dest).collect();
+        let tos = shared_ids(ctx.topology().processes_in(msg.dest));
         out.send_many(tos, msg);
     }
 

@@ -73,7 +73,9 @@ pub struct RmcastEngine {
     /// it still owes an ack for. A crash notification used to `retain`
     /// over *every* outstanding entry; with the index it touches exactly
     /// the crashed process's debts. Unordered: its walk only *removes*
-    /// state, never emits.
+    /// state, never emits. A debtor's set stays when it empties (one per
+    /// process this one sends to, each sized by its in-flight casts), so
+    /// the next cast does not build it again.
     debtors: FxHashMap<ProcessId, FxHashSet<MessageId>>,
     /// Processes reported crashed: never tracked as ack debtors (a send to
     /// one *after* its crash notification must not wait forever).
@@ -168,7 +170,7 @@ impl RmcastEngine {
         let entry = self
             .outstanding
             .entry(m.id)
-            .or_insert_with(|| (m.clone(), Vec::new()));
+            .or_insert_with(|| (m.clone(), Vec::with_capacity(recipients.len())));
         for &q in recipients {
             if !self.crashed.contains(&q) && !entry.1.contains(&q) {
                 entry.1.push(q);
@@ -223,9 +225,6 @@ impl RmcastEngine {
                         waiting.swap_remove(i);
                         if let Some(owed) = self.debtors.get_mut(&from) {
                             owed.remove(&id);
-                            if owed.is_empty() {
-                                self.debtors.remove(&from);
-                            }
                         }
                     }
                     if waiting.is_empty() {

@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use wamcast_sim::{Simulation, SimConfig, invariants};
-//! use wamcast_types::{Protocol, Context, Outbox, AppMessage, ProcessId, SimTime, Topology};
+//! use wamcast_types::{shared_ids, Protocol, Context, Outbox, AppMessage, ProcessId, SimTime, Topology};
 //!
 //! // A (non-fault-tolerant) direct-delivery multicast, for illustration.
 //! struct Direct;
@@ -42,8 +42,7 @@
 //!     type Msg = AppMessage;
 //!     fn on_cast(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<AppMessage>) {
 //!         let me = ctx.id();
-//!         let others: Vec<_> =
-//!             ctx.topology().processes_in(m.dest).filter(|&q| q != me).collect();
+//!         let others = shared_ids(ctx.topology().processes_in(m.dest).filter(|&q| q != me));
 //!         out.send_many(others, m.clone());
 //!         if ctx.topology().addresses(m.dest, me) {
 //!             out.deliver(m);

@@ -30,17 +30,21 @@
 //! a1-batched` probe, ~80% of pushes append to an existing bucket.
 //!
 //! A bucket's allocation leaves its slot when the bucket becomes the
-//! front, and drained fronts of at most `SPARE_SLOTS` events' room are
-//! recycled through a pool of at most `SPARE_CAP`: a plan of n instants
-//! holds n small buckets while it is queued, not n grown ones forever
-//! after. A new instant takes a spare first; with none left it gets room
-//! for exactly one event, not the four `Vec`'s first growth reserves, and
-//! grows when a second event joins it. A front that grew large (a burst
-//! at one instant) is freed when drained, not pooled: a pooled one would
-//! be handed to the next new or re-filed instant, however few events that
-//! instant holds, and under re-file churn the queue's room then grew far
-//! past the events it held (772 slots for 3 events in the churn test
-//! below).
+//! front, and drained fronts are recycled through two pools (`Spares`).
+//! Fronts of at most `SPARE_SLOTS` events' room go to a pool of at most
+//! `SPARE_CAP`: a plan of n instants holds n small buckets while it is
+//! queued, not n grown ones forever after. A new instant takes a small
+//! spare first; with none left it gets room for exactly one event, not
+//! the four `Vec`'s first growth reserves. Fronts that grew larger (up to
+//! `LARGE_SPARE_SLOTS`) go to a second pool of at most `LARGE_SPARE_CAP`,
+//! and a large spare is handed only to a bucket that is full and about to
+//! grow: the bucket's events move into it, and its own allocation goes
+//! back to the pools. So an instant of a few dozen events grows once, not
+//! once per doubling, and no instant holds more room than the events it
+//! gathered asked for. Handing a large spare to every new or re-filed
+//! instant, however few events it holds, made the queue's room grow far
+//! past the events it held under re-file churn (772 slots for 3 events in
+//! the churn test below).
 //!
 //! Casts a driver plans ahead of the run in time-ascending order skip the
 //! queue altogether: they wait in a `PlanLane`, a run of compact rows
@@ -67,18 +71,77 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use wamcast_types::SimTime;
 
-/// Max spare bucket allocations kept for reuse. Buckets churn once per
-/// distinct timestamp; a small pool makes steady-state pushes
+/// Max small spare bucket allocations kept for reuse. Buckets churn once
+/// per distinct timestamp; a small pool makes steady-state pushes
 /// allocation-free without hoarding memory after a burst.
 const SPARE_CAP: usize = 32;
 
-/// Largest bucket capacity, in events, the pool keeps. A spare goes to
-/// whatever instant is filed next, most of which hold one event, so a
-/// larger drained front is freed rather than kept for one.
+/// Largest bucket capacity, in events, the small pool keeps. A small
+/// spare goes to whatever instant is filed next, most of which hold one
+/// event.
 const SPARE_SLOTS: usize = 16;
+
+/// Max large spare bucket allocations kept for reuse: one per instant of
+/// a burst that may be queued at once.
+const LARGE_SPARE_CAP: usize = 8;
+
+/// Largest bucket capacity, in events, the large pool keeps: a drained
+/// front with more room is freed, so a rare huge burst is not held for
+/// the rest of the run.
+const LARGE_SPARE_SLOTS: usize = 64;
 
 /// The events of one instant, ascending `seq`; popped from the back.
 type Bucket<T> = Vec<(u64, T)>;
+
+/// Emptied bucket allocations kept for reuse, in two pools (see the
+/// [module docs](self)): small ones for new instants, large ones for
+/// buckets about to outgrow their room.
+#[derive(Debug)]
+struct Spares<T> {
+    small: Vec<Bucket<T>>,
+    large: Vec<Bucket<T>>,
+}
+
+impl<T> Spares<T> {
+    /// An empty bucket for a new instant: a small spare if there is one,
+    /// else room for exactly one event. Most instants of a loaded plan
+    /// hold a single cast, and `Vec`'s first growth would size them for
+    /// four; a bucket that gains a second event grows on demand.
+    fn fresh(&mut self) -> Bucket<T> {
+        self.small.pop().unwrap_or_else(|| Vec::with_capacity(1))
+    }
+
+    /// Keeps the empty `bucket` in the pool its room fits, or frees it.
+    fn recycle(&mut self, bucket: Bucket<T>) {
+        debug_assert!(bucket.is_empty());
+        let room = bucket.capacity();
+        if room <= SPARE_SLOTS {
+            if self.small.len() < SPARE_CAP {
+                self.small.push(bucket);
+            }
+        } else if room <= LARGE_SPARE_SLOTS && self.large.len() < LARGE_SPARE_CAP {
+            self.large.push(bucket);
+        }
+    }
+
+    /// Appends an event to `bucket`. A full bucket first moves its events
+    /// into the newest large spare, if that has more room, and its own
+    /// allocation is recycled: the bucket grows without a reallocation.
+    fn append(&mut self, bucket: &mut Bucket<T>, event: (u64, T)) {
+        if bucket.len() == bucket.capacity()
+            && self
+                .large
+                .last()
+                .is_some_and(|b| b.capacity() > bucket.len())
+        {
+            let mut large = self.large.pop().expect("checked above");
+            large.append(bucket);
+            let emptied = std::mem::replace(bucket, large);
+            self.recycle(emptied);
+        }
+        bucket.push(event);
+    }
+}
 
 /// Hasher for `slot_of`'s keys: nanosecond counts chosen by the run, not
 /// by an outside party, so one multiply replaces SipHash on a path taken
@@ -138,7 +201,7 @@ pub struct BucketQueue<T> {
     /// removed — so a hint that matches by instant names the right slot.
     hint: Option<(SimTime, usize)>,
     /// Emptied bucket allocations kept for reuse.
-    spare: Vec<Bucket<T>>,
+    spare: Spares<T>,
     len: usize,
 }
 
@@ -159,7 +222,10 @@ impl<T> BucketQueue<T> {
             slots: Vec::new(),
             free: Vec::new(),
             hint: None,
-            spare: Vec::new(),
+            spare: Spares {
+                small: Vec::new(),
+                large: Vec::new(),
+            },
             len: 0,
         }
     }
@@ -174,14 +240,6 @@ impl<T> BucketQueue<T> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// An empty bucket for a new instant: a spare drained front if there
-    /// is one, else room for exactly one event. Most instants of a loaded
-    /// plan hold a single cast, and `Vec`'s first growth would size them
-    /// for four; a bucket that gains a second event grows on demand.
-    fn fresh(spare: &mut Vec<Bucket<T>>) -> Bucket<T> {
-        spare.pop().unwrap_or_else(|| Vec::with_capacity(1))
     }
 
     /// Puts `bucket` into a free slot of `slots`, returning the slot.
@@ -211,14 +269,14 @@ impl<T> BucketQueue<T> {
             self.cur.push((seq, item));
         } else if at == self.cur_at {
             debug_assert!(self.cur.last().is_some_and(|&(s, _)| s < seq));
-            self.cur.push((seq, item));
+            self.spare.append(&mut self.cur, (seq, item));
         } else if at > self.cur_at {
             self.push_later(at, seq, item);
         } else {
             // `at < cur_at`: an external push (cast_at / crash_at between
             // run calls) before the cached front. Re-file the front bucket
             // under its instant and start a fresh front here.
-            let old = std::mem::replace(&mut self.cur, Self::fresh(&mut self.spare));
+            let old = std::mem::replace(&mut self.cur, self.spare.fresh());
             let slot = Self::store(&mut self.slots, &mut self.free, old);
             self.slot_of.insert(self.cur_at, slot);
             self.order.push(Reverse(self.cur_at));
@@ -237,7 +295,7 @@ impl<T> BucketQueue<T> {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
                         self.order.push(Reverse(at));
-                        let fresh = Self::fresh(&mut self.spare);
+                        let fresh = self.spare.fresh();
                         *e.insert(Self::store(&mut self.slots, &mut self.free, fresh))
                     }
                 };
@@ -247,7 +305,7 @@ impl<T> BucketQueue<T> {
         };
         let bucket = &mut self.slots[slot];
         debug_assert!(bucket.last().map_or(true, |&(s, _)| s < seq));
-        bucket.push((seq, item));
+        self.spare.append(bucket, (seq, item));
     }
 
     /// The next event to pop: `(at, seq, &item)`.
@@ -273,9 +331,7 @@ impl<T> BucketQueue<T> {
                     self.hint = None;
                 }
                 let drained = std::mem::replace(&mut self.cur, bucket);
-                if self.spare.len() < SPARE_CAP && drained.capacity() <= SPARE_SLOTS {
-                    self.spare.push(drained);
-                }
+                self.spare.recycle(drained);
                 self.cur_at = t;
             }
         }
@@ -287,7 +343,8 @@ impl<T> BucketQueue<T> {
     #[cfg(test)]
     fn room(&self) -> usize {
         let slots: usize = self.slots.iter().map(Vec::capacity).sum();
-        let spare: usize = self.spare.iter().map(Vec::capacity).sum();
+        let spares = self.spare.small.iter().chain(&self.spare.large);
+        let spare: usize = spares.map(Vec::capacity).sum();
         self.cur.capacity() + slots + spare
     }
 }
@@ -590,6 +647,42 @@ mod tests {
                 q.len()
             );
         }
+    }
+
+    /// A drained front of a few dozen events is kept and handed only to a
+    /// bucket that is full: a new instant still starts in one slot, and an
+    /// instant that gathers as many events again moves into the kept
+    /// allocation once instead of doubling its way up.
+    #[test]
+    fn large_spares_go_only_to_buckets_about_to_grow() {
+        let mut q = BucketQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut BucketQueue<u64>, at: u64| {
+            q.push(ms(at), seq, seq);
+            seq += 1;
+        };
+        for _ in 0..40 {
+            push(&mut q, 1);
+        }
+        push(&mut q, 5);
+        for _ in 0..40 {
+            assert_eq!(q.pop().map(|(at, ..)| at), Some(ms(1)));
+        }
+        assert_eq!(q.spare.large.len(), 1, "the 40-event front is kept");
+        let kept = q.spare.large[0].capacity();
+        assert!(kept > SPARE_SLOTS);
+        push(&mut q, 9);
+        let room_at = |q: &BucketQueue<u64>, at| q.slots[q.slot_of[&ms(at)]].capacity();
+        assert_eq!(room_at(&q, 9), 1, "a new instant starts in one slot");
+        assert_eq!(q.spare.large.len(), 1);
+        push(&mut q, 9);
+        assert!(q.spare.large.is_empty(), "a full bucket takes the spare");
+        assert_eq!(room_at(&q, 9), kept);
+        for _ in 2..kept {
+            push(&mut q, 9);
+        }
+        assert_eq!(room_at(&q, 9), kept, "no growth up to the spare's room");
+        assert_eq!(q.spare.small.len(), 1, "the one-slot bucket is pooled");
     }
 
     /// The engine's merge of a [`PlanLane`] with the queue, checked against

@@ -805,7 +805,7 @@ impl<P: Protocol> Simulation<P> {
                     // order, each with its own latency sample and fault
                     // fate — observationally the same per-copy sequence as
                     // the equivalent `Send` loop, minus the deep copies.
-                    for &to in &tos {
+                    for &to in tos.iter() {
                         self.record_msg(p, &msg, true, to);
                         self.schedule_copy(p, to, stamp, MsgSlot::Shared(Arc::clone(&msg)));
                     }
@@ -921,7 +921,7 @@ impl<P: Protocol> Simulation<P> {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use wamcast_types::GroupId;
+    use wamcast_types::{shared_ids, GroupId};
 
     /// Unordered best-effort multicast: the caster sends the message to
     /// every addressed process directly; everyone delivers on receipt (the
@@ -933,11 +933,7 @@ mod tests {
 
         fn on_cast(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<AppMessage>) {
             let me = ctx.id();
-            let tos: Vec<_> = ctx
-                .topology()
-                .processes_in(m.dest)
-                .filter(|&q| q != me)
-                .collect();
+            let tos = shared_ids(ctx.topology().processes_in(m.dest).filter(|&q| q != me));
             out.send_many(tos, m.clone());
             if ctx.topology().addresses(m.dest, me) {
                 out.deliver(m);

@@ -6,7 +6,9 @@ use std::time::Duration;
 use wamcast_sim::{
     FaultPlan, LatencyModel, NetConfig, RunError, RunMetrics, SimConfig, Simulation,
 };
-use wamcast_types::{AppMessage, Context, Outbox, Payload, ProcessId, Protocol, SimTime, Topology};
+use wamcast_types::{
+    shared_ids, AppMessage, Context, Outbox, Payload, ProcessId, Protocol, SimTime, Topology,
+};
 
 /// Unordered best-effort multicast used to drive the engine: the caster
 /// sends to every addressed process; everyone delivers on receipt.
@@ -17,11 +19,7 @@ impl Protocol for Flood {
 
     fn on_cast(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<AppMessage>) {
         let me = ctx.id();
-        let tos: Vec<_> = ctx
-            .topology()
-            .processes_in(m.dest)
-            .filter(|&q| q != me)
-            .collect();
+        let tos = shared_ids(ctx.topology().processes_in(m.dest).filter(|&q| q != me));
         out.send_many(tos, m.clone());
         if ctx.topology().addresses(m.dest, me) {
             out.deliver(m);

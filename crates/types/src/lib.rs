@@ -72,7 +72,7 @@ pub use groupset::GroupSet;
 pub use ids::{GroupId, ProcessId};
 pub use idset::IdSet;
 pub use message::{AppMessage, MessageId, Payload};
-pub use proto::{Action, Context, MsgClass, MsgInfo, MsgSlot, Outbox, Protocol};
+pub use proto::{shared_ids, Action, Context, MsgClass, MsgInfo, MsgSlot, Outbox, Protocol};
 pub use rng::SplitMix64;
 pub use statemachine::StateMachine;
 pub use time::SimTime;

@@ -109,8 +109,10 @@ pub enum Action<M> {
     /// clone-per-destination loop with [`Outbox::send_many`] never changes
     /// a schedule, only its cost.
     SendMany {
-        /// Destination processes, in send order.
-        tos: Vec<ProcessId>,
+        /// Destination processes, in send order. Shared, so a fan-out to a
+        /// whole group hands out the topology's own member list
+        /// ([`Topology::shared_members`]) for a refcount.
+        tos: Arc<[ProcessId]>,
         /// The shared message body.
         msg: Arc<M>,
     },
@@ -226,6 +228,23 @@ impl Context {
     }
 }
 
+/// Collects `ids` into a shared destination list for
+/// [`Outbox::send_many`] in one allocation. `collect` into `Arc<[_]>`
+/// sizes its allocation from the iterator only when the length is known
+/// up front; a filtered walk would go through a `Vec` first. So this walks
+/// `ids` twice: once to count, once to fill.
+pub fn shared_ids<I>(ids: I) -> Arc<[ProcessId]>
+where
+    I: Iterator<Item = ProcessId> + Clone,
+{
+    let len = ids.clone().count();
+    let mut ids = ids;
+    // A mapped range has an exact length, so the list is allocated once.
+    (0..len)
+        .map(|_| ids.next().expect("a cloned walk yields what it counted"))
+        .collect()
+}
+
 /// Action buffer filled by handlers.
 ///
 /// Separated from [`Context`] so a handler can borrow the context immutably
@@ -272,8 +291,9 @@ impl<M> Outbox<M> {
     /// Sends one shared message to every process in `tos` without copying
     /// the body per destination ([`Action::SendMany`], which keeps `tos`
     /// as handed in). Equivalent — copy for copy, in order — to `send`ing
-    /// a clone to each destination.
-    pub fn send_many(&mut self, tos: Vec<ProcessId>, msg: M) {
+    /// a clone to each destination. A list built for one send is best
+    /// made with [`shared_ids`], in one allocation.
+    pub fn send_many(&mut self, tos: Arc<[ProcessId]>, msg: M) {
         match *tos {
             [] => {}
             // A fan-out of one is a plain send: no Arc allocation.
@@ -407,13 +427,13 @@ mod tests {
 
         fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<u32>) {
             // Echo protocols: deliver own casts immediately, ping group peers.
-            let peers: Vec<_> = ctx
-                .topology()
-                .members(ctx.group())
-                .iter()
-                .copied()
-                .filter(|&q| q != ctx.id())
-                .collect();
+            let peers = shared_ids(
+                ctx.topology()
+                    .members(ctx.group())
+                    .iter()
+                    .copied()
+                    .filter(|&q| q != ctx.id()),
+            );
             out.send_many(peers, 7);
             out.deliver(msg);
         }
@@ -450,7 +470,7 @@ mod tests {
         assert!(matches!(
             &acts[0],
             Action::SendMany { tos, msg }
-                if **msg == 7 && tos == &[ProcessId(1), ProcessId(2)]
+                if **msg == 7 && **tos == [ProcessId(1), ProcessId(2)]
         ));
         assert!(matches!(&acts[1], Action::Deliver(d) if d.id == m.id));
         assert!(out.is_empty());
@@ -459,17 +479,30 @@ mod tests {
     #[test]
     fn send_many_degenerate_shapes() {
         let mut out = Outbox::<u32>::new();
-        out.send_many(vec![], 1); // empty fan-out: no action at all
+        out.send_many(Arc::from([]), 1); // empty fan-out: no action at all
         assert!(out.is_empty());
-        out.send_many(vec![ProcessId(4)], 2); // fan-out of one: plain send
+        out.send_many(Arc::from([ProcessId(4)]), 2); // fan-out of one: plain send
         let acts: Vec<_> = out.drain().collect();
         assert!(matches!(acts[0], Action::Send { to, msg: 2 } if to == ProcessId(4)));
         // A wider fan-out keeps the list it was handed, not a copy.
-        let tos = vec![ProcessId(1), ProcessId(2)];
-        let at = tos.as_ptr();
-        out.send_many(tos, 3);
+        let tos: Arc<[ProcessId]> = Arc::from([ProcessId(1), ProcessId(2)]);
+        out.send_many(Arc::clone(&tos), 3);
         let acts: Vec<_> = out.drain().collect();
-        assert!(matches!(&acts[0], Action::SendMany { tos, .. } if tos.as_ptr() == at));
+        assert!(matches!(&acts[0], Action::SendMany { tos: kept, .. } if Arc::ptr_eq(kept, &tos)));
+        // A group's fan-out shares the topology's member list.
+        let topo = Topology::symmetric(2, 3);
+        out.send_many(topo.shared_members(GroupId(1)), 4);
+        let acts: Vec<_> = out.drain().collect();
+        assert!(matches!(&acts[0], Action::SendMany { tos, .. }
+            if Arc::ptr_eq(tos, &topo.shared_members(GroupId(1)))));
+    }
+
+    #[test]
+    fn shared_ids_keeps_order_and_length() {
+        let ids = shared_ids((0..10).map(ProcessId).filter(|p| p.0 % 3 != 0));
+        let want: Vec<ProcessId> = [1, 2, 4, 5, 7, 8].into_iter().map(ProcessId).collect();
+        assert_eq!(*ids, *want);
+        assert!(shared_ids(std::iter::empty()).is_empty());
     }
 
     #[test]

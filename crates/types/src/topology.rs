@@ -1,6 +1,7 @@
 //! Static group membership.
 
 use crate::{GroupId, GroupSet, ProcessId, TopologyError};
+use std::sync::Arc;
 
 /// The static system layout: disjoint, non-empty groups covering Π (§2.1).
 ///
@@ -8,7 +9,9 @@ use crate::{GroupId, GroupSet, ProcessId, TopologyError};
 /// group declaration order, so `group_of` and `members` are O(1) lookups.
 /// A `Topology` is immutable after construction — the paper's model has no
 /// reconfiguration — and cheap to clone (it is shared by every simulated
-/// process).
+/// process). Each group's member list is stored once, shared: a fan-out to
+/// a whole group ([`shared_members`](Self::shared_members)) hands out a
+/// refcount, not a copy.
 ///
 /// # Example
 ///
@@ -25,7 +28,7 @@ use crate::{GroupId, GroupSet, ProcessId, TopologyError};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// `members[g]` = processes of group g, ascending.
-    members: Vec<Vec<ProcessId>>,
+    members: Vec<Arc<[ProcessId]>>,
     /// `group_of[p]` = group of process p.
     group_of: Vec<GroupId>,
 }
@@ -84,6 +87,18 @@ impl Topology {
         &self.members[g.index()]
     }
 
+    /// [`members`](Self::members) as a shared list, for
+    /// [`Outbox::send_many`](crate::Outbox::send_many): a fan-out to the
+    /// whole group costs one refcount.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is not a group of this topology.
+    #[inline]
+    pub fn shared_members(&self, g: GroupId) -> Arc<[ProcessId]> {
+        Arc::clone(&self.members[g.index()])
+    }
+
     /// Whether `p` and `q` are in the same group (their link is "cheap").
     #[inline]
     pub fn same_group(&self, p: ProcessId, q: ProcessId) -> bool {
@@ -91,7 +106,7 @@ impl Topology {
     }
 
     /// All process ids, ascending.
-    pub fn processes(&self) -> impl Iterator<Item = ProcessId> + '_ {
+    pub fn processes(&self) -> impl Iterator<Item = ProcessId> + Clone + '_ {
         (0..self.num_processes() as u32).map(ProcessId)
     }
 
@@ -108,7 +123,7 @@ impl Topology {
 
     /// Processes addressed by a destination set: `{p | group(p) ∈ dest}`.
     /// The paper writes `p ∈ m.dest` for this (§2.2).
-    pub fn processes_in(&self, dest: GroupSet) -> impl Iterator<Item = ProcessId> + '_ {
+    pub fn processes_in(&self, dest: GroupSet) -> impl Iterator<Item = ProcessId> + Clone + '_ {
         dest.iter()
             .flat_map(move |g| self.members(g).iter().copied())
     }
@@ -172,13 +187,10 @@ impl TopologyBuilder {
         let mut group_of = Vec::new();
         let mut next = 0u32;
         for (gi, &size) in self.sizes.iter().enumerate() {
-            let mut g = Vec::with_capacity(size);
-            for _ in 0..size {
-                g.push(ProcessId(next));
-                group_of.push(GroupId(gi as u16));
-                next += 1;
-            }
-            members.push(g);
+            let end = next + size as u32;
+            members.push((next..end).map(ProcessId).collect());
+            group_of.extend(std::iter::repeat(GroupId(gi as u16)).take(size));
+            next = end;
         }
         Ok(Topology { members, group_of })
     }
