@@ -45,25 +45,47 @@ use wamcast_types::{FxHashMap, ProcessId};
 /// Values decidable by consensus.
 ///
 /// Blanket-implemented; protocols decide on sets of in-flight application
-/// messages (A1's `msgSet`, A2's round bundles).
-pub trait Value: Clone + fmt::Debug + PartialEq + Send + 'static {}
-impl<T: Clone + fmt::Debug + PartialEq + Send + 'static> Value for T {}
+/// messages (A1's `msgSet`, A2's round bundles). The engine never compares
+/// two values by content: Paxos needs only that a coordinator proposes a
+/// value it was given, so no equality is asked of `V`.
+pub trait Value: Clone + fmt::Debug + Send + 'static {}
+impl<T: Clone + fmt::Debug + Send + 'static> Value for T {}
 
 /// Combiner folding a second proposal into an accumulated one, installed
 /// with [`GroupConsensus::with_merge`].
 ///
-/// Called by the ballot-0 coordinator — and only **before** its `Accept`
-/// goes out — to fold values forwarded by other members into the value it
+/// Folds values forwarded by other members into the value a coordinator
 /// is about to propose. Protocols deciding *batches* of messages install a
 /// union-by-message-id combiner so that one consensus instance carries
 /// every message any group member has disseminated, instead of the
 /// coordinator's view only; messages the coordinator has not yet received
-/// would otherwise wait a full extra instance. This is safe because merging
-/// happens strictly at proposal time: Paxos chooses the merged value (or
-/// not) through the normal ballot machinery, so uniform agreement is
-/// untouched, and validity weakens only from "some member proposed the
-/// decision" to "every element of the decision was proposed by some
-/// member" — exactly the validity atomic multicast needs.
+/// would otherwise wait a full extra instance. This is safe because a
+/// merged value is only ever *proposed*: Paxos chooses it (or not) through
+/// the normal ballot machinery, so uniform agreement is untouched, and
+/// validity weakens only from "some member proposed the decision" to
+/// "every element of the decision was proposed by some member" — exactly
+/// the validity atomic multicast needs.
+///
+/// # Contract
+///
+/// The engine folds each `Forward` into the one forwarded value it holds
+/// as the `Forward` arrives, and merges that fold into the member's own
+/// proposal only when it proposes. That equals folding every value into
+/// the proposal in arrival order — the proposal's copy first — as long as
+/// the combiner is:
+///
+/// * **associative**: `merge(merge(a, b), c)` equals
+///   `merge(a, merge(b, c))` in content and in order;
+/// * **left-biased**: where `acc` and `more` hold an element with the same
+///   id, the result keeps `acc`'s copy;
+/// * **a no-op on what `acc` already holds**: if every id of `more` is in
+///   `acc`, `acc` is left untouched — for an `Arc`-shared batch, the same
+///   allocation (`Arc::ptr_eq`) — so a re-forward or an equal batch costs
+///   an id check and no copy.
+///
+/// A union by message id that appends `more`'s new elements in order, or
+/// merges two id-sorted lists, is all three; `merge_msg_sets` and
+/// `merge_bundles` in `wamcast-core` are checked against them.
 pub type MergeFn<V> = fn(&mut V, V);
 
 /// A Paxos ballot, totally ordered by `(round, owner)`.
@@ -227,12 +249,10 @@ struct PrepareState<V> {
 }
 
 /// A list whose first element is kept inline: an instance's per-ballot
-/// vote masks and its forwarded values nearly always number one (a second
-/// ballot takes a suspected coordinator; a second forwarded value, a
-/// member that proposed before the first forward arrived), so the common
-/// case allocates nothing. Later elements go to a `Vec` that grows by
-/// exactly one each: vote lists outlive their instance (see [`Decided`])
-/// until the group floor passes it.
+/// vote masks nearly always number one (a second ballot takes a suspected
+/// coordinator), so the common case allocates nothing. Later elements go
+/// to a `Vec` that grows by exactly one each: vote lists outlive their
+/// instance (see [`Decided`]) until the group floor passes it.
 #[derive(Clone, Debug)]
 struct FirstInline<T> {
     first: Option<T>,
@@ -258,24 +278,12 @@ impl<T> FirstInline<T> {
         }
     }
 
-    fn first(&self) -> Option<&T> {
-        self.first.as_ref()
-    }
-
     fn iter(&self) -> impl Iterator<Item = &T> {
         self.first.iter().chain(&self.rest)
     }
 
     fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.first.iter_mut().chain(&mut self.rest)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.first.is_none()
-    }
-
-    fn len(&self) -> usize {
-        usize::from(self.first.is_some()) + self.rest.len()
     }
 }
 
@@ -317,10 +325,11 @@ struct Instance<V> {
     accepted: Option<(Ballot, V)>,
     /// This member's own proposal (kept for forward/recovery).
     my_value: Option<V>,
-    /// Values forwarded to us while we are (or become) coordinator. With a
-    /// merge combiner installed all of them fold into the proposed value;
-    /// without one only the first is used (first-wins, the classic shape).
-    forwarded: FirstInline<V>,
+    /// What other members forwarded to us, folded as it arrives: with a
+    /// merge combiner installed every `Forward` is merged in (see
+    /// [`MergeFn`]'s contract); without one the first is kept (first-wins,
+    /// the classic shape).
+    forwarded: Option<V>,
     /// Fast-path guard: ballot-0 Accept already sent.
     sent_accept0: bool,
     /// The value the ballot-0 Accept carried (for loss-recovery
@@ -336,7 +345,7 @@ impl<V> Instance<V> {
             promised: Ballot::zero(b0_owner),
             accepted: None,
             my_value: None,
-            forwarded: FirstInline::default(),
+            forwarded: None,
             sent_accept0: false,
             sent_accept0_value: None,
             prepare: None,
@@ -345,25 +354,23 @@ impl<V> Instance<V> {
     }
 
     fn has_candidate(&self) -> bool {
-        self.my_value.is_some() || !self.forwarded.is_empty()
+        self.my_value.is_some() || self.forwarded.is_some()
     }
 }
 
-/// The value a coordinator should propose for `inst`: its own proposal or
-/// the first forwarded one, with every further forwarded value folded in
-/// when a [`MergeFn`] is installed.
+/// The value a coordinator should propose for `inst`: its own proposal
+/// with the folded forwards merged in when a [`MergeFn`] is installed, or
+/// else whichever of the two it holds (its own first).
 fn merged_candidate<V: Value>(merge: Option<MergeFn<V>>, inst: &Instance<V>) -> Option<V> {
-    let mut rest = inst.forwarded.iter();
-    let mut base = match &inst.my_value {
-        Some(v) => v.clone(),
-        None => rest.next()?.clone(),
-    };
-    if let Some(merge) = merge {
-        for v in rest {
-            merge(&mut base, v.clone());
+    match (&inst.my_value, &inst.forwarded, merge) {
+        (Some(mine), Some(fwd), Some(merge)) => {
+            let mut base = mine.clone();
+            merge(&mut base, fwd.clone());
+            Some(base)
         }
+        (Some(v), _, _) | (None, Some(v), _) => Some(v.clone()),
+        (None, None, _) => None,
     }
-    Some(base)
 }
 
 /// A multi-instance uniform consensus engine for one group member.
@@ -675,11 +682,12 @@ impl<V: Value> GroupConsensus<V> {
                     sink.push(from, ConsensusMsg::Decide { instance, value: v });
                     return;
                 }
-                {
-                    let inst = self.instance_mut(instance);
-                    if !inst.forwarded.iter().any(|v| *v == value) {
-                        inst.forwarded.push(value);
-                    }
+                let merge = self.merge;
+                let inst = self.instance_mut(instance);
+                match (&mut inst.forwarded, merge) {
+                    (None, _) => inst.forwarded = Some(value),
+                    (Some(held), Some(merge)) => merge(held, value),
+                    (Some(_), None) => {}
                 }
                 self.active.insert(instance);
                 if self.coordinator() == self.me {
@@ -704,7 +712,7 @@ impl<V: Value> GroupConsensus<V> {
                     // We are not coordinator; route onwards (suspicion views
                     // may differ transiently).
                     let coord = self.coordinator();
-                    if let Some(v) = self.instances[&instance].forwarded.first().cloned() {
+                    if let Some(v) = self.instances[&instance].forwarded.clone() {
                         sink.push(coord, ConsensusMsg::Forward { instance, value: v });
                     }
                 }
@@ -858,6 +866,14 @@ impl<V: Value> GroupConsensus<V> {
         let is_b0_owner = members[0] == me;
         let merge = self.merge;
         let inst = self.instance_mut(instance);
+        let fast_path = is_b0_owner && inst.promised == Ballot::zero(me);
+        if fast_path && inst.sent_accept0 {
+            // Fast path already in progress (e.g. a Forward arrived after
+            // our own Accept, or vice versa): the circulating ballot-0 value
+            // will decide; starting a recovery ballot here would only add
+            // traffic.
+            return;
+        }
         // A takeover coordinator may hold no proposal of its own but an
         // accepted (possibly chosen) value; re-driving with that value is
         // safe and required for liveness.
@@ -865,23 +881,17 @@ impl<V: Value> GroupConsensus<V> {
         let Some(value) = merged_candidate(merge, inst).or(fallback) else {
             return;
         };
-        if is_b0_owner && inst.promised == Ballot::zero(me) {
-            if !inst.sent_accept0 {
-                inst.sent_accept0 = true;
-                inst.sent_accept0_value = Some(value.clone());
-                sink.push_all(
-                    &members,
-                    ConsensusMsg::Accept {
-                        instance,
-                        ballot: Ballot::zero(me),
-                        value,
-                    },
-                );
-            }
-            // Fast path already in progress (e.g. a Forward arrived after
-            // our own Accept, or vice versa): the circulating ballot-0 value
-            // will decide; starting a recovery ballot here would only add
-            // traffic.
+        if fast_path {
+            inst.sent_accept0 = true;
+            inst.sent_accept0_value = Some(value.clone());
+            sink.push_all(
+                &members,
+                ConsensusMsg::Accept {
+                    instance,
+                    ballot: Ballot::zero(me),
+                    value,
+                },
+            );
             return;
         }
         // Recovery: if a prepare round is already running and majority
@@ -939,7 +949,7 @@ impl<V: Value> GroupConsensus<V> {
                 let desc = format!(
                     "cand={} fwd={} acc={:?} prep={:?} promised={:?} sent0={}",
                     i.my_value.is_some(),
-                    i.forwarded.len(),
+                    i.forwarded.is_some(),
                     i.accepted.as_ref().map(|(b, _)| *b),
                     i.prepare
                         .as_ref()
@@ -1513,7 +1523,6 @@ mod tests {
         *tally(&mut votes, b(2, 2)) |= 1;
         let all: Vec<_> = votes.iter().copied().collect();
         assert_eq!(all, vec![(b(0, 0), 7), (b(1, 1), 2), (b(2, 2), 1)]);
-        assert_eq!(votes.len(), 3);
 
         // An undecided instance decides on a majority at one ballot: a
         // vote at the first ballot and one at the second are not two.

@@ -56,16 +56,20 @@ fn per_origin(seqs: impl Iterator<Item = u64> + Clone) -> Vec<MessageId> {
         .collect()
 }
 
-/// `0..n` where each element has moved at most `w` places: a shuffle of
-/// consecutive blocks of `w + 1`.
+/// `0..n` where each element has moved at most `w` places.
 fn windowed(n: u64, w: u64, rng: &mut SplitMix64) -> Vec<u64> {
     let mut seqs: Vec<u64> = (0..n).collect();
+    shuffle_blocks(&mut seqs, w, rng);
+    seqs
+}
+
+/// Shuffles each consecutive block of `w + 1` elements of `seqs`.
+fn shuffle_blocks(seqs: &mut [u64], w: u64, rng: &mut SplitMix64) {
     for block in seqs.chunks_mut(w as usize + 1) {
         for i in (1..block.len()).rev() {
             block.swap(i, rng.next_below(i as u64 + 1) as usize);
         }
     }
-    seqs
 }
 
 #[test]
@@ -90,6 +94,22 @@ fn differential_against_btreeset() {
     for w in [1, 2, 7, 64] {
         let seqs = windowed(1_000, w, &mut rng);
         check("windowed", &per_origin(seqs.iter().copied()), &far);
+    }
+
+    // Partial-destination casts: a process records about two ids in seven
+    // of an origin's, so nearly every id opens a range of its own, and
+    // reordering lands inserts a few ranges back from the newest — where
+    // the search gallops back from. Late duplicates from anywhere in the
+    // run then probe every distance.
+    for (seed, w) in [(1u64, 1u64), (2, 3), (3, 8), (4, 33)] {
+        let mut r = SplitMix64::new(seed);
+        let mut seqs: Vec<u64> = (0..3_000u64).filter(|_| r.next_below(7) < 2).collect();
+        shuffle_blocks(&mut seqs, w, &mut r);
+        let late: Vec<u64> = (0..300)
+            .map(|_| seqs[r.next_below(seqs.len() as u64) as usize])
+            .collect();
+        seqs.extend(late);
+        check("gapped near-tail", &per_origin(seqs.into_iter()), &far);
     }
 
     // `tcp_host::client_seq`: several clients cast through one origin,
