@@ -12,6 +12,9 @@
 //! `merge_msg_sets`, `merge_bundles` and no merge, on the ballot-0 fast
 //! path and in a recovery `Prepare`/`Promise` round, and every `Accept`
 //! the engine sends must carry the oracle's value, in content and order.
+//! A member that is not the coordinator routes each forward on to the one
+//! it trusts; it now routes its fold of every forward so far, where the
+//! list routed the first, and a recovery it then leads proposes that fold.
 //!
 //! The second half checks, for both merge functions, the three properties
 //! `MergeFn`'s rustdoc says folding relies on: associativity, the
@@ -103,6 +106,16 @@ impl<V: Value + PartialEq> ListModel<V> {
         if self.my_value.is_none() {
             self.my_value = Some(value);
         }
+    }
+
+    /// The forwards alone, folded as the list would: what a member that
+    /// is not the coordinator now routes on.
+    fn forwarded_fold(&self, merge: Option<MergeFn<V>>) -> Option<V> {
+        let forwards = ListModel {
+            my_value: None,
+            forwarded: self.forwarded.clone(),
+        };
+        forwards.merged_candidate(merge)
     }
 
     fn merged_candidate(&self, merge: Option<MergeFn<V>>) -> Option<V> {
@@ -229,23 +242,11 @@ fn scenario<V: Value + PartialEq>(
             break;
         }
         let from = others[rng.next_below(others.len() as u64) as usize];
-        let value = match rng.next_below(8) {
-            0..=2 if !sent.is_empty() => {
-                cov.duplicates += 1;
-                let (seed, v) = &sent[rng.next_below(sent.len() as u64) as usize];
-                if rng.next_below(2) == 0 {
-                    v.clone()
-                } else {
-                    gen(&mut SplitMix64::new(*seed))
-                }
-            }
-            _ => {
-                let seed = rng.next_u64();
-                let v = gen(&mut SplitMix64::new(seed));
-                sent.push((seed, v.clone()));
-                v
-            }
-        };
+        let fresh = sent.len();
+        let value = next_forward(&mut rng, gen, &mut sent);
+        if sent.len() == fresh {
+            cov.duplicates += 1;
+        }
         if accepted.is_some() {
             cov.late_forwards += 1;
         }
@@ -336,6 +337,151 @@ fn forward_fold_matches_the_forward_list() {
     run_scenarios::<RoundBundle>("merge_bundles", Some(merge_bundles), bundle);
     run_scenarios::<MsgBatch>("no merge (msg sets)", None, msg_set);
     run_scenarios::<RoundBundle>("no merge (bundles)", None, bundle);
+}
+
+/// A forward for a scenario: a new batch (remembered in `sent` with the
+/// seed it was built from), or one sent before — the same `Arc` or an
+/// equal copy built again from its seed.
+fn next_forward<V: Value>(
+    rng: &mut SplitMix64,
+    gen: fn(&mut SplitMix64) -> V,
+    sent: &mut Vec<(u64, V)>,
+) -> V {
+    match rng.next_below(8) {
+        0..=2 if !sent.is_empty() => {
+            let (seed, v) = &sent[rng.next_below(sent.len() as u64) as usize];
+            if rng.next_below(2) == 0 {
+                v.clone()
+            } else {
+                gen(&mut SplitMix64::new(*seed))
+            }
+        }
+        _ => {
+            let seed = rng.next_u64();
+            let v = gen(&mut SplitMix64::new(seed));
+            sent.push((seed, v.clone()));
+            v
+        }
+    }
+}
+
+/// One seeded scenario on a member that is not the coordinator. `p1`
+/// trusts `p0`; `p2` suspects `p0`, takes `p1` for coordinator and
+/// forwards its batches there. `p1` routes each on to `p0`, and the routed
+/// `Forward` must carry the list's fold of every forward so far (the
+/// first one alone without a merge). `p1` may propose too, which it
+/// forwards to `p0` itself. Then `p1` suspects `p0`, takes over with a
+/// `Prepare`/`Promise` round, and its `Accept` must carry its own
+/// proposal with that fold merged in. Returns how many routed values
+/// held more than the first forward.
+fn routed_scenario<V: Value + PartialEq>(
+    seed: u64,
+    merge: Option<MergeFn<V>>,
+    gen: fn(&mut SplitMix64) -> V,
+) -> usize {
+    let mut rng = SplitMix64::new(seed);
+    let members: Vec<ProcessId> = (0..3).map(ProcessId).collect();
+    let (p0, p1, p2) = (members[0], members[1], members[2]);
+    let mut engine = GroupConsensus::new(p1, members);
+    if let Some(m) = merge {
+        engine = engine.with_merge(m);
+    }
+    let mut model = ListModel {
+        my_value: None,
+        forwarded: Vec::new(),
+    };
+    let mut sink = MsgSink::new();
+    let instance = 1;
+    let steps = 1 + rng.next_below(8);
+    // At `steps` the member never proposes.
+    let propose_at = rng.next_below(steps + 1);
+    let mut sent: Vec<(u64, V)> = Vec::new();
+    let mut past_first = 0;
+    for step in 0..steps {
+        if step == propose_at {
+            let v = gen(&mut rng);
+            model.propose(v.clone());
+            engine.propose(instance, v, &mut sink);
+            sink.msgs.clear();
+        }
+        let value = next_forward(&mut rng, gen, &mut sent);
+        model.forward(value.clone());
+        engine.on_message(p2, ConsensusMsg::Forward { instance, value }, &mut sink);
+        let routed: Vec<_> = sink.msgs.drain(..).collect();
+        assert_eq!(routed.len(), 1, "seed {seed}: one routed message");
+        let (to, ConsensusMsg::Forward { value, .. }) = &routed[0] else {
+            panic!("seed {seed}: routed {:?}", routed[0].1);
+        };
+        assert_eq!(*to, p0, "seed {seed}: routed to the trusted coordinator");
+        let want = model.forwarded_fold(merge).expect("a forward is held");
+        assert!(
+            *value == want,
+            "seed {seed}: routed {value:?}, the fold of the forwards is {want:?}"
+        );
+        if *value != model.forwarded[0] {
+            past_first += 1;
+        }
+    }
+    // Takeover: `p1` suspects `p0` and leads a recovery round, promised
+    // by itself and `p2` with nothing accepted.
+    engine.on_suspect(p0, &mut sink);
+    let ballot = sink
+        .msgs
+        .drain(..)
+        .find_map(|(_, m)| match m {
+            ConsensusMsg::Prepare { ballot, .. } => Some(ballot),
+            _ => None,
+        })
+        .expect("the takeover prepares");
+    for p in [p1, p2] {
+        let promise = ConsensusMsg::Promise {
+            instance,
+            ballot,
+            accepted: None,
+        };
+        engine.on_message(p, promise, &mut sink);
+    }
+    let sent_accepts = accepts(&mut sink);
+    assert!(
+        !sent_accepts.is_empty(),
+        "seed {seed}: the takeover accepts"
+    );
+    let want = model.merged_candidate(merge).expect("a value was given");
+    for (b, value) in sent_accepts {
+        assert_eq!(b, ballot, "seed {seed}: the promised ballot");
+        assert!(
+            value == want,
+            "seed {seed}: takeover Accept carries {value:?}, the forward list gives {want:?}"
+        );
+    }
+    past_first
+}
+
+fn run_routed<V: Value + PartialEq>(
+    label: &str,
+    merge: Option<MergeFn<V>>,
+    gen: fn(&mut SplitMix64) -> V,
+) {
+    let past_first: usize = (0..600).map(|seed| routed_scenario(seed, merge, gen)).sum();
+    if merge.is_some() {
+        assert!(
+            past_first > 300,
+            "{label}: {past_first} routed values held more than the first forward"
+        );
+    } else {
+        assert_eq!(
+            past_first, 0,
+            "{label}: without a merge the first is routed"
+        );
+    }
+}
+
+#[test]
+fn routed_forwards_carry_the_fold() {
+    run_routed::<MsgBatch>("merge_msg_sets", Some(merge_msg_sets), msg_set);
+    run_routed::<RoundBundle>("merge_bundles", Some(merge_bundles), bundle);
+    run_routed::<MsgBatch>("no merge (msg sets)", None, msg_set);
+    run_routed::<RoundBundle>("no merge (bundles)", None, bundle);
 }
 
 /// A batch as both combiners take it.

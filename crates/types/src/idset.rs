@@ -25,9 +25,8 @@ type Ranges = Vec<(u64, u64)>;
 /// A grow-only set of message ids, stored as per-origin `seq` ranges.
 ///
 /// `insert` and `contains` are O(1) when `id` continues or falls in its
-/// origin's newest run (the in-order case) and otherwise a search that
-/// gallops back from that origin's newest range, O(log d) for an id `d`
-/// ranges from the end; origins are found by binary search.
+/// origin's newest run (the in-order case) and a binary search over that
+/// origin's ranges otherwise; origins are found by binary search too.
 /// There is no removal and no iteration — what the protocols need of
 /// `ADELIVERED`-style sets is exactly "add" and "is it in?".
 ///
@@ -92,29 +91,9 @@ fn locate(ranges: &Ranges, seq: u64) -> (usize, bool) {
     let i = match ranges.last() {
         // The in-order tail, without a search: in the newest run or past it.
         Some(last) if last.0 <= seq => ranges.len() - usize::from(seq <= last.1),
-        _ => gallop_back(ranges, seq),
+        _ => ranges.partition_point(|r| r.1 < seq),
     };
     (i, ranges.get(i).is_some_and(|r| r.0 <= seq))
-}
-
-/// `ranges.partition_point(|r| r.1 < seq)`, searched from the newest range
-/// back in doubling steps: an id that arrives out of order usually belongs
-/// a few ranges from the end (a sparsely addressed origin leaves one range
-/// per few ids), so this costs O(log d) for a `seq` `d` ranges back rather
-/// than O(log n) over all of an origin's ranges.
-fn gallop_back(ranges: &Ranges, seq: u64) -> usize {
-    // Every range from `hi` on ends at or after `seq`.
-    let mut hi = ranges.len();
-    let mut step = 1;
-    while hi > 0 {
-        let probe = hi.saturating_sub(step);
-        if ranges[probe].1 < seq {
-            return probe + 1 + ranges[probe + 1..hi].partition_point(|r| r.1 < seq);
-        }
-        hi = probe;
-        step *= 2;
-    }
-    0
 }
 
 /// Adds `seq` to one origin's ranges; `true` if it was absent.

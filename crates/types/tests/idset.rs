@@ -98,9 +98,9 @@ fn differential_against_btreeset() {
 
     // Partial-destination casts: a process records about two ids in seven
     // of an origin's, so nearly every id opens a range of its own, and
-    // reordering lands inserts a few ranges back from the newest — where
-    // the search gallops back from. Late duplicates from anywhere in the
-    // run then probe every distance.
+    // reordering lands inserts a few ranges back from the newest, off the
+    // in-order fast path. Late duplicates from anywhere in the run then
+    // probe every distance from the tail.
     for (seed, w) in [(1u64, 1u64), (2, 3), (3, 8), (4, 33)] {
         let mut r = SplitMix64::new(seed);
         let mut seqs: Vec<u64> = (0..3_000u64).filter(|_| r.next_below(7) < 2).collect();
