@@ -93,16 +93,6 @@ impl OptimisticBroadcast {
         &self.optimistic
     }
 
-    /// Number of positions where the optimistic sequence disagreed with the
-    /// final sequence delivered so far (the quantity \[12\] minimizes).
-    pub fn mismatches(&self, final_order: &[MessageId]) -> usize {
-        self.optimistic
-            .iter()
-            .zip(final_order.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-    }
-
     fn on_data(&mut self, m: AppMessage, ctx: &Context, out: &mut Outbox<OptimisticMsg>) {
         let id = m.id;
         if self.data.contains_key(&id) || self.delivered.contains(id) {

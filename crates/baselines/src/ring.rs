@@ -173,30 +173,6 @@ impl RingMulticast {
         self
     }
 
-    /// Debug/inspection: one line summarizing everything that could still
-    /// be keeping this member busy (mirrors A1's `debug_retry_state`).
-    pub fn debug_stuck(&self) -> String {
-        format!(
-            "blocked_on={:?} queue={:?} pending_nonfinal={:?} initiated={:?} \
-             outstanding_finals={:?} cons_unfinished={:?} inst={} prop_inst={}",
-            self.blocked_on,
-            self.queue.keys().collect::<Vec<_>>(),
-            self.pending
-                .iter()
-                .filter(|(_, p)| !p.is_final)
-                .map(|(id, p)| (*id, p.ts))
-                .collect::<Vec<_>>(),
-            self.initiated.keys().collect::<Vec<_>>(),
-            self.outstanding_finals
-                .iter()
-                .map(|(id, (_, _, d))| (*id, d.iter().collect::<Vec<_>>()))
-                .collect::<Vec<_>>(),
-            self.cons.debug_unfinished(),
-            self.inst,
-            self.prop_inst,
-        )
-    }
-
     /// Whether any retransmission could still unstick something.
     fn has_retry_work(&self) -> bool {
         !self.initiated.is_empty()

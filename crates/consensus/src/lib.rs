@@ -24,11 +24,10 @@
 //!   has to order — the decided-value half of the batching layer described
 //!   in `DESIGN.md` (the accumulation half lives in `wamcast-core`,
 //!   governed by `wamcast_types::BatchConfig`).
-//! * [`HeartbeatFd`] — an eventually-perfect failure detector built from
-//!   heartbeats. No runtime drives it yet (see its module docs): protocols
-//!   receive crash notifications from the simulator's ◇P oracle, or from a
-//!   `CrashNotify` frame on sockets, and feed them to
-//!   [`GroupConsensus::on_suspect`].
+//!
+//! The crate has no failure detector of its own. Protocols learn of
+//! crashes from the simulator's ◇P oracle, or from a `CrashNotify` frame
+//! on sockets, and feed them to [`GroupConsensus::on_suspect`].
 //!
 //! Liveness requires a majority of each group to be correct, which is the
 //! standard instantiation of the paper's solvability assumption.
@@ -36,9 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fd;
 mod paxos;
 mod wire;
 
-pub use fd::{FdConfig, FdEvent, HeartbeatFd};
 pub use paxos::{Ballot, ConsensusMsg, GroupConsensus, MergeFn, MsgSink, Value};

@@ -518,11 +518,6 @@ impl<V: Value> GroupConsensus<V> {
             .unwrap_or(self.members[0])
     }
 
-    /// Whether `instance` has decided locally.
-    pub fn is_decided(&self, instance: u64) -> bool {
-        self.decisions.contains_key(&instance)
-    }
-
     /// The decided value of `instance`, if known locally and not yet
     /// forgotten (below the [`group_floor`](Self::group_floor) it is
     /// `None`).

@@ -33,7 +33,7 @@ pub mod tcp_host;
 pub mod workload;
 
 pub use registry::{ProtocolArm, StackRegistry};
-pub use scale::{latency_registry, run_cell, ScaleCell, ScaleConfig};
+pub use scale::{run_cell, ScaleCell, ScaleConfig};
 pub use scenario::{run_scenario, run_scenario_full, RunSpec, ScenarioOutcome};
 pub use smr::{run_smr_scenario, run_smr_sim, InjectedBug, SmrConfig, SmrOutcome};
 pub use table::Table;

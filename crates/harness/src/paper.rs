@@ -573,7 +573,7 @@ fn validity_under_load() -> Claim {
     let cfg = light_load(0xE13);
     let arms = StackRegistry::standard().arms();
     let cells: Vec<_> = arms.map(|arm| scale::run_cell(arm, 3, &cfg)).collect();
-    let committed = |c: &&scale::ScaleCell| c.counter("committed_casts") == c.casts;
+    let committed = |c: &&scale::ScaleCell| c.commit.count() == c.casts;
     let ok = cells.iter().filter(|c| c.dnf.is_none()).filter(committed);
     let ok = ok.count();
     Claim {
@@ -631,15 +631,14 @@ fn batching_cell(size: usize) -> ScaleCell {
     ScaleCell::from_run("a1", &topo, plan.len(), status, &m)
 }
 
-/// `counters` summed, per planned cast.
-fn per_msg(c: &ScaleCell, counters: &[&str]) -> f64 {
-    let total: u64 = counters.iter().map(|&n| c.counter(n)).sum();
-    total as f64 / c.casts as f64
-}
-
 /// Protocol copies, intra- and inter-group, per planned cast.
 fn sends(c: &ScaleCell) -> f64 {
-    per_msg(c, &["inter_sends", "intra_sends"])
+    (c.inter_sends + c.intra_sends) as f64 / c.casts as f64
+}
+
+/// Handler invocations per planned cast.
+fn steps(c: &ScaleCell) -> f64 {
+    c.steps as f64 / c.casts as f64
 }
 
 fn batching_amortisation() -> Claim {
@@ -654,11 +653,11 @@ fn batching_amortisation() -> Claim {
             1 => "off".to_string(),
             _ => size.to_string(),
         };
-        let lat = percentile_cells(c.hist("commit_ns")).join("|");
+        let lat = percentile_cells(&c.commit).join("|");
         let row = format!(
             "{batch}|{:.1}|{:.1}|{gain:.1}×|{lat}|{}",
             sends(c),
-            per_msg(c, &["steps"]),
+            steps(c),
             c.status()
         );
         if *size == 64 {
@@ -756,7 +755,6 @@ mod tests {
         assert_eq!(eager.casts, batched.casts, "same offered load");
         let gain = sends(&eager) / sends(&batched);
         assert!(gain >= MIN_BATCH64_GAIN, "batch 64 amortizes {gain:.2}x");
-        let steps = |c: &ScaleCell| per_msg(c, &["steps"]);
         assert!(
             steps(&batched) * 5.0 < steps(&eager),
             "batch 64 should cut steps/msg by >5x: {:.1} vs {:.1}",
@@ -765,7 +763,7 @@ mod tests {
         );
         // The batch window bounds the latency cost: two windows (s0 + s2)
         // of ~48 ms each on top of the ~300 ms WAN baseline.
-        let (e, b) = (eager.hist("commit_ns"), batched.hist("commit_ns"));
+        let (e, b) = (&eager.commit, &batched.commit);
         assert!(b.mean() < e.mean() + 120_000_000);
         // Every cast is one latency sample, and the percentiles are ordered.
         assert_eq!(e.count(), eager.casts);

@@ -5,7 +5,7 @@
 //! Figure 1 compares *isolated* casts; a cell measures the regime the
 //! paper argues about — many groups, skewed traffic — with Zipf-skewed
 //! destination popularity ([`poisson_zipf`]), and extracts p50/p99/p999
-//! delivery and commit latency into a [`MetricsRegistry`]. `CLAIMS.md`'s
+//! delivery and commit latency into [`Histogram`]s. `CLAIMS.md`'s
 //! "Validity under load", "Batching amortisation" and "Genuineness at
 //! scale" sections are built from these cells.
 //!
@@ -13,10 +13,10 @@
 //! timestamps the simulator already records in
 //! [`RunMetrics`] — the engine schedules exactly
 //! the same events whether or not anyone builds histograms, so the golden
-//! fingerprint corpora of PR 4/PR 5 are untouched by observability. The
-//! registry dump itself is deterministic too (bucket counts are
-//! order-independent, names are sorted), which `tests/scale_determinism.rs`
-//! pins via [`ScaleCell::fingerprint`].
+//! fingerprint corpora of PR 4/PR 5 are untouched by observability. A
+//! [`ScaleCell`] is plain data compared by value, and its histograms'
+//! bucket counts are order-independent, which `tests/scale_determinism.rs`
+//! pins with `==`.
 //!
 //! The expected headline: genuine arms (A1 and the multicast baselines)
 //! address two groups per operation, so their inter-group sends per
@@ -30,7 +30,7 @@ use crate::table::{percentile_cells, Table};
 use crate::workload::{all_group_pairs, poisson, poisson_zipf, PlannedCast};
 use std::sync::Arc;
 use std::time::Duration;
-use wamcast_metrics::{Histogram, MetricsRegistry};
+use wamcast_metrics::Histogram;
 use wamcast_sim::{invariants, InvariantProfile, RunError, RunMetrics, SimConfig, Simulation};
 use wamcast_types::{Payload, ProcessId, Protocol, SimTime, Topology};
 
@@ -57,7 +57,7 @@ pub struct ScaleConfig {
 }
 
 /// One (arm × group-count) measurement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScaleCell {
     /// Arm short name.
     pub arm: &'static str,
@@ -71,9 +71,19 @@ pub struct ScaleCell {
     /// arm's profile intact; `Some(why)` = a DNF or a violation, as `why`
     /// says (the metrics below still describe the run, honestly labelled).
     pub dnf: Option<String>,
-    /// The derived metrics registry (histograms `deliver_ns`/`commit_ns`,
-    /// counters for sends/steps/deliveries).
-    pub registry: MetricsRegistry,
+    /// Cast-to-delivery latency in ns, one sample per (message,
+    /// deliverer): its count is the run's deliveries.
+    pub deliver: Histogram,
+    /// Cast-to-last-delivery latency in ns (the group-commit point), one
+    /// sample per message every addressee delivered: its count is the
+    /// committed casts.
+    pub commit: Histogram,
+    /// Inter-group protocol message copies.
+    pub inter_sends: u64,
+    /// Intra-group protocol message copies.
+    pub intra_sends: u64,
+    /// Handler invocations.
+    pub steps: u64,
     /// Processes no cast involves ([`invariants::bystanders`]).
     pub bystanders: usize,
     /// Bystanders that sent or received a protocol message — one
@@ -84,7 +94,9 @@ pub struct ScaleCell {
 
 impl ScaleCell {
     /// The cell of a finished open-loop run of `casts` planned casts on
-    /// the symmetric `topo`.
+    /// the symmetric `topo` — the record-at-delivery path: every number
+    /// comes from timestamps the engine recorded anyway, so building (or
+    /// skipping) a cell cannot change a schedule.
     pub(crate) fn from_run(
         arm: &'static str,
         topo: &Topology,
@@ -92,13 +104,35 @@ impl ScaleCell {
         status: Result<(), String>,
         m: &RunMetrics,
     ) -> ScaleCell {
+        let (mut deliver, mut commit) = (Histogram::new(), Histogram::new());
+        // Every cast in id order, delivered or not (the contents would be
+        // identical in any order: histograms are order-independent).
+        for (mid, cast) in &m.casts {
+            let Some(dels) = m.deliveries.get(mid) else {
+                continue;
+            };
+            let mut last = SimTime::ZERO;
+            for d in dels.values() {
+                deliver.record(d.time.saturating_since(cast.time).as_nanos() as u64);
+                last = last.max(d.time);
+            }
+            // Commit = every addressed process delivered; under a DNF only
+            // the completed casts contribute, which keeps the tail honest.
+            if dels.len() == topo.processes_in(cast.dest).count() {
+                commit.record(last.saturating_since(cast.time).as_nanos() as u64);
+            }
+        }
         ScaleCell {
             arm,
             groups: topo.num_groups(),
             per_group: topo.num_processes() / topo.num_groups(),
             casts: casts as u64,
             dnf: status.err(),
-            registry: latency_registry(topo, m),
+            deliver,
+            commit,
+            inter_sends: m.inter_sends,
+            intra_sends: m.intra_sends,
+            steps: m.steps,
             bystanders: invariants::bystanders(topo, m).len(),
             bystanders_active: invariants::check_genuineness(topo, m).violations.len(),
         }
@@ -109,44 +143,19 @@ impl ScaleCell {
         self.groups * self.per_group
     }
 
-    /// FNV-1a fingerprint of the derived registry — the stability token
-    /// `tests/scale_determinism.rs` asserts across repeated runs.
-    pub fn fingerprint(&self) -> u64 {
-        self.registry.fingerprint()
-    }
-
     /// `"ok"`, or why not.
     pub fn status(&self) -> String {
         self.dnf.clone().unwrap_or_else(|| "ok".to_string())
     }
 
-    /// One of the cell's latency histograms (`"deliver_ns"` or
-    /// `"commit_ns"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a histogram of the cell's registry.
-    pub fn hist(&self, name: &str) -> &Histogram {
-        self.registry
-            .histogram_by_name(name)
-            .expect("cell registries always carry both latency histograms")
-    }
-
-    /// One of the cell's counters (`"casts"`, `"deliveries"`,
-    /// `"committed_casts"`, `"inter_sends"`, `"intra_sends"`, `"steps"`);
-    /// 0 for unknown names.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.registry.counter_by_name(name).unwrap_or(0)
-    }
-
     /// Inter-group message copies per planned cast.
     pub fn inter_per_op(&self) -> f64 {
-        self.counter("inter_sends") as f64 / (self.casts as f64).max(1.0)
+        self.inter_sends as f64 / (self.casts as f64).max(1.0)
     }
 
     /// Intra-group message copies per planned cast.
     pub fn intra_per_op(&self) -> f64 {
-        self.counter("intra_sends") as f64 / (self.casts as f64).max(1.0)
+        self.intra_sends as f64 / (self.casts as f64).max(1.0)
     }
 }
 
@@ -198,55 +207,6 @@ pub(crate) fn deadline(horizon: Duration) -> SimTime {
     SimTime::from_nanos(horizon.as_nanos() as u64) + GRACE
 }
 
-/// Derives the cell's metrics registry from a finished run — the
-/// record-at-delivery path: every number below comes from timestamps the
-/// engine recorded anyway, so building (or skipping) this registry cannot
-/// change a schedule.
-///
-/// Histograms: `deliver_ns` gets one sample per (message, deliverer) —
-/// cast to that delivery; `commit_ns` gets one sample per fully-delivered
-/// message — cast to its *last* delivery (the group-commit point).
-/// Counters: `casts`, `deliveries`, `committed_casts`, `inter_sends`,
-/// `intra_sends`, `steps`.
-pub fn latency_registry(topo: &Topology, m: &RunMetrics) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    let deliver = reg.histogram("deliver_ns");
-    let commit = reg.histogram("commit_ns");
-    let casts = reg.counter("casts");
-    let deliveries = reg.counter("deliveries");
-    let committed = reg.counter("committed_casts");
-    // Every cast in id order, delivered or not (the contents would be
-    // identical in any order: histograms are order-independent).
-    for (mid, cast) in &m.casts {
-        reg.inc(casts, 1);
-        let Some(dels) = m.deliveries.get(mid) else {
-            continue;
-        };
-        let mut last = SimTime::ZERO;
-        for d in dels.values() {
-            reg.record(
-                deliver,
-                d.time.saturating_since(cast.time).as_nanos() as u64,
-            );
-            last = last.max(d.time);
-        }
-        reg.inc(deliveries, dels.len() as u64);
-        // Commit = every addressed process delivered; under a DNF only the
-        // completed casts contribute, which keeps the tail honest.
-        if dels.len() == topo.processes_in(cast.dest).count() {
-            reg.record(commit, last.saturating_since(cast.time).as_nanos() as u64);
-            reg.inc(committed, 1);
-        }
-    }
-    let inter = reg.counter("inter_sends");
-    let intra = reg.counter("intra_sends");
-    let steps = reg.counter("steps");
-    reg.inc(inter, m.inter_sends);
-    reg.inc(intra, m.intra_sends);
-    reg.inc(steps, m.steps);
-    reg
-}
-
 /// Builds the arm's open-loop plan for `k` groups: Zipf-skewed group
 /// pairs for multicast arms, the full group set for broadcast arms.
 pub fn plan_for(arm: &ProtocolArm, topo: &Topology, cfg: &ScaleConfig) -> Vec<PlannedCast> {
@@ -295,8 +255,8 @@ pub fn table(cells: &[ScaleCell]) -> Table {
             c.processes().to_string(),
             c.casts.to_string(),
         ];
-        row.extend(percentile_cells(c.hist("deliver_ns")));
-        row.extend(percentile_cells(c.hist("commit_ns")));
+        row.extend(percentile_cells(&c.deliver));
+        row.extend(percentile_cells(&c.commit));
         row.push(format!("{:.1}", c.inter_per_op()));
         row.push(format!("{:.1}", c.intra_per_op()));
         row.push(c.status());
@@ -327,14 +287,11 @@ mod tests {
         let a = run_cell(arm, 8, &tiny());
         let b = run_cell(arm, 8, &tiny());
         assert!(a.dnf.is_none(), "{:?}", a.dnf);
-        assert_eq!(a.fingerprint(), b.fingerprint(), "same seed, same dump");
-        assert_eq!(a.registry.dump(), b.registry.dump());
-        assert!(a.counter("committed_casts") > 0);
-        assert_eq!(a.counter("casts"), a.casts);
+        assert_eq!(a, b, "same seed, same cell");
+        assert!(a.commit.count() > 0);
         // Every committed cast produced one commit sample and ≥1 delivery
         // samples; commit latency dominates per-deliverer latency.
-        let d = a.hist("deliver_ns");
-        let c = a.hist("commit_ns");
+        let (d, c) = (&a.deliver, &a.commit);
         assert!(d.count() >= c.count());
         assert!(c.max() >= d.min());
     }

@@ -1,7 +1,7 @@
 //! Property tests for the histogram: merge algebra and quantile accuracy
 //! against an exact sorted reference, over seeded random sample sets.
 
-use wamcast_metrics::{Histogram, MetricsRegistry};
+use wamcast_metrics::Histogram;
 use wamcast_types::SplitMix64;
 
 /// Draws a sample multiset with a heavy-tailed shape (mixing octaves is
@@ -99,35 +99,4 @@ fn quantiles_bound_the_exact_order_statistic() {
             );
         }
     }
-}
-
-#[test]
-fn registry_merge_order_does_not_matter() {
-    // Shard samples across 8 registries, merge them in two different
-    // orders: dumps and fingerprints must agree byte-for-byte (the
-    // deterministic-parallel-sweep contract).
-    let mut rng = SplitMix64::new(0x0DDE);
-    let shards: Vec<MetricsRegistry> = (0..8)
-        .map(|_| {
-            let mut reg = MetricsRegistry::new();
-            let lat = reg.histogram("lat_ns");
-            let ops = reg.counter("ops");
-            let n = 1 + rng.next_below(100) as usize;
-            for v in samples(&mut rng, n) {
-                reg.record(lat, v);
-                reg.inc(ops, 1);
-            }
-            reg
-        })
-        .collect();
-    let mut fwd = MetricsRegistry::new();
-    for s in &shards {
-        fwd.merge(s);
-    }
-    let mut rev = MetricsRegistry::new();
-    for s in shards.iter().rev() {
-        rev.merge(s);
-    }
-    assert_eq!(fwd.dump(), rev.dump());
-    assert_eq!(fwd.fingerprint(), rev.fingerprint());
 }

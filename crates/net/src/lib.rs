@@ -14,9 +14,9 @@
 //! simulator computes. A crash is [`tcp::LocalCluster::crash`] in process
 //! or `kill -9` across processes; crash *notifications* are sent to the
 //! survivors as [`tcp::Frame::CrashNotify`] by whoever crashed it — this
-//! runtime has no failure detector of its own
-//! (`wamcast_consensus::HeartbeatFd` is not wired to it). Replayable crash
-//! *schedules* are the simulator's job.
+//! runtime has no failure detector (see
+//! `wamcast_types::Protocol::on_crash_notification` for what that costs).
+//! Replayable crash *schedules* are the simulator's job.
 //!
 //! [`Context::now`]: wamcast_types::Context::now
 //!

@@ -399,12 +399,6 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// The fault plan driving this run, if any (it lives in the injector;
-    /// [`SimConfig::fault`] is drained at construction).
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(FaultInjector::plan)
-    }
-
     /// The simulated topology.
     pub fn topology(&self) -> &Topology {
         &self.topo

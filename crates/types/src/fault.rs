@@ -74,12 +74,6 @@ pub struct FaultWindow {
 }
 
 impl FaultWindow {
-    /// A window covering all of time.
-    pub const ALWAYS: FaultWindow = FaultWindow {
-        from: SimTime::ZERO,
-        until: SimTime::MAX,
-    };
-
     /// Builds `[from, until)`.
     pub fn new(from: SimTime, until: SimTime) -> Self {
         FaultWindow { from, until }

@@ -221,15 +221,6 @@ impl AppMessage {
     pub fn is_single_group(&self) -> bool {
         self.dest.len() == 1
     }
-
-    /// Payload size in bytes, the quantity [`BatchConfig::max_bytes`]
-    /// accounts against when sizing consensus batches.
-    ///
-    /// [`BatchConfig::max_bytes`]: crate::BatchConfig::max_bytes
-    #[inline]
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
 }
 
 impl fmt::Debug for AppMessage {

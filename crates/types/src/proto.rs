@@ -388,12 +388,17 @@ pub trait Protocol {
     }
 
     /// The host's failure-detector oracle reports that `crashed` has
-    /// crashed. In the simulator this models an eventually perfect detector
-    /// with configurable detection delay. `wamcast-net` has no detector of
-    /// its own: a socket node invokes this only when it is sent a
-    /// `Frame::CrashNotify`. Only ever invoked for processes that really
-    /// crashed (accuracy), eventually invoked at every correct process for
-    /// every crashed one (completeness).
+    /// crashed. Only ever invoked for processes that really crashed
+    /// (accuracy). In the simulator this models an eventually perfect
+    /// detector with configurable detection delay, eventually invoked at
+    /// every correct process for every crashed one (completeness).
+    ///
+    /// `wamcast-net` has no detector: a socket node invokes this only when
+    /// it is sent a `Frame::CrashNotify`, so completeness holds only if
+    /// whoever crashed a node sends one. The cost: a socket group whose
+    /// ballot-0 coordinator is `kill -9`'d stalls silently until something
+    /// sends that frame, since nothing else moves its consensus to a new
+    /// coordinator.
     fn on_crash_notification(
         &mut self,
         crashed: ProcessId,

@@ -19,7 +19,7 @@
 //! |---|---|
 //! | [`types`] | ids, group sets, topologies, messages, the §2.3 latency-degree clock, the sans-io [`Protocol`] abstraction, the [`BatchConfig`] batching policy |
 //! | [`sim`] | deterministic discrete-event WAN simulator + invariant checkers |
-//! | [`consensus`] | intra-group multi-instance Paxos (batch-aware: forwarded proposals merge into the coordinator's `Accept`) + heartbeat failure detector |
+//! | [`consensus`] | intra-group multi-instance Paxos (batch-aware: forwarded proposals merge into the coordinator's `Accept`) |
 //! | [`rmcast`] | non-uniform and uniform reliable multicast |
 //! | [`core`] | **the paper's algorithms**: A1, A2, and the non-genuine reduction — each with the consensus-amortizing batching layer (`DESIGN.md` §"Batching layer") |
 //! | [`baselines`] | Skeen, Fritzke \[5\], ring \[4\], Rodrigues \[10\], optimistic \[12\], sequencer \[13\], deterministic merge \[1\] |
