@@ -312,16 +312,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(index, count)` pairs, ascending — the
-    /// histogram's exact state, beyond the summary quantiles.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n != 0)
-            .map(|(i, &n)| (i, n))
-    }
 }
 
 #[cfg(test)]

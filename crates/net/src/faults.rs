@@ -59,6 +59,11 @@ impl WallFaults {
     /// Draws the fate of one `from → to` copy at the current wall clock.
     pub fn fate(&self, from: ProcessId, to: ProcessId) -> LinkFate {
         let now = SimTime::from_nanos(self.start.elapsed().as_nanos() as u64);
+        self.fate_at(from, to, now)
+    }
+
+    /// [`fate`](Self::fate) at `now`, measured from [`start`](Self::start).
+    pub(crate) fn fate_at(&self, from: ProcessId, to: ProcessId, now: SimTime) -> LinkFate {
         self.injector
             .lock()
             .expect("fault injector poisoned")

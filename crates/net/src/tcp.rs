@@ -12,41 +12,44 @@
 //! # Shape
 //!
 //! * [`serve`] binds a listener and spawns **one thread** — the node — then
-//!   returns a non-generic [`TcpNode`] handle. The node owns the protocol
-//!   value, the listener, every inbound connection and one outbound link
-//!   per peer, all nonblocking, and waits on the lot with `poll(2)`; the
-//!   timeout is the next protocol timer, rounded *up* to a millisecond so
-//!   a timer neither fires early nor spins the loop.
+//!   returns a non-generic [`TcpNode`] handle.
+//! * **Core and shell.** The node's core (`tcp/node.rs`, crate-private)
+//!   makes every host decision and owns no socket, thread or clock: it is
+//!   handed start, complete frame bodies (with the out-buffer replies go
+//!   to) and due timers, reads time from a clock the shell hands it, and
+//!   queues what it sends in one out-buffer per destination. The shell
+//!   only moves bytes: it owns the listener, the inbound connections and
+//!   one outbound link per peer, all nonblocking, and waits on the lot
+//!   with `poll(2)` until the core's next timer, rounded *up* to a
+//!   millisecond so a timer neither fires early nor spins the loop.
 //! * **One wake-up, one turn.** A turn reads whatever each ready socket
-//!   holds into that connection's reassembly buffer, decodes every
-//!   complete frame and steps the protocol on it inline (self-addressed
-//!   sends and due timers are settled in the same turn), and appends what
-//!   the steps emit to per-socket out-buffers. Every dirty socket is then
-//!   written **once**: client replies first, peer links second — a
-//!   [`Frame::CastAck`] is therefore in the client's socket before any
-//!   remote replica can have seen the cast.
+//!   holds into that connection's reassembly buffer; the core decodes
+//!   every complete frame in place and steps the protocol on it inline
+//!   (self-addressed sends and due timers are settled in the same turn).
+//!   Every dirty socket is then written **once**: client replies first,
+//!   peer links second — a [`Frame::CastAck`] is therefore in the client's
+//!   socket before any remote replica can have seen the cast.
 //! * Framing is a `u32` little-endian length prefix (bounded by
 //!   [`MAX_FRAME`]) around an enveloped [`Frame`]; see
 //!   [`wamcast_types::wire`] for the envelope.
 //! * **Encode-once fan-out:** a peer frame's bytes name the sender, never
-//!   the destination, so each outbound frame is encoded exactly once (into
-//!   a scratch buffer) and copied into the out-buffer of every destination
-//!   link — and of every adversary-duplicated copy.
-//! * **Bounded, lossy links.** Nothing here blocks and nothing queues
-//!   without bound: a frame for a link that is down, an out-buffer beyond
-//!   its cap (the peer is not reading) and the bytes queued behind a
-//!   socket that resets are *dropped*, exactly like a lossy UDP link — the
-//!   protocols' retransmission modes (`with_retry`) are what make the
-//!   stack live over real sockets, so hosts should enable them. Every such
-//!   drop is counted in [`NetStats`]. A down link is redialed on demand,
-//!   at most once per 300 ms (longer after a dial that
-//!   itself took long), so a dead peer costs the node a bounded share of
-//!   its time.
+//!   the destination, so each outbound frame is encoded exactly once and
+//!   copied into the out-buffer of every destination (and duplicate).
+//! * **Bounded, lossy links.** No protocol step waits on a socket and
+//!   nothing queues without bound: the frames for a link that is down, a
+//!   frame beyond its out-buffer's cap (the peer is not reading) and the
+//!   bytes queued behind a socket that resets are *dropped*, like a lossy
+//!   UDP link — the protocols' retransmission modes (`with_retry`) make
+//!   the stack live over real sockets, so hosts should enable them. Each
+//!   drop is counted in [`NetStats`]. A down link with frames waiting is
+//!   dialed at the flush, after the turn's replies are written, at most
+//!   once per 300 ms (longer after a slow dial), so a dead peer costs the
+//!   node a bounded share of its time.
 //! * **One body per cast.** A cast's payload reaches a node many times —
 //!   in its `Data`, in every `(TS, batch)`, `Accept` and `Accepted` that
-//!   names it — and the protocol layers keep what they are handed. Each
-//!   node decodes through its own [`BodyCache`], so those copies are
-//!   handles to one buffer; [`NetStats::body_hits`] says how often.
+//!   names it. Each node decodes through its own
+//!   [`BodyCache`](wire::BodyCache), so those copies are handles to one
+//!   buffer; [`NetStats::body_hits`] says how often.
 //! * **Faults:** an optional [`WallFaults`] is consulted once per outbound
 //!   copy to another process: a dropped copy is never queued, a duplicated
 //!   one is queued twice. Self-addressed sends never reach it.
@@ -65,22 +68,23 @@
 
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::WallFaults;
-use std::collections::{BinaryHeap, VecDeque};
+use node::{Inbox, NodeCore, OutBuf};
 use std::fmt;
+use std::io::ErrorKind::{Interrupted, WouldBlock};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wamcast_trace::{Phase, TraceEvent, TraceRing};
-use wamcast_types::wire::{self, BodyCache, Wire, WireError, WireReader, WireWriter};
+use wamcast_trace::TraceRing;
+use wamcast_types::wire::{self, Wire, WireError, WireReader, WireWriter};
 use wamcast_types::{
-    wire_enum, Action, AppMessage, Context, GroupSet, IdSet, MessageId, MsgSlot, Outbox, Payload,
-    ProcessId, Protocol, SimTime, Topology,
+    wire_enum, GroupSet, IdSet, MessageId, Payload, ProcessId, Protocol, SimTime, Topology,
 };
+
+mod node;
 
 /// A node's shared flight recorder: the node thread appends, the
 /// control-plane trace pull and the host's panic hook dump.
@@ -93,17 +97,9 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// whose dial failed stays down before the next attempt.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(300);
 
-/// Longest the node sleeps in `poll` with nothing to do.
+/// Longest the node sleeps in `poll` with nothing to do, so that it
+/// notices the stop flag.
 const IDLE_POLL_MS: i32 = 200;
-
-/// Most bytes read from one connection per turn (and the initial size of
-/// its reassembly buffer): one ready connection cannot starve the others.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// Most bytes queued behind one socket. A frame that would push a
-/// non-empty out-buffer past this is dropped: the peer is not reading, and
-/// queueing further would only grow memory and reorder recovery.
-const OUT_CAP: usize = 4 * 1024 * 1024;
 
 /// Everything that crosses a socket, peer-to-peer or client-to-peer.
 ///
@@ -250,133 +246,88 @@ pub struct TcpNodeConfig {
     pub arm: u8,
     /// Optional outbound-link adversary (the shared fault choke point).
     pub faults: Option<Arc<WallFaults>>,
-    /// Optional flight recorder. `None` — the default everywhere tracing
-    /// is not requested — keeps the node's record sites to a single
-    /// branch; `Some` makes it append one [`TraceEvent`] per lifecycle
+    /// Optional flight recorder. `None`, the default where tracing is not
+    /// requested, keeps the node's record sites to a single branch; `Some`
+    /// makes it append one [`wamcast_trace::TraceEvent`] per lifecycle
     /// step, sharing the ring with whoever holds the other handle (the
     /// control-plane pull, the `peer` binary's panic dump).
     pub trace: Option<SharedTrace>,
 }
 
-/// What a node's socket path discarded, how often it woke, what it asked
-/// of the kernel, and how its body cache fared. The protocols recover
-/// every drop by retransmission; the counters exist so that no frame
-/// disappears without a trace. Read them through [`TcpNode::stats`] at any
-/// time.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    link_down: AtomicU64,
-    reset: AtomicU64,
-    out_full: AtomicU64,
-    bad_frame: AtomicU64,
-    turns: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    bytes_written: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    body_hits: AtomicU64,
-    body_misses: AtomicU64,
+/// Declares [`NetStats`] from its counters in display order: each is one
+/// relaxed atomic, a reader and a `name=value` word of the display line.
+macro_rules! net_stats {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// What a node's socket path discarded, how often it woke, what it
+        /// asked of the kernel, and how its body cache fared. The protocols
+        /// recover every drop by retransmission; the counters exist so that
+        /// no frame disappears without a trace. Read them through
+        /// [`TcpNode::stats`] at any time.
+        #[derive(Debug, Default)]
+        pub struct NetStats {
+            $($name: AtomicU64,)+
+        }
+
+        impl NetStats {
+            $($(#[doc = $doc])+
+            pub fn $name(&self) -> u64 {
+                self.$name.load(Ordering::Relaxed)
+            })+
+        }
+
+        impl fmt::Display for NetStats {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let words = [$(format!("{}={}", stringify!($name), self.$name())),+];
+                f.write_str(&words.join(" "))
+            }
+        }
+    };
 }
 
-impl NetStats {
+net_stats! {
     /// Outbound frames dropped because their link was down (the dial
     /// failed, or the last failed dial was too recent to try again).
-    pub fn link_down(&self) -> u64 {
-        self.link_down.load(Ordering::Relaxed)
-    }
-
+    link_down,
     /// Outbound links that died (reset, or closed by the peer) with bytes
     /// still queued behind them; those bytes were dropped.
-    pub fn reset(&self) -> u64 {
-        self.reset.load(Ordering::Relaxed)
-    }
-
+    reset,
     /// Frames (peer traffic or client replies) dropped because the
     /// destination's out-buffer was at its cap: the other end is not
     /// reading.
-    pub fn out_full(&self) -> u64 {
-        self.out_full.load(Ordering::Relaxed)
-    }
-
+    out_full,
     /// Frames discarded as unusable: inbound ones that failed to decode
     /// (wrong arm or version, garbage), named a process or group the
     /// topology does not have, or claimed more than [`MAX_FRAME`] bytes
     /// (which also closes the connection), and outbound ones too large to
     /// frame.
-    pub fn bad_frame(&self) -> u64 {
-        self.bad_frame.load(Ordering::Relaxed)
-    }
+    bad_frame,
+    /// Times the node thread woke from `poll` — each wake-up is one
+    /// read → handle → write turn.
+    turns,
+    /// `read` calls on the node's sockets, whatever they returned.
+    reads,
+    /// `write` calls on the node's sockets, whatever they returned.
+    writes,
+    /// Bytes the kernel took from those writes, length prefixes included.
+    bytes_written,
+    /// Whole frames taken off inbound connections, decodable or not.
+    frames_in,
+    /// Frames queued for a socket: peer traffic (each copy counted) and
+    /// client replies. Frames dropped before queueing are not counted.
+    frames_out,
+    /// Message bodies decoded as a handle to a copy the node already held
+    /// (see [`BodyCache`](wire::BodyCache)): allocations and retained
+    /// bytes saved.
+    body_hits,
+    /// Message bodies decoded into a fresh buffer: the first sight of a
+    /// cast, or a cache slot another cast had taken meanwhile.
+    body_misses,
+}
 
+impl NetStats {
     /// Everything discarded, whatever the reason: 0 on a clean run.
     pub fn dropped(&self) -> u64 {
         self.link_down() + self.reset() + self.out_full() + self.bad_frame()
-    }
-
-    /// Times the node thread woke from `poll` — each wake-up is one
-    /// read → handle → write turn.
-    pub fn turns(&self) -> u64 {
-        self.turns.load(Ordering::Relaxed)
-    }
-
-    /// `read` calls on the node's sockets, whatever they returned.
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// `write` calls on the node's sockets, whatever they returned.
-    pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes the kernel took from those writes, length prefixes included.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
-    }
-
-    /// Whole frames taken off inbound connections, decodable or not.
-    pub fn frames_in(&self) -> u64 {
-        self.frames_in.load(Ordering::Relaxed)
-    }
-
-    /// Frames queued for a socket: peer traffic (each copy counted) and
-    /// client replies. Frames dropped before queueing are not counted.
-    pub fn frames_out(&self) -> u64 {
-        self.frames_out.load(Ordering::Relaxed)
-    }
-
-    /// Message bodies decoded as a handle to a copy the node already held
-    /// (see [`BodyCache`]): allocations and retained bytes saved.
-    pub fn body_hits(&self) -> u64 {
-        self.body_hits.load(Ordering::Relaxed)
-    }
-
-    /// Message bodies decoded into a fresh buffer: the first sight of a
-    /// cast, or a cache slot another cast had taken meanwhile.
-    pub fn body_misses(&self) -> u64 {
-        self.body_misses.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Display for NetStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "link_down={} reset={} out_full={} bad_frame={} turns={} reads={} writes={} \
-             bytes_written={} frames_in={} frames_out={} body_hits={} body_misses={}",
-            self.link_down(),
-            self.reset(),
-            self.out_full(),
-            self.bad_frame(),
-            self.turns(),
-            self.reads(),
-            self.writes(),
-            self.bytes_written(),
-            self.frames_in(),
-            self.frames_out(),
-            self.body_hits(),
-            self.body_misses()
-        )
     }
 }
 
@@ -462,62 +413,35 @@ where
     P: Protocol + Send + 'static,
     P::Msg: Wire,
 {
-    let TcpNodeConfig {
-        me,
-        topo,
-        addrs,
-        arm,
-        faults,
-        trace,
-    } = cfg;
     assert_eq!(
-        addrs.len(),
-        topo.num_processes(),
+        cfg.addrs.len(),
+        cfg.topo.num_processes(),
         "one listen address per process"
     );
-    let listener = TcpListener::bind(addrs[me.index()])?;
+    let listener = TcpListener::bind(cfg.addrs[cfg.me.index()])?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(NetStats::default());
     let now = Instant::now();
-    let links = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, &addr)| {
-            (i != me.index()).then(|| Link {
-                addr,
-                stream: None,
-                out: OutBuf::default(),
-                next_dial: now,
-            })
-        })
-        .collect();
+    let start = cfg.faults.as_ref().map_or(now, |f| f.start());
+    let clock = Box::new(move || SimTime::from_nanos(start.elapsed().as_nanos() as u64));
+    let core = NodeCore::new(&cfg, proto, Arc::clone(&delivered), service, clock);
+    let stats = Arc::clone(&core.stats);
+    let link = |&addr| Link {
+        addr,
+        stream: None,
+        next_dial: now,
+    };
+    let links = cfg.addrs.iter().map(link).collect();
     let mut node = Node {
-        me,
-        arm,
-        proto,
-        ctx: Context::new(me, topo, SimTime::ZERO),
-        start: faults.as_ref().map_or(now, |f| f.start()),
+        core,
         listener,
         conns: Vec::new(),
         links,
-        timers: BinaryHeap::new(),
-        pending_self: VecDeque::new(),
-        actions: Vec::new(),
-        frame: Vec::new(),
-        injected: IdSet::new(),
-        bodies: BodyCache::new(),
-        delivered: Arc::clone(&delivered),
-        service,
-        faults,
-        trace,
-        stats: Arc::clone(&stats),
         stop: Arc::clone(&stop),
-        exit: false,
     };
     let thread = std::thread::Builder::new()
-        .name(format!("wamcast-node-{}", me.0))
+        .name(format!("wamcast-node-{}", cfg.me.0))
         .spawn(move || node.run())?;
     Ok(TcpNode {
         local,
@@ -528,52 +452,23 @@ where
     })
 }
 
-/// Whole length-prefixed frames waiting for one nonblocking socket.
-#[derive(Default)]
-struct OutBuf {
-    bytes: Vec<u8>,
-    /// The socket refused more bytes; `poll` says when to try again.
-    blocked: bool,
-}
-
 impl OutBuf {
-    /// Queues one frame, or counts why it cannot be: too large to frame,
-    /// or the buffer is at its cap (an empty buffer takes any frame, so
-    /// the cap never makes a frame unsendable).
-    fn push(&mut self, body: &[u8], stats: &NetStats) {
-        if body.len() > MAX_FRAME as usize {
-            bump(&stats.bad_frame);
-        } else if !self.bytes.is_empty() && self.bytes.len() + 4 + body.len() > OUT_CAP {
-            bump(&stats.out_full);
-        } else {
-            self.bytes
-                .extend_from_slice(&(body.len() as u32).to_le_bytes());
-            self.bytes.extend_from_slice(body);
-            bump(&stats.frames_out);
-        }
-    }
-
     /// What to ask `poll` about this buffer's socket: always whether it
     /// is readable, and whether it is writable again once it refused bytes.
     fn interest(&self) -> i16 {
-        if self.blocked {
-            POLLIN | POLLOUT
-        } else {
-            POLLIN
-        }
+        POLLIN | if self.blocked { POLLOUT } else { 0 }
     }
 
-    /// Whether a write is worth attempting now.
-    fn dirty(&self) -> bool {
-        !self.bytes.is_empty() && !self.blocked
-    }
-
-    /// Writes as much as the socket takes. What it does not take stays
-    /// queued; an error means the socket is dead.
+    /// Counts the frames queued since the last flush as sent — a socket
+    /// has taken them over — then writes as much as it takes, unless it
+    /// refused bytes and `poll` has not yet said it wants more. What it
+    /// does not take stays queued; an error means the socket is dead.
     fn flush(&mut self, mut stream: &TcpStream, stats: &NetStats) -> io::Result<()> {
+        let queued = std::mem::take(&mut self.queued);
+        stats.frames_out.fetch_add(queued, Ordering::Relaxed);
         let mut done = 0;
         let result = loop {
-            if done == self.bytes.len() {
+            if self.blocked || done == self.bytes.len() {
                 break Ok(());
             }
             bump(&stats.writes);
@@ -583,11 +478,11 @@ impl OutBuf {
                     stats.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
                     done += n;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == WouldBlock => {
                     self.blocked = true;
                     break Ok(());
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == Interrupted => {}
                 Err(e) => break Err(e),
             }
         };
@@ -599,187 +494,62 @@ impl OutBuf {
 /// One inbound connection, from a peer's outbound link or from a client.
 struct Conn {
     stream: TcpStream,
-    /// Reassembly buffer: `rbuf[start..end]` is received and not yet
-    /// consumed. [`next_frame`](Self::next_frame) keeps room after `end`.
-    rbuf: Vec<u8>,
-    start: usize,
-    end: usize,
+    inbox: Inbox,
     /// Replies (`CastAck`, `Rep`) to a client.
     out: OutBuf,
     closed: bool,
 }
 
-/// An inbound length prefix above [`MAX_FRAME`].
-struct Oversize;
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            rbuf: vec![0; READ_CHUNK],
-            start: 0,
-            end: 0,
-            out: OutBuf::default(),
-            closed: false,
-        }
-    }
-
-    /// One `read` into the free tail of the reassembly buffer, at most
-    /// [`READ_CHUNK`] bytes.
-    fn fill(&mut self) -> io::Result<usize> {
-        let room = self.rbuf.len().min(self.end + READ_CHUNK);
-        let n = self.stream.read(&mut self.rbuf[self.end..room])?;
-        self.end += n;
-        Ok(n)
-    }
-
-    /// The body of the next complete frame, consuming it; `None` when the
-    /// rest of it has yet to arrive, in which case the buffer now has room
-    /// for that rest (consumed bytes reclaimed, grown only for a frame
-    /// larger than it — bounded, since the claim was checked).
-    fn next_frame(&mut self) -> Result<Option<Range<usize>>, Oversize> {
-        let have = self.end - self.start;
-        if have == 0 {
-            self.start = 0;
-            self.end = 0;
-        }
-        let need = if have < 4 {
-            4
-        } else {
-            let prefix = self.rbuf[self.start..self.start + 4]
-                .try_into()
-                .expect("four bytes");
-            let len = u32::from_le_bytes(prefix);
-            if len > MAX_FRAME {
-                return Err(Oversize);
-            }
-            4 + len as usize
-        };
-        if have >= need {
-            let body = self.start + 4..self.start + need;
-            self.start += need;
-            return Ok(Some(body));
-        }
-        if self.rbuf.len() - self.start < need {
-            self.rbuf.copy_within(self.start..self.end, 0);
-            self.start = 0;
-            self.end = have;
-            if self.rbuf.len() < need {
-                self.rbuf.resize(need, 0);
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// The outbound link to one peer: dialed on demand, write-only.
+/// The outbound link to one peer: dialed when frames wait for it,
+/// write-only. The frames themselves queue in the core.
 struct Link {
     addr: SocketAddr,
     stream: Option<TcpStream>,
-    out: OutBuf,
     /// Earliest instant of the next dial attempt while the link is down.
     next_dial: Instant,
 }
 
 impl Link {
-    /// Whether the link is up, dialing it if it is down and due. The dial
+    /// The link's stream, dialing it if it is down and due. The dial
     /// blocks the node for at most [`DIAL_TIMEOUT`] (an unreachable host;
     /// a closed port refuses at once), and a failed one keeps the link
     /// down for at least four times as long as it took, so dead peers
     /// cost the node at most a fifth of its time each.
-    fn up(&mut self) -> bool {
-        if self.stream.is_some() {
-            return true;
-        }
-        let began = Instant::now();
-        if began < self.next_dial {
-            return false;
-        }
-        let dialed = TcpStream::connect_timeout(&self.addr, DIAL_TIMEOUT).and_then(|s| {
-            s.set_nodelay(true)?;
-            s.set_nonblocking(true)?;
-            Ok(s)
-        });
-        match dialed {
-            Ok(s) => self.stream = Some(s),
-            Err(_) => {
-                let now = Instant::now();
-                self.next_dial = now + DIAL_TIMEOUT.max(4 * (now - began));
+    fn up(&mut self) -> Option<&TcpStream> {
+        if self.stream.is_none() && Instant::now() >= self.next_dial {
+            let began = Instant::now();
+            let dialed = TcpStream::connect_timeout(&self.addr, DIAL_TIMEOUT).and_then(|s| {
+                s.set_nodelay(true)?;
+                s.set_nonblocking(true)?;
+                Ok(s)
+            });
+            let now = Instant::now();
+            match dialed {
+                Ok(s) => self.stream = Some(s),
+                Err(_) => self.next_dial = now + DIAL_TIMEOUT.max(4 * (now - began)),
             }
         }
-        self.stream.is_some()
+        self.stream.as_ref()
     }
 
-    /// Takes the link down, dropping what was queued behind it.
-    fn down(&mut self, stats: &NetStats) {
+    /// Takes the link down, dropping `out`, what was queued behind it.
+    fn down(&mut self, out: &mut OutBuf, stats: &NetStats) {
         self.stream = None;
-        if !self.out.bytes.is_empty() {
+        if !out.bytes.is_empty() {
             bump(&stats.reset);
         }
-        self.out = OutBuf::default();
+        *out = OutBuf::default();
     }
 }
 
-/// A pending protocol timer; the heap pops the earliest deadline first.
-struct TimerEntry {
-    at: Instant,
-    kind: u64,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, o: &Self) -> bool {
-        self.at == o.at && self.kind == o.kind
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        // Min-heap on deadline.
-        o.at.cmp(&self.at).then(o.kind.cmp(&self.kind))
-    }
-}
-
-/// Everything one node thread owns.
+/// The node thread: the core, and the sockets it cannot own.
 struct Node<P: Protocol> {
-    me: ProcessId,
-    arm: u8,
-    proto: P,
-    /// The protocol's handler context (it holds the topology), moved to
-    /// each step's instant.
-    ctx: Context,
-    /// Zero of [`Context::now`] and of trace timestamps.
-    start: Instant,
+    core: NodeCore<P>,
     listener: TcpListener,
     conns: Vec<Conn>,
-    /// Indexed by process id; `None` at `me`.
-    links: Vec<Option<Link>>,
-    timers: BinaryHeap<TimerEntry>,
-    /// Self-addressed sends of the last step: they never touch a socket.
-    pending_self: VecDeque<MsgSlot<P::Msg>>,
-    /// Backing storage of every step's [`Outbox`].
-    actions: Vec<Action<P::Msg>>,
-    /// Scratch every outbound frame is encoded into before it is copied
-    /// into the out-buffers of its destinations.
-    frame: Vec<u8>,
-    /// Casts already injected (a retried `Cast` is acknowledged again but
-    /// cast once).
-    injected: IdSet,
-    /// The bodies this node decoded lately; every inbound frame is decoded
-    /// through it.
-    bodies: BodyCache,
-    delivered: SharedDeliveries,
-    service: Service,
-    faults: Option<Arc<WallFaults>>,
-    trace: Option<SharedTrace>,
-    stats: Arc<NetStats>,
+    /// Indexed by process id; `me`'s is never dialed (nothing queues there).
+    links: Vec<Link>,
     stop: Arc<AtomicBool>,
-    /// A `Shutdown` frame arrived.
-    exit: bool,
 }
 
 impl<P> Node<P>
@@ -787,331 +557,69 @@ where
     P: Protocol,
     P::Msg: Wire,
 {
-    /// Flight-recorder append: a no-op branch when tracing is off. Purely
-    /// observational — the lock is held for the push alone, and the only
-    /// other holders are short-lived dump readers.
-    fn record(&self, phase: Phase, cast: Option<MessageId>, peer: Option<ProcessId>) {
-        if let Some(t) = &self.trace {
-            if let Ok(mut ring) = t.lock() {
-                ring.push(TraceEvent {
-                    at_us: self.start.elapsed().as_micros() as u64,
-                    node: self.me.0,
-                    phase,
-                    cast: cast.map(MessageId::cast_key),
-                    peer: peer.map(|q| q.0),
-                });
-            }
-        }
-    }
-
-    fn record_msg(&self, msg: &P::Msg, sending: bool, peer: ProcessId) {
-        if self.trace.is_none() {
-            return;
-        }
-        match P::describe_msg(msg) {
-            Some(info) => {
-                let phase = info.class.phase(sending);
-                if info.casts.is_empty() {
-                    self.record(phase, None, Some(peer));
-                } else {
-                    for id in info.casts {
-                        self.record(phase, Some(id), Some(peer));
-                    }
-                }
-            }
-            None => {
-                let phase = if sending {
-                    Phase::MsgSend
-                } else {
-                    Phase::MsgRecv
-                };
-                self.record(phase, None, Some(peer));
-            }
-        }
-    }
-
-    /// Runs one protocol handler and carries out what it emitted, then
-    /// every self-addressed send that followed from it.
-    fn step(&mut self, f: impl FnOnce(&mut P, &Context, &mut Outbox<P::Msg>)) {
-        self.step_once(f);
-        while let Some(slot) = self.pending_self.pop_front() {
-            let msg = slot.take();
-            self.record_msg(&msg, false, self.me);
-            let me = self.me;
-            self.step_once(|p, c, o| p.on_message(me, msg, c, o));
-        }
-    }
-
-    fn step_once(&mut self, f: impl FnOnce(&mut P, &Context, &mut Outbox<P::Msg>)) {
-        self.ctx
-            .set_now(SimTime::from_nanos(self.start.elapsed().as_nanos() as u64));
-        let mut out = Outbox::with_buffer(std::mem::take(&mut self.actions));
-        f(&mut self.proto, &self.ctx, &mut out);
-        let mut actions = out.into_buffer();
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => self.ship(to, MsgSlot::Owned(msg), &mut false),
-                Action::SendMany { tos, msg } => {
-                    let mut encoded = false;
-                    for &to in tos.iter() {
-                        self.ship(to, MsgSlot::Shared(Arc::clone(&msg)), &mut encoded);
-                    }
-                }
-                Action::Deliver(m) => {
-                    self.record(Phase::Deliver, Some(m.id), None);
-                    self.delivered
-                        .lock()
-                        .expect("delivery log poisoned")
-                        .push(m.id);
-                }
-                Action::Timer { after, kind } => self.timers.push(TimerEntry {
-                    at: Instant::now() + after,
-                    kind,
-                }),
-            }
-        }
-        self.actions = actions;
-    }
-
-    /// Sends one copy of `msg` to `to`. `encoded` says whether
-    /// `self.frame` already holds this action's frame: the bytes carry
-    /// `me`, not the destination, so one encoding serves every destination
-    /// of a `SendMany` (and every duplicated copy). It is built on the
-    /// first remote destination — an action whose copies are all dropped
-    /// or self-addressed never encodes at all.
-    fn ship(&mut self, to: ProcessId, msg: MsgSlot<P::Msg>, encoded: &mut bool) {
-        // Record before the fault fate, mirroring the simulator: the copy
-        // *was* sent even if the adversary eats it.
-        match &msg {
-            MsgSlot::Owned(m) => self.record_msg(m, true, to),
-            MsgSlot::Shared(m) => self.record_msg(m, true, to),
-        }
-        // A self-addressed send is a process-local hand-off, not a link:
-        // the adversary never faults `from == to` and draws no randomness
-        // for it, so it is not asked.
-        if to == self.me {
-            self.pending_self.push_back(msg);
-            return;
-        }
-        // One fate per copy, from the adversary every node shares.
-        let copies = match &self.faults {
-            None => 1,
-            Some(f) => {
-                let fate = f.fate(self.me, to);
-                if fate.dropped {
-                    return;
-                }
-                1 + usize::from(fate.duplicate.is_some())
-            }
-        };
-        let Some(link) = self.links.get_mut(to.index()).and_then(Option::as_mut) else {
-            return;
-        };
-        if !link.up() {
-            self.stats
-                .link_down
-                .fetch_add(copies as u64, Ordering::Relaxed);
-            return;
-        }
-        if !*encoded {
-            let mut w = WireWriter::over(std::mem::take(&mut self.frame));
-            w.raw(&wire::MAGIC);
-            w.u8(wire::VERSION);
-            w.u8(self.arm);
-            w.u8(0); // Frame::Peer tag
-            self.me.encode(&mut w);
-            match &msg {
-                MsgSlot::Owned(m) => m.encode(&mut w),
-                MsgSlot::Shared(m) => m.encode(&mut w),
-            }
-            self.frame = w.finish();
-            *encoded = true;
-        }
-        for _ in 0..copies {
-            link.out.push(&self.frame, &self.stats);
-        }
-    }
-
-    /// Queues `reply` on connection `i`.
-    fn reply(&mut self, i: usize, reply: &Frame<P::Msg>) {
-        wire::seal_into(self.arm, reply, &mut self.frame);
-        self.conns[i].out.push(&self.frame, &self.stats);
-    }
-
-    /// Acts on one decoded inbound frame of connection `i`. The ids a frame
-    /// names came off a socket: one the topology does not have is refused
-    /// here (no step, no reply), because the protocol cores index by them.
-    /// So is a notice that this node itself crashed: a running node is
-    /// not crashed, and believing it would make its protocol relay its own
-    /// casts and step down as its group's coordinator.
-    fn dispatch(&mut self, i: usize, frame: Frame<P::Msg>) {
-        let known = match &frame {
-            Frame::Peer { from: p, .. } => p.index() < self.ctx.topology().num_processes(),
-            Frame::CrashNotify { of } => {
-                *of != self.me && of.index() < self.ctx.topology().num_processes()
-            }
-            Frame::Cast { dest, .. } => {
-                !dest.is_empty() && dest.is_subset(self.ctx.topology().all_groups())
-            }
-            _ => true,
-        };
-        if !known {
-            bump(&self.stats.bad_frame);
-            return;
-        }
-        match frame {
-            Frame::Peer { from, msg } => {
-                self.record_msg(&msg, false, from);
-                self.step(|p, c, o| p.on_message(from, msg, c, o));
-            }
-            Frame::Cast { seq, dest, payload } => {
-                let id = MessageId::new(self.me, seq);
-                // Ack first (the client records the op before the send, the
-                // ack is just confirmation), then inject exactly once even
-                // if a client retries the frame.
-                self.reply(i, &Frame::CastAck { id });
-                if self.injected.insert(id) {
-                    self.record(Phase::Cast, Some(id), None);
-                    // A `Cast` names its message by `seq` alone; from here
-                    // on every frame carrying it shares this body.
-                    self.bodies.prime(id, &payload);
-                    let m = AppMessage::new(id, dest, payload);
-                    self.step(|p, c, o| p.on_cast(m, c, o));
-                }
-            }
-            Frame::Req { body } => {
-                let body = (self.service)(&body);
-                self.reply(i, &Frame::Rep { body });
-            }
-            Frame::CrashNotify { of } => {
-                self.record(Phase::CrashNotice, None, Some(of));
-                self.step(|p, c, o| p.on_crash_notification(of, c, o));
-            }
-            Frame::Shutdown => self.exit = true,
-            // Reply frames are client-bound; a node receiving one ignores it.
-            Frame::CastAck { .. } | Frame::Rep { .. } => {}
-        }
-    }
-
-    /// Reads connection `i` once and handles every frame that completed.
+    /// Reads connection `i` once and lets the core handle every frame that
+    /// completed.
     fn read_conn(&mut self, i: usize) {
-        bump(&self.stats.reads);
-        match self.conns[i].fill() {
-            Ok(n) if n > 0 => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                ) => {}
+        let conn = &mut self.conns[i];
+        bump(&self.core.stats.reads);
+        match conn.stream.read(conn.inbox.spare()) {
+            Ok(n) if n > 0 => conn.inbox.filled(n),
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
             // EOF or reset: the dialer reconnects if it cares.
-            _ => self.conns[i].closed = true,
+            _ => conn.closed = true,
         }
-        while !self.exit {
-            let body = match self.conns[i].next_frame() {
-                Ok(Some(body)) => {
-                    bump(&self.stats.frames_in);
-                    body
-                }
-                Ok(None) => break,
-                Err(Oversize) => {
-                    // Whatever follows an absurd length claim cannot be
-                    // framed: this connection is lost, the node is not.
-                    bump(&self.stats.bad_frame);
-                    self.conns[i].closed = true;
-                    break;
-                }
-            };
-            let frame = wire::open_sharing::<Frame<P::Msg>>(
-                self.arm,
-                &self.conns[i].rbuf[body],
-                &mut self.bodies,
-            );
-            // Relaxed: statistics, publishing nothing else.
-            let (hits, misses) = (self.bodies.hits(), self.bodies.misses());
-            self.stats.body_hits.store(hits, Ordering::Relaxed);
-            self.stats.body_misses.store(misses, Ordering::Relaxed);
-            match frame {
-                Ok(frame) => self.dispatch(i, frame),
-                // Wrong version/arm/garbage: drop the frame, keep the
-                // connection — a self-stabilizing receiver never crashes
-                // on hostile input.
-                Err(_) => bump(&self.stats.bad_frame),
-            }
-        }
-    }
-
-    /// Fires every timer that is due.
-    fn fire_timers(&mut self) {
-        while self.timers.peek().is_some_and(|t| t.at <= Instant::now()) {
-            let t = self.timers.pop().expect("peeked");
-            self.step(|p, c, o| p.on_timer(t.kind, c, o));
-        }
-    }
-
-    /// Milliseconds until the next timer, rounded **up** (rounding down
-    /// would wake early and spin on a zero timeout until the timer is
-    /// due), capped so the stop flag is noticed.
-    fn poll_timeout_ms(&self) -> i32 {
-        self.timers.peek().map_or(IDLE_POLL_MS, |t| {
-            let ns = t.at.saturating_duration_since(Instant::now()).as_nanos();
-            ns.div_ceil(1_000_000).min(IDLE_POLL_MS as u128) as i32
-        })
+        conn.closed |= !self.core.take_frames(&mut conn.inbox, &mut conn.out);
     }
 
     /// The node thread: one `poll`, one read → handle → write turn, until
     /// told to stop.
     fn run(&mut self) {
-        self.step(|p, c, o| p.on_start(c, o));
+        self.core.start();
         self.flush();
         let mut fds: Vec<PollFd> = Vec::new();
-        // Process ids of the links in `fds`, which follow the connections.
-        let mut polled_links: Vec<usize> = Vec::new();
-        while !self.exit && !self.stop.load(Ordering::SeqCst) {
+        while !self.core.exit && !self.stop.load(Ordering::SeqCst) {
             fds.clear();
-            polled_links.clear();
             fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
             for c in &self.conns {
                 fds.push(PollFd::new(c.stream.as_raw_fd(), c.out.interest()));
             }
-            for (p, link) in self.links.iter().enumerate() {
-                let Some(link) = link else { continue };
-                let Some(stream) = &link.stream else { continue };
-                // POLLIN on a write-only link: the peer closing it is the
-                // only thing that can make it readable.
-                fds.push(PollFd::new(stream.as_raw_fd(), link.out.interest()));
-                polled_links.push(p);
+            // One entry per process, after the connections: `poll` skips
+            // the -1 of a link that is down. POLLIN on a write-only link:
+            // the peer closing it is the only thing that can make it readable.
+            for (link, out) in self.links.iter().zip(&self.core.links) {
+                let fd = link.stream.as_ref().map_or(-1, AsRawFd::as_raw_fd);
+                fds.push(PollFd::new(fd, out.interest()));
             }
             // Interruption aside, `poll` fails only on a malformed set or
             // an exhausted kernel; the host sees the panic through `wait`.
-            poll::wait(&mut fds, self.poll_timeout_ms()).expect("poll(2) on the node's sockets");
-            bump(&self.stats.turns);
+            let timeout = self.core.next_timer_ms(IDLE_POLL_MS);
+            poll::wait(&mut fds, timeout).expect("poll(2) on the node's sockets");
+            bump(&self.core.stats.turns);
 
+            // Links first: one its peer closed is down before this turn
+            // queues anything behind it, and is redialed at the flush.
             let n_conns = self.conns.len();
-            for (i, fd) in fds[1..=n_conns].iter().enumerate() {
-                if fd.writable() {
-                    self.conns[i].out.blocked = false;
+            let links = self.links.iter_mut().zip(&mut self.core.links);
+            for (fd, (link, out)) in fds[1 + n_conns..].iter().zip(links) {
+                out.blocked &= !fd.writable();
+                if fd.readable() {
+                    let mut probe = [0u8; 64];
+                    let stream = link.stream.as_mut().expect("polled links are up");
+                    bump(&self.core.stats.reads);
+                    match stream.read(&mut probe) {
+                        Ok(n) if n > 0 => {} // peers send nothing here; ignore
+                        Err(e) if e.kind() == WouldBlock => {}
+                        _ => link.down(out, &self.core.stats),
+                    }
                 }
+            }
+            for (i, fd) in fds[1..=n_conns].iter().enumerate() {
+                self.conns[i].out.blocked &= !fd.writable();
                 if fd.readable() {
                     self.read_conn(i);
                 }
             }
-            self.fire_timers();
-            for (fd, &p) in fds[1 + n_conns..].iter().zip(&polled_links) {
-                let link = self.links[p].as_mut().expect("polled links exist");
-                if fd.writable() {
-                    link.out.blocked = false;
-                }
-                if fd.readable() {
-                    let mut probe = [0u8; 64];
-                    let stream = link.stream.as_mut().expect("polled links are up");
-                    bump(&self.stats.reads);
-                    match stream.read(&mut probe) {
-                        Ok(n) if n > 0 => {} // peers send nothing here; ignore
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                        _ => link.down(&self.stats),
-                    }
-                }
-            }
+            self.core.fire_timers();
             if fds[0].readable() {
                 self.accept();
             }
@@ -1124,31 +632,41 @@ where
         while let Ok((stream, _)) = self.listener.accept() {
             if stream.set_nonblocking(true).is_ok() {
                 let _ = stream.set_nodelay(true);
-                self.conns.push(Conn::new(stream));
+                self.conns.push(Conn {
+                    stream,
+                    inbox: Inbox::default(),
+                    out: OutBuf::default(),
+                    closed: false,
+                });
             }
         }
     }
 
     /// Writes every dirty out-buffer once: client replies before peer
     /// links, so a cast's ack is in the client's socket before the cast's
-    /// first message can reach another node.
+    /// first message can reach another node. A down link with frames
+    /// waiting is dialed only then, after the replies; frames for a link
+    /// that stays down are dropped.
     fn flush(&mut self) {
+        let stats = &self.core.stats;
         for c in &mut self.conns {
-            if !c.closed && c.out.dirty() && c.out.flush(&c.stream, &self.stats).is_err() {
+            if !c.closed && c.out.flush(&c.stream, stats).is_err() {
                 c.closed = true;
             }
         }
         self.conns.retain(|c| !c.closed);
-        for link in self.links.iter_mut().flatten() {
-            if !link.out.dirty() {
+        for (link, out) in self.links.iter_mut().zip(&mut self.core.links) {
+            if out.bytes.is_empty() {
                 continue;
             }
-            let stream = link
-                .stream
-                .as_ref()
-                .expect("frames queue on live links only");
-            if link.out.flush(stream, &self.stats).is_err() {
-                link.down(&self.stats);
+            let Some(stream) = link.up() else {
+                let lost = std::mem::take(&mut out.queued);
+                stats.link_down.fetch_add(lost, Ordering::Relaxed);
+                out.bytes.clear();
+                continue;
+            };
+            if out.flush(stream, stats).is_err() {
+                link.down(out, stats);
             }
         }
     }
@@ -1580,6 +1098,7 @@ impl LocalCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wamcast_types::{wire::BodyCache, AppMessage};
 
     #[test]
     fn frame_variants_roundtrip() {

@@ -6,7 +6,7 @@
 //! fate stream is identical, a different seed draws a different one, and
 //! probability-1 rules are certain. What a fate *means* in frames on the
 //! wire is pinned on the node's send path itself
-//! (`tcp_cluster.rs::adversary_fates_map_to_copies_on_the_send_path`).
+//! (`tcp::node::tests::adversary_fates_map_to_copies_on_the_send_path`).
 
 use std::time::Duration;
 use wamcast_net::WallFaults;

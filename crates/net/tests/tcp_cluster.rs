@@ -3,9 +3,9 @@
 //! protocol-level cases on the in-process host are in `cluster.rs`; the
 //! multi-*process* version — spawned peers, `kill -9` chaos — lives in the
 //! harness crate, which owns the `peer` binary.) The second half drives
-//! one node's read/write state machine directly, with raw sockets standing
-//! in for clients and peers, so each case controls exactly which bytes
-//! arrive when; it ends with the fault path, under probability-1 rules.
+//! one node's sockets directly, with raw sockets standing in for clients
+//! and peers: what needs a kernel. The host policy behind them is tested
+//! without sockets in `tcp::node`.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -16,11 +16,10 @@ use wamcast_net::tcp::{
     self, free_addrs, null_service, read_frame, write_frame, Frame, LocalCluster, NoMsg, Service,
     SharedDeliveries, TcpClient, TcpNode, TcpNodeConfig, MAX_FRAME,
 };
-use wamcast_net::WallFaults;
 use wamcast_types::wire::{self, Wire};
 use wamcast_types::{
-    shared_ids, AppMessage, BatchConfig, Context, FaultPlan, GroupId, GroupSet, MessageId, Outbox,
-    Payload, ProcessId, Protocol, SimTime, StateMachine, Topology,
+    shared_ids, AppMessage, BatchConfig, Context, GroupId, GroupSet, MessageId, Outbox, Payload,
+    ProcessId, Protocol, StateMachine, Topology,
 };
 
 const RETRY: Duration = Duration::from_millis(100);
@@ -146,40 +145,6 @@ fn bodies_are_shared_per_node_and_delivered_intact_on_a_batched_a1_run() {
     cluster.shutdown();
 }
 
-/// A node told that it crashed itself refuses the notice: were it to
-/// believe it, A1 would relay the node's own pending casts and its Paxos
-/// engine would suspect itself and stop coordinating group 0 while its
-/// peers still forward to it.
-#[test]
-fn a_crash_notice_naming_the_receiver_is_refused_and_counted() {
-    let mut cluster = LocalCluster::serve(Topology::symmetric(2, 2), 5, None, |p, t| {
-        GenuineMulticast::new(p, t, MulticastConfig::default().with_retry(RETRY))
-    })
-    .expect("serve");
-    // p0 coordinates group 0 at ballot 0.
-    let mut liar = TcpClient::new(cluster.addrs()[0], 5, Duration::from_secs(5));
-    liar.crash_notify(ProcessId(0)).expect("notice sent");
-    // Frames of one connection are handled in order: once the reply is
-    // back, the notice was.
-    liar.request(Vec::new()).expect("request answered");
-    let both = GroupSet::first_n(2);
-    let ids: Vec<MessageId> = (0..10u8)
-        .map(|i| {
-            let caster = ProcessId(if i % 2 == 0 { 0 } else { 2 });
-            cluster
-                .cast(caster, both, Payload::from(vec![i]))
-                .expect("cast")
-        })
-        .collect();
-    for id in ids {
-        cluster
-            .await_delivery_everywhere(id, both, Duration::from_secs(10))
-            .expect("committed everywhere");
-    }
-    assert_eq!(cluster.stats(ProcessId(0)).bad_frame(), 1);
-    cluster.shutdown();
-}
-
 #[test]
 fn service_requests_answered_on_node_thread() {
     let topo = Arc::new(Topology::symmetric(1, 1));
@@ -246,21 +211,16 @@ fn shutdown_frame_ends_wait() {
 /// agreement, so a dead destination never holds a delivery back.
 struct Flood;
 
-impl Protocol for Flood {
-    type Msg = AppMessage;
+type M = AppMessage;
 
-    fn on_cast(&mut self, msg: AppMessage, ctx: &Context, out: &mut Outbox<AppMessage>) {
-        let tos = shared_ids(ctx.topology().processes_in(msg.dest));
-        out.send_many(tos, msg);
+impl Protocol for Flood {
+    type Msg = M;
+
+    fn on_cast(&mut self, msg: M, ctx: &Context, out: &mut Outbox<M>) {
+        out.send_many(shared_ids(ctx.topology().processes_in(msg.dest)), msg);
     }
 
-    fn on_message(
-        &mut self,
-        _: ProcessId,
-        msg: AppMessage,
-        _: &Context,
-        out: &mut Outbox<AppMessage>,
-    ) {
+    fn on_message(&mut self, _: ProcessId, msg: M, _: &Context, out: &mut Outbox<M>) {
         out.deliver(msg);
     }
 }
@@ -300,11 +260,6 @@ fn echo_service() -> Service {
 
 /// One length-prefixed, enveloped client frame.
 fn framed(frame: &Frame<NoMsg>) -> Vec<u8> {
-    framed_as(frame)
-}
-
-/// [`framed`] for any frame, peer traffic included.
-fn framed_as<M: Wire>(frame: &Frame<M>) -> Vec<u8> {
     let mut bytes = Vec::new();
     write_frame(&mut bytes, &wire::seal(ARM, frame)).expect("frame fits");
     bytes
@@ -328,21 +283,6 @@ fn await_that(what: &str, mut cond: impl FnMut() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting until {what}");
         std::thread::sleep(Duration::from_millis(2));
     }
-}
-
-#[test]
-fn frame_arriving_one_byte_at_a_time_reassembles() {
-    let (node, addr) = serve_p0(Flood, &[], echo_service());
-    let mut s = raw_client(addr);
-    for byte in framed(&Frame::Req { body: vec![7; 40] }) {
-        s.write_all(&[byte]).expect("write");
-        // Long enough for the node to wake, read the byte and go back to
-        // sleep with the frame still incomplete.
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(read_reply(&mut s), Frame::Rep { body: vec![7; 40] });
-    assert_eq!(node.stats().bad_frame(), 0);
-    node.shutdown();
 }
 
 #[test]
@@ -378,18 +318,6 @@ fn socket_counters_count_one_cast_exactly() {
 }
 
 #[test]
-fn two_frames_in_one_segment_both_dispatch() {
-    let (node, addr) = serve_p0(Flood, &[], echo_service());
-    let mut s = raw_client(addr);
-    let mut bytes = framed(&Frame::Req { body: vec![1] });
-    bytes.extend(framed(&Frame::Req { body: vec![2, 2] }));
-    s.write_all(&bytes).expect("write");
-    assert_eq!(read_reply(&mut s), Frame::Rep { body: vec![1] });
-    assert_eq!(read_reply(&mut s), Frame::Rep { body: vec![2, 2] });
-    node.shutdown();
-}
-
-#[test]
 fn oversize_length_claim_closes_that_connection_only() {
     let (node, addr) = serve_p0(Flood, &[], echo_service());
     let mut other = TcpClient::new(addr, ARM, Duration::from_secs(5));
@@ -405,95 +333,6 @@ fn oversize_length_claim_closes_that_connection_only() {
     assert_eq!(other.request(vec![2]).expect("after"), vec![2]);
     let mut fresh = TcpClient::new(addr, ARM, Duration::from_secs(5));
     assert_eq!(fresh.request(vec![3]).expect("fresh"), vec![3]);
-    node.shutdown();
-}
-
-#[test]
-fn frames_naming_ids_outside_the_topology_are_refused_and_the_node_keeps_serving() {
-    // A 1x1 topology: the only process is p0, the only group g0.
-    let (node, addr) = serve_p0(Flood, &[], echo_service());
-    let hostile: Vec<Vec<u8>> = vec![
-        framed(&Frame::Cast {
-            seq: 1,
-            dest: GroupSet::singleton(GroupId(5)),
-            payload: Payload::new(),
-        }),
-        framed(&Frame::Cast {
-            seq: 2,
-            dest: GroupSet::new(),
-            payload: Payload::new(),
-        }),
-        framed(&Frame::CrashNotify { of: ProcessId(9) }),
-        framed_as(&Frame::Peer {
-            from: ProcessId(7),
-            msg: AppMessage::new(
-                MessageId::new(ProcessId(7), 0),
-                GroupSet::first_n(1),
-                Payload::new(),
-            ),
-        }),
-    ];
-    let mut s = raw_client(addr);
-    for bytes in &hostile {
-        s.write_all(bytes).expect("write");
-    }
-    // Frames of one connection are handled in order, so the echo says all
-    // of the above were — and being the first reply, that no cast was acked.
-    s.write_all(&framed(&Frame::Req { body: vec![1] }))
-        .expect("write");
-    assert_eq!(read_reply(&mut s), Frame::Rep { body: vec![1] });
-    assert!(node.delivered().is_empty(), "a refused frame takes no step");
-
-    let mut fresh = TcpClient::new(addr, ARM, Duration::from_secs(5));
-    let id = fresh
-        .cast(3, GroupSet::first_n(1), Payload::from_static(b"valid"))
-        .expect("a fresh connection is accepted and its cast acked");
-    await_that("the valid cast is delivered", || {
-        node.delivered().contains(&id)
-    });
-    assert_eq!(node.stats().bad_frame(), hostile.len() as u64);
-    node.shutdown();
-}
-
-#[test]
-fn a_version_1_peer_frame_is_refused_and_counted_and_the_node_keeps_serving() {
-    // Wire v2 added the sender's floor to consensus `Accepted`, so a v1
-    // body cannot be read as v2: the node drops the whole frame, counts
-    // it, and keeps both the connection and the node serving.
-    let (node, addr) = serve_p0(Flood, &free_addrs(1).expect("ports"), echo_service());
-    let msg = AppMessage::new(
-        MessageId::new(ProcessId(1), 0),
-        GroupSet::first_n(1),
-        Payload::from_static(b"v1"),
-    );
-    let mut sealed = wire::seal(
-        ARM,
-        &Frame::Peer {
-            from: ProcessId(1),
-            msg,
-        },
-    );
-    assert_eq!(sealed[2], wire::VERSION, "byte 2 of the envelope");
-    sealed[2] = 1;
-    let mut peer = raw_client(addr);
-    let mut bytes = Vec::new();
-    write_frame(&mut bytes, &sealed).expect("frame fits");
-    bytes.extend(framed(&Frame::Req { body: vec![1] }));
-    peer.write_all(&bytes).expect("write");
-    // Frames of one connection are handled in order: the echo says the v1
-    // frame was.
-    assert_eq!(read_reply(&mut peer), Frame::Rep { body: vec![1] });
-    assert!(node.delivered().is_empty(), "the v1 frame takes no step");
-    assert_eq!(node.stats().bad_frame(), 1);
-
-    let mut client = TcpClient::new(addr, ARM, Duration::from_secs(5));
-    let id = client
-        .cast(0, GroupSet::first_n(1), Payload::from_static(b"v2"))
-        .expect("a v2 client's cast is acked");
-    await_that("the v2 cast is delivered", || {
-        node.delivered().contains(&id)
-    });
-    assert_eq!(node.stats().bad_frame(), 1);
     node.shutdown();
 }
 
@@ -605,39 +444,6 @@ fn cast_ack_is_readable_before_any_remote_replica_sees_the_cast() {
     });
     assert_eq!(&ack[..n], &expected[..], "ack not in the socket yet");
     node.shutdown();
-}
-
-#[test]
-fn adversary_fates_map_to_copies_on_the_send_path() {
-    // Probability-1 rules make every fate certain: p0 -> p1 always drops,
-    // every surviving copy is duplicated. This pins, on the node's real
-    // send path, what a fate means in frames: dropped = 0 copies (and a
-    // dropped copy is never duplicated), duplicated = 2, and a
-    // self-addressed send is a hand-off the adversary never sees = 1.
-    let (p0, p1, p2) = (ProcessId(0), ProcessId(1), ProcessId(2));
-    let plan = FaultPlan::none().with_drop(p0, p1, 1.0).with_duplication(
-        1.0,
-        SimTime::ZERO,
-        SimTime::from_millis(3_600_000),
-    );
-    let faults = Arc::new(WallFaults::new(plan, 1));
-    let mut cluster =
-        LocalCluster::serve(Topology::symmetric(3, 1), ARM, Some(faults), |_, _| Flood)
-            .expect("serve");
-    let everyone = cluster.topology().all_groups();
-
-    let a = cluster.cast(p0, everyone, Payload::new()).expect("cast");
-    await_that("p2 has both copies of a", || {
-        cluster.delivered(p2) == [a, a]
-    });
-    let b = cluster.cast(p1, everyone, Payload::new()).expect("cast");
-    await_that("p0 and p2 have both copies of b", || {
-        cluster.delivered(p0) == [a, b, b] && cluster.delivered(p2) == [a, a, b, b]
-    });
-    // p0 queues its copy for p1 before the one for p2 and p2 has long had
-    // both of its: had a copy of a been sent to p1, it would be here.
-    assert_eq!(cluster.delivered(p1), [b], "p0 -> p1 drops; self-send once");
-    cluster.shutdown();
 }
 
 /// Test protocol: re-arms a 1.5 ms timer `rounds` times, noting when each

@@ -519,18 +519,6 @@ impl RunMetrics {
             .max()
     }
 
-    /// The latency degree restricted to a subset of processes (e.g. only
-    /// those still correct at the end of the run).
-    pub fn latency_degree_among(&self, m: MessageId, procs: &[ProcessId]) -> Option<LatencyDegree> {
-        let cast = self.casts.get(&m)?;
-        let dels = self.deliveries.get(&m)?;
-        procs
-            .iter()
-            .filter_map(|p| dels.get(p))
-            .map(|d| d.stamp.saturating_sub(cast.stamp))
-            .max()
-    }
-
     /// Wall-clock (virtual) delivery latency of `m`: cast to last delivery.
     pub fn delivery_latency(&self, m: MessageId) -> Option<std::time::Duration> {
         let cast = self.casts.get(&m)?;
@@ -571,27 +559,11 @@ impl RunMetrics {
     pub fn sends_after(&self, t: SimTime) -> u64 {
         self.send_log.iter().filter(|s| s.time > t).count() as u64
     }
-
-    /// Projection `P_{p,q}(Sₚ)` of §2.2: p's delivery sequence restricted to
-    /// messages addressed to both p and q's groups.
-    pub fn projected_sequence(
-        &self,
-        p: ProcessId,
-        p_group_dest: impl Fn(MessageId) -> Option<GroupSet>,
-        both: impl Fn(GroupSet) -> bool,
-    ) -> Vec<MessageId> {
-        self.delivered_seq[p.index()]
-            .iter()
-            .copied()
-            .filter(|&m| p_group_dest(m).is_some_and(&both))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wamcast_types::GroupId;
 
     fn mid(o: u32, s: u64) -> MessageId {
         MessageId::new(ProcessId(o), s)
@@ -657,7 +629,6 @@ mod tests {
     fn latency_degree_is_max_over_deliverers() {
         let m = sample_metrics();
         assert_eq!(m.latency_degree(mid(0, 0)), Some(2));
-        assert_eq!(m.latency_degree_among(mid(0, 0), &[ProcessId(0)]), Some(1));
         assert_eq!(m.latency_degree(mid(9, 9)), None);
     }
 
@@ -696,38 +667,5 @@ mod tests {
         );
         assert_eq!(m.sends_after(SimTime::from_millis(9)), 1);
         assert_eq!(m.sends_after(SimTime::from_millis(20)), 0);
-    }
-
-    #[test]
-    fn projection_filters_by_destination() {
-        let mut m = RunMetrics::new(1);
-        let g01 = GroupSet::from_iter([GroupId(0), GroupId(1)]);
-        let g0 = GroupSet::singleton(GroupId(0));
-        m.casts.insert(
-            mid(0, 0),
-            CastRecord {
-                caster: ProcessId(0),
-                dest: g01,
-                time: SimTime::ZERO,
-                stamp: 0,
-            },
-        );
-        m.casts.insert(
-            mid(0, 1),
-            CastRecord {
-                caster: ProcessId(0),
-                dest: g0,
-                time: SimTime::ZERO,
-                stamp: 0,
-            },
-        );
-        m.delivered_seq[0] = vec![mid(0, 0), mid(0, 1)];
-        let casts = m.casts.clone();
-        let proj = m.projected_sequence(
-            ProcessId(0),
-            |id| casts.get(&id).map(|c| c.dest),
-            |dest| dest.contains(GroupId(0)) && dest.contains(GroupId(1)),
-        );
-        assert_eq!(proj, vec![mid(0, 0)]);
     }
 }

@@ -6,6 +6,7 @@ use crate::{NetConfig, RunMetrics, SplitMix64};
 use std::fmt;
 use std::sync::Arc;
 use wamcast_trace::{Phase, TraceEvent, TraceRing};
+use wamcast_types::proto::trace_msg;
 use wamcast_types::{
     Action, AppMessage, Context, FaultInjector, FaultPlan, GroupSet, LatencyClock, MessageId,
     MsgSlot, Outbox, Payload, ProcessId, Protocol, SimTime, Topology,
@@ -370,32 +371,12 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Records a wire message send/receive at `node`, classified via
-    /// [`Protocol::describe_msg`]: one event per referenced cast, or one
-    /// unattributed event when the protocol declines to classify.
+    /// Records a wire message send/receive at `node` (see [`trace_msg`]).
     fn record_msg(&mut self, node: ProcessId, msg: &P::Msg, sending: bool, peer: ProcessId) {
-        if self.trace.is_none() {
-            return;
-        }
-        match P::describe_msg(msg) {
-            Some(info) => {
-                let phase = info.class.phase(sending);
-                if info.casts.is_empty() {
-                    self.record(node, phase, None, Some(peer));
-                } else {
-                    for id in info.casts {
-                        self.record(node, phase, Some(id), Some(peer));
-                    }
-                }
-            }
-            None => {
-                let phase = if sending {
-                    Phase::MsgSend
-                } else {
-                    Phase::MsgRecv
-                };
-                self.record(node, phase, None, Some(peer));
-            }
+        if self.trace.is_some() {
+            trace_msg::<P>(msg, sending, |phase, cast| {
+                self.record(node, phase, cast, Some(peer))
+            });
         }
     }
 

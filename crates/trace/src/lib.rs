@@ -29,7 +29,7 @@
 //!
 //! # Export
 //!
-//! * [`TraceRing::dump`] / [`render_events`] — the line-oriented text
+//! * [`TraceRing::dump`] — the line-oriented text
 //!   format (one event per line, stable vocabulary) that travels over the
 //!   control plane and is pasted into failure artifacts;
 //! * [`chrome_trace`] — Chrome `trace_event` JSON (open in
@@ -252,17 +252,6 @@ impl TraceRing {
         }
         out
     }
-}
-
-/// Renders a slice of events as dump-style lines (oldest-first order is
-/// the caller's responsibility), one per line.
-pub fn render_events(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&ev.render());
-        out.push('\n');
-    }
-    out
 }
 
 /// The violation-forensics view: the ordered story of one cast, built

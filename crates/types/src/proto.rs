@@ -82,6 +82,27 @@ impl MsgClass {
     }
 }
 
+/// The trace events a host records for one wire message sent to
+/// (`sending`) or received from a peer: the class
+/// [`Protocol::describe_msg`] gives it, as a directional phase, once per
+/// cast the message names, or once unattributed if it names none. A
+/// message the protocol declines to classify is [`MsgClass::Other`].
+/// Every runtime records through this, so their traces cannot drift.
+pub fn trace_msg<P: Protocol + ?Sized>(
+    msg: &P::Msg,
+    sending: bool,
+    mut record: impl FnMut(wamcast_trace::Phase, Option<MessageId>),
+) {
+    let info = P::describe_msg(msg).unwrap_or(MsgInfo::new(MsgClass::Other, Vec::new()));
+    let phase = info.class.phase(sending);
+    if info.casts.is_empty() {
+        record(phase, None);
+    }
+    for id in info.casts {
+        record(phase, Some(id));
+    }
+}
+
 impl MsgInfo {
     /// Describes a message of `class` referencing the given casts.
     pub fn new(class: MsgClass, casts: Vec<MessageId>) -> Self {
